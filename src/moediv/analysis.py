@@ -59,10 +59,8 @@ class HeatmapMatrix:
 
 
 def _clone_model(model: MoEModel) -> MoEModel:
-    out = MoEModel(copy.deepcopy(model.config), seed=0)
-    for name, p in model.params.items():
-        out.params[name].data = p.data.copy()
-    return out
+    arrays = {name: p.data for name, p in model.params.items()}
+    return MoEModel(copy.deepcopy(model.config), arrays=arrays)
 
 
 def permute_router(model: MoEModel, layer: int, seed: int,
@@ -96,9 +94,18 @@ def _as_batches(valset):
     return [arr]
 
 
+def domain_perplexities(model: MoEModel, valsets: dict) -> dict:
+    """Perplexity of ``model`` on each domain's validation set."""
+    return {dom: perplexity(model, _as_batches(valsets[dom])) for dom in sorted(valsets)}
+
+
 def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
-              forced_perm=None) -> PermutationResult:
-    """Perplexity increase per domain after permuting one layer's router rows."""
+              ppl_original: dict, forced_perm=None) -> PermutationResult:
+    """Perplexity increase per domain after permuting one layer's router rows.
+
+    ``ppl_original`` is ``domain_perplexities(model, valsets)``, computed
+    once by the caller and shared by every permutation it draws.
+    """
     if not valsets:
         raise ValueError("delta_ppl: empty validation sets")
     shuffled, perm = permute_router(
@@ -106,22 +113,20 @@ def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
         reject_identity=forced_perm is None,
         forced_perm=forced_perm,
     )
-    ppl_orig, ppl_shuf, delta = {}, {}, {}
-    for dom in sorted(valsets):
-        batches = _as_batches(valsets[dom])
-        ppl_orig[dom] = perplexity(model, batches)
-        ppl_shuf[dom] = perplexity(shuffled, batches)
-        delta[dom] = ppl_shuf[dom] - ppl_orig[dom]
+    ppl_shuf = domain_perplexities(shuffled, valsets)
+    delta = {dom: ppl_shuf[dom] - ppl_original[dom] for dom in ppl_shuf}
     return PermutationResult(
         layer=layer, permutation=perm, seed=seed,
-        ppl_original=ppl_orig, ppl_shuffled=ppl_shuf, delta=delta,
+        ppl_original=dict(ppl_original), ppl_shuffled=ppl_shuf, delta=delta,
     )
 
 
 def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
                    draws: int = 3) -> dict:
     """Mean per-domain delta-PPL over ``draws`` independent permutations."""
-    results = [delta_ppl(model, layer, valsets, seed + i) for i in range(draws)]
+    ppl_original = domain_perplexities(model, valsets)
+    results = [delta_ppl(model, layer, valsets, seed + i, ppl_original)
+               for i in range(draws)]
     mean = {
         dom: float(np.mean([r.delta[dom] for r in results]))
         for dom in results[0].delta
@@ -129,8 +134,12 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
     return {"mean_delta": mean, "draws": results}
 
 
-def _collect_traces(model: MoEModel, valsets: dict):
-    """Forward every domain valset once; return per-domain traces."""
+def collect_traces(model: MoEModel, valsets: dict) -> dict:
+    """Forward every domain's validation set once; {domain: RoutingTrace}.
+
+    The heatmaps and the divergence report read any layer from the result,
+    so one call serves every layer of a command.
+    """
     out = {}
     with T.no_grad():
         for dom in sorted(valsets):
@@ -139,18 +148,16 @@ def _collect_traces(model: MoEModel, valsets: dict):
     return out
 
 
-def activation_heatmap(model: MoEModel, valsets: dict, layer: int,
-                       hard: bool = False) -> HeatmapMatrix:
+def activation_heatmap(traces: dict, layer: int, hard: bool = False) -> HeatmapMatrix:
     """Rows = domains, cols = experts; mean activation, rows sum to 1.
 
-    Soft probabilities by default; ``hard=True`` uses top-K selection
-    frequencies instead (used for the Bayes cross-check with the inverse
-    form).
+    ``traces`` comes from ``collect_traces``. Soft probabilities by default;
+    ``hard=True`` uses top-K selection frequencies instead (used for the
+    Bayes cross-check with the inverse form).
     """
-    traces = _collect_traces(model, valsets)
-    n = model.config.num_experts
+    doms = sorted(traces)
+    n = traces[doms[0]].layers[layer].probs.shape[1]
     rows = []
-    doms = sorted(valsets)
     for dom in doms:
         lt = traces[dom].layers[layer]
         if hard:
@@ -164,14 +171,14 @@ def activation_heatmap(model: MoEModel, valsets: dict, layer: int,
     )
 
 
-def inverse_heatmap(model: MoEModel, valsets: dict, layer: int) -> HeatmapMatrix:
+def inverse_heatmap(traces: dict, layer: int) -> HeatmapMatrix:
     """Rows = experts, cols = domains; selection frequency P(domain | expert).
 
-    Experts never selected on any domain get a uniform row and are flagged.
+    ``traces`` comes from ``collect_traces``. Experts never selected on any
+    domain get a uniform row and are flagged.
     """
-    traces = _collect_traces(model, valsets)
-    n = model.config.num_experts
-    doms = sorted(valsets)
+    doms = sorted(traces)
+    n = traces[doms[0]].layers[layer].probs.shape[1]
     counts = np.zeros((n, len(doms)))
     for j, dom in enumerate(doms):
         lt = traces[dom].layers[layer]
@@ -205,14 +212,16 @@ def ternary_coords(inverse: HeatmapMatrix) -> np.ndarray:
     return inverse.values @ TERNARY_VERTICES
 
 
-def divergence_report(model: MoEModel, valsets: dict) -> list[DivergenceReport]:
-    """Per-layer diversity decomposition over the pooled validation tokens."""
-    if not valsets:
+def divergence_report(traces: dict) -> list[DivergenceReport]:
+    """Per-layer diversity decomposition over the pooled validation tokens.
+
+    ``traces`` comes from ``collect_traces``.
+    """
+    if not traces:
         raise ValueError("divergence_report: empty validation sets")
-    traces = _collect_traces(model, valsets)
-    doms = sorted(valsets)
+    doms = sorted(traces)
     reports = []
-    for layer in range(model.config.num_layers):
+    for layer in range(len(traces[doms[0]].layers)):
         probs = np.concatenate([traces[d].layers[layer].probs for d in doms])
         labels = [d for d in doms for _ in range(traces[d].layers[layer].probs.shape[0])]
         reports.append(decompose(probs, labels))

@@ -33,10 +33,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# keys accepted in the plain-text config file, with their owning dataclass
-_MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
-_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_DATA_KEYS = {"seq_len": int, "batch_size": int, "val_sequences": int}
+# keys accepted in the plain-text config file, with their defaults; a
+# key's value is parsed with the type of its default
+_MODEL_DEFAULTS = dataclasses.asdict(ModelConfig())
+_TRAIN_DEFAULTS = dataclasses.asdict(TrainConfig())
 _DATA_DEFAULTS = {"seq_len": 64, "batch_size": 8, "val_sequences": 100}
 
 
@@ -58,17 +58,19 @@ def parse_config(path=None):
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (s.strip() for s in line.split("=", 1))
-                if key in _MODEL_KEYS:
-                    model_kw[key] = int(value)
-                elif key in _DATA_KEYS:
-                    data_kw[key] = int(value)
-                elif key in _TRAIN_KEYS:
-                    if key == "layer_combine":
-                        train_kw[key] = value
-                    elif key in ("warmup_steps", "total_steps", "seed", "checkpoint_interval"):
-                        train_kw[key] = int(value)
-                    else:
-                        train_kw[key] = float(value)
+                for kw, defaults in ((model_kw, _MODEL_DEFAULTS),
+                                     (train_kw, _TRAIN_DEFAULTS),
+                                     (data_kw, _DATA_DEFAULTS)):
+                    if key in defaults:
+                        kind = type(defaults[key])
+                        try:
+                            kw[key] = kind(value)
+                        except ValueError:
+                            raise UsageError(
+                                f"{path}:{lineno}: '{key}' expects {kind.__name__}, "
+                                f"got '{value}'"
+                            ) from None
+                        break
                 else:
                     raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
     return ModelConfig(**model_kw), TrainConfig(**train_kw), data_kw
@@ -137,7 +139,7 @@ def cmd_decompose(args):
     model = _load_model(args.ckpt)
     _require_file(args.data, "--data")
     valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
-    reports = analysis.divergence_report(model, valsets)
+    reports = analysis.divergence_report(analysis.collect_traces(model, valsets))
     sys.stdout.write(analysis.report_csv(reports))
     return 0
 
@@ -162,11 +164,12 @@ def cmd_heatmap(args):
     model = _load_model(args.ckpt)
     _require_file(args.data, "--data")
     valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
+    traces = analysis.collect_traces(model, valsets)
     for layer in range(model.config.num_layers):
         if args.inverse:
-            hm = analysis.inverse_heatmap(model, valsets, layer)
+            hm = analysis.inverse_heatmap(traces, layer)
         else:
-            hm = analysis.activation_heatmap(model, valsets, layer)
+            hm = analysis.activation_heatmap(traces, layer)
         print(f"# layer {layer}")
         sys.stdout.write(hm.to_csv())
     return 0
@@ -178,8 +181,9 @@ def cmd_ternary(args):
     valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
     if len(valsets) != 3:
         raise ValueError(f"ternary requires exactly 3 domains, data has {len(valsets)}")
+    traces = analysis.collect_traces(model, valsets)
     for layer in range(model.config.num_layers):
-        inv = analysis.inverse_heatmap(model, valsets, layer)
+        inv = analysis.inverse_heatmap(traces, layer)
         pts = analysis.ternary_coords(inv)
         print(f"# layer {layer}")
         print("expert,x,y," + ",".join(f"p_{d}" for d in inv.cols))

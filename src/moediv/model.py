@@ -62,26 +62,40 @@ class RoutingTrace:
 class MoEModel:
     """Parameter store plus structured per-layer views."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, arrays=None):
+        """Random init drawn from ``seed``, or a copy of ``arrays``.
+
+        ``arrays`` maps every parameter name to an array of its shape; no
+        random init is drawn then.
+        """
         self.config = config
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
         c = config
 
-        def p(name, shape, std=0.02):
-            t = Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+        def param(name, shape, init):
+            if arrays is None:
+                data = init(shape)
+            else:
+                if name not in arrays:
+                    raise ValueError(f"missing parameter {name}")
+                data = np.array(arrays[name], dtype=np.float64)
+                if data.shape != shape:
+                    raise ValueError(
+                        f"parameter {name} has shape {data.shape}, expected {shape}"
+                    )
+            t = Tensor(data, requires_grad=True)
             self.params[name] = t
             return t
+
+        def p(name, shape, std=0.02):
+            return param(name, shape, lambda s: rng.normal(0.0, std, size=s))
 
         def ones(name, shape):
-            t = Tensor(np.ones(shape), requires_grad=True)
-            self.params[name] = t
-            return t
+            return param(name, shape, np.ones)
 
         def zeros(name, shape):
-            t = Tensor(np.zeros(shape), requires_grad=True)
-            self.params[name] = t
-            return t
+            return param(name, shape, np.zeros)
 
         self.tok_emb = p("tok_emb", (c.vocab_size, c.hidden_size))
         self.pos_emb = p("pos_emb", (c.max_seq_len, c.hidden_size))
@@ -114,6 +128,9 @@ class MoEModel:
         self.ln_f_g = ones("ln_f.g", (c.hidden_size,))
         self.ln_f_b = zeros("ln_f.b", (c.hidden_size,))
         self.lm_head = p("lm_head", (c.hidden_size, c.vocab_size))
+        if arrays is not None and len(arrays) != len(self.params):
+            extra = sorted(set(arrays) - set(self.params))
+            raise ValueError(f"unknown parameters {extra}")
 
     def param_list(self):
         return list(self.params.values())
@@ -156,9 +173,9 @@ def forward(model: MoEModel, tokens, domains=None):
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
-    flat = tokens.reshape(-1)
-    pos = np.tile(np.arange(l), b)
-    x = T.add(T.take_rows(model.tok_emb, flat), T.take_rows(model.pos_emb, pos))
+    # [B, L, d] token rows plus the first L position rows, broadcast over B
+    x = T.add(T.take_rows(model.tok_emb, tokens), T.take_rows(model.pos_emb, np.arange(l)))
+    x = T.reshape(x, (b * l, c.hidden_size))
 
     h, dh = c.num_heads, c.hidden_size // c.num_heads
     traces = []
@@ -267,11 +284,11 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: not a moediv checkpoint (bad magic)")
         header = json.loads(f.readline().decode())
         config = ModelConfig(**header["config"])
-        model = MoEModel(config, seed=0)
+        arrays = {}
         for name, shape in header["params"]:
             n_items = int(np.prod(shape)) if shape else 1
-            buf = f.read(n_items * 8)
-            model.params[name].data = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(f.read(n_items * 8), dtype="<f8").reshape(shape)
+        model = MoEModel(config, arrays=arrays)
         opt_state = None
         if header.get("has_opt"):
             m, v = {}, {}

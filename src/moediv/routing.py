@@ -45,9 +45,6 @@ class ExpertFFN:
     w_up: Tensor    # [d, m]
     w_down: Tensor  # [m, d]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(T.mul(T.silu(T.matmul(x, self.w_gate)), T.matmul(x, self.w_up)), self.w_down)
-
 
 @dataclass
 class MoELayer:
@@ -103,27 +100,18 @@ def moe_forward_batch(layer: MoELayer, x: Tensor):
     """Sparse MoE forward for a [T, d] token batch.
 
     Returns (y [T, d], probs Tensor [T, N], selected [T, K], gates Tensor
-    [T, K]). Only selected experts run; selection indices are constants for
-    the backward pass, so gradients reach the router solely through the
+    [T, K]). Only selected experts run, all of a layer's experts in one
+    ``expert_mixture`` node; selection indices are constants for the
+    backward pass, so gradients reach the router solely through the
     renormalized gate values and the auxiliary losses.
     """
     probs = route(layer.router, x)
     selected, _ = topk_select(probs.data, layer.top_k)
     chosen = T.take_along_last(probs, selected)
     gates = T.div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
-    t_tokens = x.shape[0]
-    y = None
-    for i, expert in enumerate(layer.experts):
-        rows, cols = np.nonzero(selected == i)
-        if rows.size == 0:
-            continue
-        xi = T.take_rows(x, rows)
-        hi = expert(xi)
-        wi = T.reshape(T.take_elems2d(gates, rows, cols), (rows.size, 1))
-        contrib = T.scatter_rows(T.mul(hi, wi), rows, t_tokens)
-        y = contrib if y is None else T.add(y, contrib)
-    if y is None:  # cannot happen with 1 <= K <= N, defensive
-        y = Tensor(np.zeros_like(x.data))
+    y = T.expert_mixture(
+        x, gates, selected, [(e.w_gate, e.w_up, e.w_down) for e in layer.experts]
+    )
     return y, probs, selected, gates
 
 

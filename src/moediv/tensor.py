@@ -101,9 +101,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents) -> bool:
+    """Whether an op on ``parents`` becomes a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -281,26 +286,44 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 # indexing
 
 
+def _sum_rows(values, idx, num_rows) -> np.ndarray:
+    """Zero base of ``num_rows`` rows with out[idx[j]] += values[j].
+
+    ``idx`` holds non-negative row numbers. Unique ones are a plain
+    assignment. Repeated ones go through one weighted ``bincount`` over
+    (row, column) cells, which adds each cell's terms in index order: the
+    same bits as adding them one by one.
+    """
+    tail = values.shape[idx.ndim:]
+    width = int(np.prod(tail))
+    idx = idx.reshape(-1)
+    values = values.reshape(idx.size, width)
+    if np.bincount(idx, minlength=num_rows).max(initial=0) <= 1:
+        out = np.zeros((num_rows, width))
+        out[idx] = values
+    else:
+        cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
+        out = np.bincount(cells, weights=values.reshape(-1), minlength=num_rows * width)
+    return out.reshape((num_rows,) + tail)
+
+
 def take_rows(a, idx) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds."""
+    """Select rows along axis 0 (``idx`` of any shape); backward sums repeats."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
 
     def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_sum_rows(g, idx, a.shape[0]),)
 
     return _make(data, (a,), vjp)
 
 
 def scatter_rows(values, idx, num_rows) -> Tensor:
-    """Inverse of take_rows: place rows of ``values`` at ``idx`` in a zero base."""
+    """Inverse of take_rows: sum rows of ``values`` at ``idx`` in a zero base."""
     values = as_tensor(values)
     idx = np.asarray(idx, dtype=np.intp)
-    data = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
-    np.add.at(data, idx, values.data)
+    data = _sum_rows(values.data, idx, num_rows)
 
     def vjp(g):
         return (g[idx],)
@@ -308,35 +331,26 @@ def scatter_rows(values, idx, num_rows) -> Tensor:
     return _make(data, (values,), vjp)
 
 
+def _require_distinct_in_rows(idx, op):
+    """Refuse an index array with a repeat along its last axis."""
+    if idx.shape[-1] > 1 and np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
+        raise ValueError(f"{op}: repeated index within a row")
+
+
 def take_along_last(a, idx) -> Tensor:
-    """Gather along the last axis with integer index array ``idx``."""
+    """Gather along the last axis; indices must be distinct within a row.
+
+    Distinct indices (a top-K selection) make the backward a plain
+    assignment into a zero base.
+    """
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
+    _require_distinct_in_rows(idx, "take_along_last")
     data = np.take_along_axis(a.data, idx, axis=-1)
 
     def vjp(g):
-        # scatter-add so duplicate indices within a row accumulate
         out = np.zeros_like(a.data)
-        flat_out = out.reshape(-1, out.shape[-1])
-        flat_idx = idx.reshape(-1, idx.shape[-1])
-        flat_g = g.reshape(-1, idx.shape[-1])
-        rows = np.repeat(np.arange(flat_out.shape[0]), idx.shape[-1])
-        np.add.at(flat_out, (rows, flat_idx.reshape(-1)), flat_g.reshape(-1))
-        return (flat_out.reshape(a.shape),)
-
-    return _make(data, (a,), vjp)
-
-
-def take_elems2d(a, rows, cols) -> Tensor:
-    """Gather a[rows[k], cols[k]] for a 2-D tensor."""
-    a = as_tensor(a)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    data = a.data[rows, cols]
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, (rows, cols), g)
+        np.put_along_axis(out, idx, g, axis=-1)
         return (out,)
 
     return _make(data, (a,), vjp)
@@ -405,6 +419,78 @@ def cross_entropy_mean(logits, targets) -> Tensor:
         return (probs * (float(g) / t),)
 
     return _make(data, (logits,), vjp)
+
+
+def expert_mixture(x, gates, selected, experts) -> Tensor:
+    """Sparse mixture of SiLU-gated MLP experts as one graph node.
+
+    ``x`` is [T, d], ``gates`` [T, K] and ``selected`` an int array [T, K]
+    of expert indices, distinct within a row; ``experts`` lists one
+    (w_gate [d, m], w_up [d, m], w_down [m, d]) triple per expert. Returns
+    y [T, d] with
+
+        y[t] = sum_k gates[t, k] * E_{selected[t, k]}(x[t]),
+        E(x) = (silu(x w_gate) * (x w_up)) w_down.
+
+    The (token, k) slots are sorted by expert once, stably, so each expert
+    runs on one contiguous slice of slots holding its tokens in ascending
+    order (dropless grouped dispatch as in MegaBlocks). A token appears at
+    most once per expert, so each gated expert output is added into its
+    token rows by plain assignment, expert by expert. Selections are
+    constants of the backward pass; experts that get no token get no
+    gradient.
+    """
+    x, gates = as_tensor(x), as_tensor(gates)
+    experts = [tuple(as_tensor(w) for w in triple) for triple in experts]
+    parents = (x, gates) + tuple(w for triple in experts for w in triple)
+    selected = np.asarray(selected, dtype=np.intp)
+    _require_distinct_in_rows(selected, "expert_mixture")
+    t, k = selected.shape
+    counts = np.bincount(selected.reshape(-1), minlength=len(experts))
+    if counts.size != len(experts):
+        raise ValueError("expert_mixture: expert index out of range")
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(selected.reshape(-1), kind="stable")  # slot t * K + k
+    slot_tokens = order // k
+    slot_gates = gates.data.reshape(-1)[order][:, None]
+    record = _recording(parents)
+
+    data = np.zeros((t, x.shape[1]))
+    saved = []
+    for (w_gate, w_up, w_down), lo, hi in zip(experts, bounds[:-1], bounds[1:]):
+        rows = slot_tokens[lo:hi]
+        xi = x.data[rows]
+        pre = xi @ w_gate.data
+        sig = 1.0 / (1.0 + np.exp(-pre))
+        act = pre * sig
+        up = xi @ w_up.data
+        h = act * up
+        expert_out = h @ w_down.data
+        data[rows] += expert_out * slot_gates[lo:hi]
+        if record:
+            saved.append((xi, pre, sig, act, up, h, expert_out))
+
+    def vjp(g):
+        g_x = np.zeros_like(x.data)
+        g_gates = np.empty(t * k)
+        g_weights = []
+        for (w_gate, w_up, w_down), lo, hi, (xi, pre, sig, act, up, h, expert_out) in zip(
+                experts, bounds[:-1], bounds[1:], saved):
+            if lo == hi:
+                g_weights += [None, None, None]
+                continue
+            rows = slot_tokens[lo:hi]
+            g_rows = g[rows]
+            g_gates[order[lo:hi]] = (expert_out * g_rows).sum(axis=1)
+            go = g_rows * slot_gates[lo:hi]
+            gh = go @ w_down.data.T
+            g_pre = gh * up * (sig * (1.0 + pre * (1.0 - sig)))
+            g_up = gh * act
+            g_x[rows] += g_pre @ w_gate.data.T + g_up @ w_up.data.T
+            g_weights += [xi.T @ g_pre, xi.T @ g_up, h.T @ go]
+        return (g_x, g_gates.reshape(t, k), *g_weights)
+
+    return _make(data, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,10 @@ def test_c8_heatmap_ternary(twin, perturbation):
 
     row_err = 0.0
     cosines = {}
+    traces = {tag: analysis.collect_traces(twin[tag]["model"], twin["valsets"])
+              for tag in ("edl", "base")}
     for tag in ("edl", "base"):
-        hm = analysis.activation_heatmap(twin[tag]["model"], twin["valsets"], top_layer)
+        hm = analysis.activation_heatmap(traces[tag], top_layer)
         row_err = max(row_err, float(np.abs(hm.values.sum(axis=1) - 1.0).max()))
         sims = []
         for i in range(len(hm.rows)):
@@ -178,7 +180,7 @@ def test_c8_heatmap_ternary(twin, perturbation):
                 sims.append(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         cosines[tag] = float(np.mean(sims))
 
-    inv = analysis.inverse_heatmap(twin["edl"]["model"], twin["valsets"], top_layer)
+    inv = analysis.inverse_heatmap(traces["edl"], top_layer)
     row_err = max(row_err, float(np.abs(inv.values.sum(axis=1) - 1.0).max()))
     pts = analysis.ternary_coords(inv)
     v = analysis.TERNARY_VERTICES

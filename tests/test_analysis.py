@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moediv import analysis as A
+from moediv import model as model_mod
 from moediv.model import ModelConfig, MoEModel, forward, perplexity
 
 CFG = ModelConfig(
@@ -64,12 +65,14 @@ class TestPermuteRouter:
 class TestDeltaPPL:
     def test_identity_perm_zero_delta(self, model, valsets):
         res = A.delta_ppl(model, 0, valsets, seed=0,
+                          ppl_original=A.domain_perplexities(model, valsets),
                           forced_perm=np.arange(CFG.num_experts))
         for dom in valsets:
             assert res.delta[dom] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_perplexity(self, model, valsets):
-        res = A.delta_ppl(model, 0, valsets, seed=5)
+        res = A.delta_ppl(model, 0, valsets, seed=5,
+                          ppl_original=A.domain_perplexities(model, valsets))
         shuffled, _ = A.permute_router(model, 0, seed=5)
         for dom in valsets:
             assert res.ppl_original[dom] == pytest.approx(
@@ -92,7 +95,8 @@ class TestDeltaPPL:
             assert out["mean_delta"][dom] == pytest.approx(expected, abs=1e-15)
 
     def test_records(self, model, valsets):
-        res = A.delta_ppl(model, 1, valsets, seed=0)
+        res = A.delta_ppl(model, 1, valsets, seed=0,
+                          ppl_original=A.domain_perplexities(model, valsets))
         recs = res.to_records()
         assert len(recs) == 3
         assert all(r["layer"] == 1 for r in recs)
@@ -101,21 +105,21 @@ class TestDeltaPPL:
 class TestHeatmaps:
     def test_rows_normalized(self, model, valsets):
         for layer in range(CFG.num_layers):
-            hm = A.activation_heatmap(model, valsets, layer)
+            hm = A.activation_heatmap(A.collect_traces(model, valsets), layer)
             np.testing.assert_allclose(hm.values.sum(axis=1), 1.0, atol=1e-9)
             assert hm.rows == sorted(valsets)
             assert len(hm.cols) == CFG.num_experts
             assert np.all(hm.values >= 0)
 
     def test_soft_matches_trace_oracle(self, model, valsets):
-        hm = A.activation_heatmap(model, valsets, 0)
+        hm = A.activation_heatmap(A.collect_traces(model, valsets), 0)
         for i, dom in enumerate(sorted(valsets)):
             _, trace, _ = forward(model, valsets[dom])
             mean = trace.layers[0].probs.mean(axis=0)
             np.testing.assert_allclose(hm.values[i], mean / mean.sum(), atol=1e-12)
 
     def test_hard_matches_counts(self, model, valsets):
-        hm = A.activation_heatmap(model, valsets, 0, hard=True)
+        hm = A.activation_heatmap(A.collect_traces(model, valsets), 0, hard=True)
         for i, dom in enumerate(sorted(valsets)):
             _, trace, _ = forward(model, valsets[dom])
             counts = np.bincount(
@@ -124,7 +128,7 @@ class TestHeatmaps:
             np.testing.assert_allclose(hm.values[i], counts / counts.sum(), atol=1e-12)
 
     def test_inverse_rows_normalized(self, model, valsets):
-        hm = A.inverse_heatmap(model, valsets, 0)
+        hm = A.inverse_heatmap(A.collect_traces(model, valsets), 0)
         np.testing.assert_allclose(hm.values.sum(axis=1), 1.0, atol=1e-9)
         assert hm.rows == [f"expert_{i}" for i in range(CFG.num_experts)]
         assert hm.cols == sorted(valsets)
@@ -132,7 +136,7 @@ class TestHeatmaps:
     def test_inverse_bayes_consistent(self, model, valsets):
         # joint counts reconstructed from the inverse rows must match the
         # joint counts behind the hard forward heatmap
-        inv = A.inverse_heatmap(model, valsets, 0)
+        inv = A.inverse_heatmap(A.collect_traces(model, valsets), 0)
         doms = sorted(valsets)
         joint = np.zeros((CFG.num_experts, len(doms)))
         for j, dom in enumerate(doms):
@@ -155,12 +159,12 @@ class TestHeatmaps:
         m.params["layers.0.ln2.b"].data[0] = 100.0
         m.params["layers.0.moe.router"].data[3] = 0.0
         m.params["layers.0.moe.router"].data[3, 0] = -1.0
-        hm = A.inverse_heatmap(m, valsets, 0)
+        hm = A.inverse_heatmap(A.collect_traces(m, valsets), 0)
         assert "expert_3" in hm.flagged_rows
         np.testing.assert_allclose(hm.values[3], 1.0 / 3.0, atol=1e-12)
 
     def test_csv_roundtrip(self, model, valsets):
-        hm = A.activation_heatmap(model, valsets, 0)
+        hm = A.activation_heatmap(A.collect_traces(model, valsets), 0)
         text = hm.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "row," + ",".join(hm.cols)
@@ -185,7 +189,7 @@ class TestTernary:
         )
 
     def test_inside_simplex(self, model, valsets):
-        pts = A.ternary_coords(A.inverse_heatmap(model, valsets, 0))
+        pts = A.ternary_coords(A.inverse_heatmap(A.collect_traces(model, valsets), 0))
         # all points inside the triangle: barycentric coordinates of each
         # point w.r.t. the vertices are nonnegative
         v = A.TERNARY_VERTICES
@@ -203,18 +207,51 @@ class TestTernary:
 
 class TestDivergenceReport:
     def test_per_layer_identity(self, model, valsets):
-        reports = A.divergence_report(model, valsets)
+        reports = A.divergence_report(A.collect_traces(model, valsets))
         assert len(reports) == CFG.num_layers
         for rep in reports:
             assert abs(rep.d_total - rep.d_inter - rep.d_intra) <= 1e-10
             assert rep.num_domains == 3
 
     def test_csv_format(self, model, valsets):
-        text = A.report_csv(A.divergence_report(model, valsets))
+        text = A.report_csv(A.divergence_report(A.collect_traces(model, valsets)))
         lines = text.strip().split("\n")
         assert lines[0] == "layer,d_total,d_inter,d_intra"
         assert len(lines) == 1 + CFG.num_layers
 
     def test_empty_valsets(self, model):
         with pytest.raises(ValueError):
-            A.divergence_report(model, {})
+            A.divergence_report(A.collect_traces(model, {}))
+
+
+def count_forwards(monkeypatch):
+    """Count model.forward calls, wherever analysis or perplexity look it up."""
+    calls = []
+    original = model_mod.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "forward", counted)
+    monkeypatch.setattr(A, "forward", counted)
+    return calls
+
+
+class TestForwardCounts:
+    """One forward per (model, domain) per analysis, whatever the layers."""
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_delta_ppl_mean(self, model, valsets, monkeypatch, draws):
+        calls = count_forwards(monkeypatch)
+        A.delta_ppl_mean(model, 0, valsets, seed=0, draws=draws)
+        assert len(calls) == (draws + 1) * len(valsets)
+
+    def test_traces_serve_every_layer(self, model, valsets, monkeypatch):
+        calls = count_forwards(monkeypatch)
+        traces = A.collect_traces(model, valsets)
+        for layer in range(CFG.num_layers):
+            A.activation_heatmap(traces, layer)
+            A.inverse_heatmap(traces, layer)
+        A.divergence_report(traces)
+        assert len(calls) == len(valsets)

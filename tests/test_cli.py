@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from moediv import cli
+from moediv import analysis, cli
+from moediv import model as model_mod
 from moediv.data import SynthDomainSpec, synth_corpus
+from moediv.model import ModelConfig, MoEModel, save_checkpoint
+from moediv.trainer import TrainConfig
 
 
 def write_corpus(path, seed=0, num_docs=2, doc_len=400, domains=("a", "b", "c")):
@@ -88,6 +92,23 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(cli.UsageError):
             cli.parse_config("/nonexistent/config")
+
+    def test_every_key_parses_to_its_default_type(self, tmp_path):
+        defaults = {**dataclasses.asdict(ModelConfig()), **dataclasses.asdict(TrainConfig()),
+                    "seq_len": 64, "batch_size": 8, "val_sequences": 100}
+        p = tmp_path / "c.ini"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items()))
+        mc, tc, dc = cli.parse_config(p)
+        parsed = {**dataclasses.asdict(mc), **dataclasses.asdict(tc), **dc}
+        assert parsed.keys() == defaults.keys()
+        for key, value in defaults.items():
+            assert type(parsed[key]) is type(value) and parsed[key] == value, key
+
+    def test_wrong_type_is_usage_error(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("total_steps = 1.5\n")
+        with pytest.raises(cli.UsageError, match="'total_steps' expects int"):
+            cli.parse_config(p)
 
 
 class TestExitCodes:
@@ -211,3 +232,38 @@ class TestAnalysisCommands:
         assert rc == 0
         lines = [json.loads(l) for l in open(out2 / "metrics.jsonl")]
         assert [l["step"] for l in lines] == [3, 4, 5]
+
+
+class TestVerbForwardCounts:
+    """Each verb forwards each domain once per model, whatever the layers."""
+
+    @pytest.fixture
+    def three_layer(self, tmp_path):
+        config = ModelConfig(num_layers=3, hidden_size=16, intermediate_size=24,
+                             num_experts=4, top_k=2, num_heads=2, vocab_size=128,
+                             max_seq_len=16)
+        ckpt = tmp_path / "m.moediv"
+        save_checkpoint(ckpt, MoEModel(config, seed=0))
+        return ckpt, write_corpus(tmp_path / "corpus.jsonl")
+
+    @pytest.mark.parametrize("verb, expected", [
+        (["decompose"], 3),
+        (["heatmap"], 3),
+        (["heatmap", "--inverse"], 3),
+        (["ternary"], 3),
+        (["perturb", "--layer", "1", "--draws", "2"], 9),  # (draws + 1) per domain
+    ])
+    def test_forward_calls(self, three_layer, monkeypatch, capsys, verb, expected):
+        calls = []
+        original = model_mod.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "forward", counted)
+        monkeypatch.setattr(analysis, "forward", counted)
+        ckpt, corpus = three_layer
+        rc = cli.run([verb[0], "--ckpt", str(ckpt), "--data", str(corpus), *verb[1:]])
+        assert rc == 0, capsys.readouterr().err
+        assert len(calls) == expected

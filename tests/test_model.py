@@ -199,3 +199,39 @@ class TestCheckpoint:
         model = MoEModel(SMALL, seed=12)
         save_checkpoint(tmp_path / "m.moediv", model)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.moediv"]
+
+
+class TestFromArrays:
+    def test_copies_given_arrays(self):
+        model = MoEModel(SMALL, seed=13)
+        arrays = {name: p.data for name, p in model.params.items()}
+        built = MoEModel(SMALL, arrays=arrays)
+        assert list(built.params) == list(model.params)
+        for name, p in built.params.items():
+            assert np.array_equal(p.data, arrays[name])
+            assert p.data is not arrays[name] and p.requires_grad
+        tokens = np.array([[1, 2, 3, 4]])
+        assert np.array_equal(forward(model, tokens)[0].data, forward(built, tokens)[0].data)
+
+    def test_draws_no_random_init(self, monkeypatch):
+        arrays = {name: p.data for name, p in MoEModel(SMALL, seed=14).params.items()}
+
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("random init drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        with pytest.raises(AssertionError):
+            MoEModel(SMALL, seed=0)
+        MoEModel(SMALL, arrays=arrays)
+
+    def test_rejects_mismatched_arrays(self):
+        arrays = {name: p.data for name, p in MoEModel(SMALL, seed=15).params.items()}
+        missing = dict(arrays)
+        del missing["lm_head"]
+        with pytest.raises(ValueError, match="missing parameter lm_head"):
+            MoEModel(SMALL, arrays=missing)
+        with pytest.raises(ValueError, match="layers.0.attn.wq"):
+            MoEModel(SMALL, arrays={**arrays, "layers.0.attn.wq": np.zeros((2, 2))})
+        with pytest.raises(ValueError, match="bogus"):
+            MoEModel(SMALL, arrays={**arrays, "bogus": np.zeros(1)})

@@ -81,6 +81,35 @@ class TestTopK:
             assert chosen.min() >= rest.max() - 1e-15
 
 
+def run_expert(expert, x):
+    """One expert's SiLU-gated MLP as separate graph ops (the oracle)."""
+    h = T.mul(T.silu(T.matmul(x, expert.w_gate)), T.matmul(x, expert.w_up))
+    return T.matmul(h, expert.w_down)
+
+
+def loop_moe_forward(layer, x):
+    """The per-expert dispatch loop that ``expert_mixture`` replaced.
+
+    Gathers each expert's tokens, runs the expert, weights it by its gate
+    and scatters it back, accumulating over experts in index order.
+    """
+    probs = R.route(layer.router, x)
+    selected, _ = R.topk_select(probs.data, layer.top_k)
+    chosen = T.take_along_last(probs, selected)
+    gates = T.div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
+    flat_gates = T.reshape(gates, (-1,))
+    y = None
+    for i, expert in enumerate(layer.experts):
+        rows, cols = np.nonzero(selected == i)
+        if rows.size == 0:
+            continue
+        hi = run_expert(expert, T.take_rows(x, rows))
+        wi = T.reshape(T.take_rows(flat_gates, rows * layer.top_k + cols), (rows.size, 1))
+        contrib = T.scatter_rows(T.mul(hi, wi), rows, x.shape[0])
+        y = contrib if y is None else T.add(y, contrib)
+    return y, probs, selected, gates
+
+
 def make_layer(rng, n_experts, d, m, k):
     experts = [
         R.ExpertFFN(
@@ -105,7 +134,7 @@ class TestMoEForward:
             e.w_down = layer.experts[0].w_down
         x = rng.normal(size=5)
         y, _, _ = R.moe_forward(layer, x)
-        ref = layer.experts[0](T.Tensor(x[None, :]))
+        ref = run_expert(layer.experts[0], T.Tensor(x[None, :]))
         np.testing.assert_allclose(y.data, ref.data[0], atol=1e-12)
 
     def test_k1_single_expert(self):
@@ -116,7 +145,7 @@ class TestMoEForward:
         assert gate.gates[0] == pytest.approx(1.0)
         picked = int(gate.selected[0])
         assert picked == int(np.argmax(dist.probs))
-        ref = layer.experts[picked](T.Tensor(x[None, :]))
+        ref = run_expert(layer.experts[picked], T.Tensor(x[None, :]))
         np.testing.assert_allclose(y.data, ref.data[0], atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -127,7 +156,7 @@ class TestMoEForward:
         xs = rng.normal(size=(10, 4))
         y, probs, selected, gates = R.moe_forward_batch(layer, T.Tensor(xs))
         dense = np.stack(
-            [layer.experts[i](T.Tensor(xs)).data for i in range(6)], axis=0
+            [run_expert(layer.experts[i], T.Tensor(xs)).data for i in range(6)], axis=0
         )
         for t in range(10):
             expected = sum(
@@ -186,3 +215,93 @@ class TestMoEForward:
         y2, p2, _, _ = R.moe_forward_batch(layer2, T.Tensor(x))
         np.testing.assert_allclose(p1.data, p2.data, atol=1e-10)
         np.testing.assert_allclose(y1.data, y2.data, atol=1e-10)
+
+
+def expert_weights(layer):
+    return [(e.w_gate, e.w_up, e.w_down) for e in layer.experts]
+
+
+class TestExpertMixture:
+    """The fused expert op against the per-expert loop it replaced."""
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (6, 2), (4, 4)])
+    def test_forward_bit_identical_to_loop(self, n, k):
+        # both add each token's gated expert outputs in expert order
+        rng = np.random.default_rng(30 + k)
+        layer = make_layer(rng, n, 5, 7, k)
+        x = T.Tensor(rng.normal(size=(40, 5)))
+        new = R.moe_forward_batch(layer, x)
+        old = loop_moe_forward(layer, x)
+        assert np.array_equal(new[0].data, old[0].data)
+        assert np.array_equal(new[1].data, old[1].data)
+        assert np.array_equal(new[2], old[2])
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_gradients_match_loop(self, k):
+        rng = np.random.default_rng(40 + k)
+        layer = make_layer(rng, 4, 5, 7, k)
+        x = T.Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+        weights = rng.normal(size=(9, 5))
+        params = [x, layer.router] + [w for triple in expert_weights(layer) for w in triple]
+        new = T.backward(T.tsum(T.mul(R.moe_forward_batch(layer, x)[0], weights)))
+        old = T.backward(T.tsum(T.mul(loop_moe_forward(layer, x)[0], weights)))
+        for p in params:
+            assert (p in new) == (p in old)
+            if p in new:
+                np.testing.assert_allclose(new[p], old[p], rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("k, selected", [
+        (1, [[0], [2], [2], [0], [3]]),                   # expert 1 gets no token
+        (2, [[0, 2], [2, 0], [3, 2], [0, 3], [2, 3]]),    # expert 1 gets no token
+        (4, [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2],
+             [2, 0, 3, 1], [0, 2, 1, 3]]),                # K = N
+    ])
+    def test_grad_check(self, k, selected):
+        rng = np.random.default_rng(50 + k)
+        layer = make_layer(rng, 4, 3, 4, k)
+        x = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        gates = T.Tensor(rng.random((5, k)) + 0.1, requires_grad=True)
+        selected = np.array(selected)
+        weights = rng.normal(size=(5, 3))
+        experts = expert_weights(layer)
+        params = [x, gates] + [w for triple in experts for w in triple]
+
+        def f():
+            y = T.expert_mixture(x, gates, selected, experts)
+            return T.tsum(T.mul(y, weights))
+
+        assert T.grad_check(f, params, h=1e-6) <= 1e-6
+
+    def test_idle_expert_gets_no_gradient(self):
+        rng = np.random.default_rng(60)
+        layer = make_layer(rng, 4, 3, 4, 2)
+        x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        gates = T.Tensor(np.full((3, 2), 0.5), requires_grad=True)
+        y = T.expert_mixture(x, gates, np.array([[0, 2], [2, 3], [3, 0]]),
+                             expert_weights(layer))
+        grads = T.backward(T.tsum(T.mul(y, y)))
+        idle = layer.experts[1]
+        assert all(w not in grads for w in (idle.w_gate, idle.w_up, idle.w_down))
+        assert all(w in grads for w in (layer.experts[0].w_gate, x, gates))
+
+    def test_one_graph_node(self):
+        rng = np.random.default_rng(61)
+        layer = make_layer(rng, 4, 3, 4, 2)
+        x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        y, _, _, _ = R.moe_forward_batch(layer, x)
+        assert y._parents[0] is x
+        assert len(y._parents) == 2 + 3 * 4
+
+    def test_repeated_expert_in_row(self):
+        rng = np.random.default_rng(63)
+        layer = make_layer(rng, 3, 3, 4, 2)
+        with pytest.raises(ValueError, match="repeated"):
+            T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
+                             np.array([[0, 1], [2, 2]]), expert_weights(layer))
+
+    def test_expert_out_of_range(self):
+        rng = np.random.default_rng(62)
+        layer = make_layer(rng, 2, 3, 4, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 1))),
+                             np.array([[0], [2]]), expert_weights(layer))

@@ -153,3 +153,81 @@ class TestGradCheck:
             return T.tsum(T.mul(picked, picked))
 
         assert T.grad_check(f, [x], h=1e-5) <= 1e-6
+
+
+def one_hot(idx, n):
+    """[len(idx), n] matrix with a 1 at (j, idx[j]); a dense gather matrix."""
+    out = np.zeros((len(idx), n))
+    out[np.arange(len(idx)), idx] = 1.0
+    return out
+
+
+class TestGatherBackward:
+    """Gather backwards against the dense one-hot-matmul reference."""
+
+    @pytest.mark.parametrize("idx", [
+        [4, 0, 2],                    # unique, unsorted
+        [3, 3, 0, 5, 3, 0, 1, 3, 3],  # repeated, like token embeddings
+        [],
+    ])
+    def test_take_rows(self, idx):
+        rng = np.random.default_rng(20)
+        a = T.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        idx = np.array(idx, dtype=np.intp)
+        weights = rng.normal(size=(idx.size, 5))
+        grads = T.backward(T.tsum(T.mul(T.take_rows(a, idx), weights)))
+        expected = one_hot(idx, 6).T @ weights
+        if idx.size:
+            np.testing.assert_allclose(grads[a], expected, rtol=0, atol=1e-14)
+        else:
+            assert a not in grads or np.array_equal(grads[a], expected)
+
+    def test_take_rows_2d_index(self):
+        # a [B, L] index gives [B, L, d] rows; repeats across the batch sum
+        rng = np.random.default_rng(21)
+        a = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        idx = np.array([[0, 4, 4], [2, 0, 4]])
+        weights = rng.normal(size=(2, 3, 3))
+        out = T.take_rows(a, idx)
+        assert out.shape == (2, 3, 3)
+        grads = T.backward(T.tsum(T.mul(out, weights)))
+        expected = one_hot(idx.reshape(-1), 5).T @ weights.reshape(-1, 3)
+        np.testing.assert_allclose(grads[a], expected, rtol=0, atol=1e-14)
+
+    def test_repeated_rows_sum_in_index_order(self):
+        # the repeated-index path adds each row's terms in index order, so it
+        # matches a sequential scatter-add bit for bit
+        rng = np.random.default_rng(22)
+        idx = rng.integers(0, 7, size=300)
+        values = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
+        a = T.Tensor(np.zeros((7, 4)), requires_grad=True)
+        grads = T.backward(T.tsum(T.mul(T.take_rows(a, idx), values)))
+        sequential = np.zeros((7, 4))
+        for j, row in enumerate(idx):
+            sequential[row] += values[j]
+        assert np.array_equal(grads[a], sequential)
+
+    def test_scatter_rows_forward(self):
+        rng = np.random.default_rng(23)
+        idx = np.array([1, 1, 4, 0])
+        values = rng.normal(size=(4, 3))
+        out = T.scatter_rows(values, idx, 6)
+        np.testing.assert_allclose(out.data, one_hot(idx, 6).T @ values, rtol=0, atol=1e-14)
+
+    def test_take_along_last(self):
+        rng = np.random.default_rng(24)
+        a = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        idx = np.array([[5, 0], [2, 3], [0, 1], [4, 2]])
+        weights = rng.normal(size=(4, 2))
+        out = T.take_along_last(a, idx)
+        grads = T.backward(T.tsum(T.mul(out, weights)))
+        for r in range(4):
+            np.testing.assert_array_equal(out.data[r], one_hot(idx[r], 6) @ a.data[r])
+            np.testing.assert_allclose(grads[a][r], one_hot(idx[r], 6).T @ weights[r],
+                                       rtol=0, atol=1e-15)
+
+    def test_take_along_last_rejects_repeats(self):
+        # the backward assigns, so a repeated index within a row would lose
+        # a term; it is refused up front
+        with pytest.raises(ValueError, match="repeated"):
+            T.take_along_last(T.Tensor(np.ones((2, 4))), np.array([[0, 1], [2, 2]]))
