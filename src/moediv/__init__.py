@@ -13,14 +13,13 @@ from .divergence import (
     DivergenceReport,
     decompose,
     entropy,
-    expert_divergence_loss,
     generalized_jsd,
     jsd_pair,
     kl,
 )
-from .losses import LossBreakdown, compose, load_balance_loss
+from .losses import LossBreakdown
 from .model import ModelConfig, MoEModel, forward, load_checkpoint, perplexity, save_checkpoint
 from .tensor import Tensor, backward, grad_check, no_grad
-from .trainer import AdamWState, TrainConfig, run_training, train_step
+from .trainer import AdamWState, TrainConfig, objective, run_training, train_step
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ label and never mixes bytes from documents of different domains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +25,10 @@ class DomainBatch:
 
     sequences: np.ndarray
     domains: list[str]
-    domain_vocab: list[str] = field(default_factory=list)
 
     @property
     def num_sequences(self) -> int:
         return self.sequences.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.sequences.shape[1]
-
-    def label_multiset(self) -> dict:
-        out: dict[str, int] = {}
-        for d in self.domains:
-            out[d] = out.get(d, 0) + 1
-        return out
 
 
 def load_corpus(path):
@@ -169,7 +158,7 @@ def pack_sequences(docs, seq_len: int):
     return sequences, labels
 
 
-def pack_batches(docs, seq_len: int, batch_size: int, seed: int, domain_vocab=None):
+def pack_batches(docs, seq_len: int, batch_size: int, seed: int):
     """Pack a document stream into shuffled DomainBatch blocks.
 
     Deterministic given ``seed``; a trailing group smaller than batch_size is
@@ -180,7 +169,6 @@ def pack_batches(docs, seq_len: int, batch_size: int, seed: int, domain_vocab=No
         raise ValueError("corpus shorter than one packed sequence")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(sequences))
-    vocab = list(domain_vocab) if domain_vocab is not None else sorted(set(labels))
     batches = []
     for start in range(0, len(perm) - batch_size + 1, batch_size):
         take = perm[start : start + batch_size]
@@ -188,7 +176,6 @@ def pack_batches(docs, seq_len: int, batch_size: int, seed: int, domain_vocab=No
             DomainBatch(
                 sequences=np.stack([sequences[i] for i in take]).astype(np.intp),
                 domains=[labels[i] for i in take],
-                domain_vocab=vocab,
             )
         )
     if not batches:

@@ -3,8 +3,8 @@ plus the inter/intra decomposition of total routing diversity and the
 second-order proportionality check between the pairwise-JSD sum and the
 inter-domain component.
 
-All values are in nats. These are the analysis-side (plain numpy) versions;
-the differentiable training loss lives in :mod:`moediv.losses`.
+All values are in nats and computed in plain numpy. The differentiable
+training loss L_ED lives in :mod:`moediv.losses`.
 """
 
 from __future__ import annotations
@@ -87,90 +87,25 @@ def generalized_jsd_entropy_form(dists, weights) -> float:
     return entropy(mean) - float(sum(w * entropy(d) for w, d in zip(weights, dists)))
 
 
-# ---------------------------------------------------------------------------
-# aggregation pipeline (token -> sequence -> domain)
-
-
-@dataclass
-class DomainAggregate:
-    """Mean routing distribution for one domain plus its batch bookkeeping."""
-
-    domain: str
-    mean: np.ndarray
-    num_tokens: int
-    num_sequences: int = 0
-
-
-def sequence_mean(per_token) -> np.ndarray:
-    """Average of per-token routing distributions over one sequence."""
-    per_token = list(per_token)
-    if not per_token:
-        raise ValueError("sequence_mean: empty token list")
-    stack = np.stack([_validate_dist(p, "token dist") for p in per_token])
-    return stack.mean(axis=0)
-
-
-def domain_mean(seq_means) -> list[DomainAggregate]:
-    """Group sequence means by domain and average them, unweighted per sequence.
-
-    ``seq_means`` is an iterable of (domain label, sequence mean distribution,
-    token count) triples; the token count may be omitted (defaults to 1) and
-    is carried through for the token-weighted decomposition.
-    """
-    groups: dict[str, list] = {}
-    order: list[str] = []
-    for item in seq_means:
-        if len(item) == 3:
-            dom, mean, ntok = item
-        else:
-            dom, mean = item
-            ntok = 1
-        if dom not in groups:
-            groups[dom] = []
-            order.append(dom)
-        groups[dom].append((np.asarray(mean, dtype=np.float64), int(ntok)))
-    out = []
-    for dom in order:
-        means = np.stack([m for m, _ in groups[dom]])
-        out.append(
-            DomainAggregate(
-                domain=dom,
-                mean=means.mean(axis=0),
-                num_tokens=sum(n for _, n in groups[dom]),
-                num_sequences=len(groups[dom]),
-            )
-        )
-    return out
-
-
-def expert_divergence_loss(aggregates, eps=DEFAULT_EPS) -> float:
-    """Average of -ln(JSD(p_j, p_k) + eps) over unique domain pairs.
-
-    With fewer than two domains the pairwise average is undefined; the loss
-    is 0 and callers should treat the step as divergence-skipped.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if len(aggregates) < 2:
-        return 0.0
-    vals = [
-        -np.log(jsd_pair(a.mean, b.mean) + eps)
-        for a, b in itertools.combinations(aggregates, 2)
-    ]
-    return float(np.mean(vals))
-
-
-def pairwise_sum(aggregates) -> float:
-    """Raw sum of pairwise JSDs between domain means (no log, no averaging)."""
-    if len(aggregates) < 2:
+def pairwise_sum(means) -> float:
+    """Raw sum of pairwise JSDs between the rows of an [M, N] array of domain means."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.ndim != 2 or means.shape[0] < 2:
         raise ValueError("pairwise_sum needs at least two domains")
-    return float(
-        sum(jsd_pair(a.mean, b.mean) for a, b in itertools.combinations(aggregates, 2))
-    )
+    return float(sum(jsd_pair(p, q) for p, q in itertools.combinations(means, 2)))
 
 
 # ---------------------------------------------------------------------------
 # decomposition of total routing diversity
+
+
+@dataclass
+class DomainAggregate:
+    """Token-weighted mean routing distribution of one domain."""
+
+    domain: str
+    mean: np.ndarray
+    num_tokens: int
 
 
 @dataclass
@@ -267,10 +202,9 @@ def proportionality_check(base, deltas, t):
     if np.any(dists < 0):
         raise ValueError("perturbed distribution has negative entries")
     m = deltas.shape[0]
-    aggs = [DomainAggregate(domain=str(j), mean=dists[j], num_tokens=1) for j in range(m)]
     if t == 0:
         return 0.0, 0.0, None
-    s_pair = pairwise_sum(aggs)
+    s_pair = pairwise_sum(dists)
     d_inter = generalized_jsd_entropy_form(dists, np.full(m, 1.0 / m))
     ratio = s_pair / d_inter if d_inter != 0 else None
     return s_pair, d_inter, ratio

@@ -1,10 +1,9 @@
 """Auxiliary losses and composition of the final training objective.
 
-Two flavors live here: plain-float contract functions (load_balance_loss,
-compose) and the graph-building counterparts used inside a training step
-(suffix ``_t``). The hard selection frequencies f_i are always treated as
-non-differentiable constants; gradient reaches the router only through the
-soft probabilities.
+Every loss here builds autodiff graph nodes (suffix ``_t``); plain-float
+values come from ``.item()`` on the result. The hard selection frequencies
+f_i are always treated as non-differentiable constants; gradient reaches the
+router only through the soft probabilities.
 """
 
 from __future__ import annotations
@@ -35,21 +34,13 @@ def _selection_fractions(selections, num_experts: int) -> np.ndarray:
     sel = np.asarray(selections)
     t = sel.shape[0]
     if t == 0:
-        raise ValueError("load_balance_loss: empty batch")
+        raise ValueError("load_balance_loss_t: empty batch")
     counts = np.bincount(sel.reshape(-1), minlength=num_experts).astype(np.float64)
     return counts / t
 
 
-def load_balance_loss(per_token_probs, selections, num_experts: int) -> float:
-    """N * sum_i f_i * P_i over a batch of tokens (plain-float version)."""
-    probs = np.asarray(per_token_probs, dtype=np.float64)
-    f = _selection_fractions(selections, num_experts)
-    p_mean = probs.mean(axis=0)
-    return float(num_experts * (f * p_mean).sum())
-
-
 def load_balance_loss_t(probs: Tensor, selections, num_experts: int) -> Tensor:
-    """Differentiable L_LB; f_i enters as a constant vector."""
+    """L_LB = N * sum_i f_i * P_i over a [T, N] batch; f_i enters as a constant."""
     f = _selection_fractions(selections, num_experts)
     p_mean = T.tmean(probs, axis=0)
     return T.mul(T.tsum(T.mul(p_mean, f)), float(num_experts))
@@ -118,25 +109,15 @@ def expert_divergence_loss_t(
     return T.reshape(T.div(total, float(len(terms))), ()), m_b
 
 
-def compose(l_lm, l_lb, l_ed, alpha=1e-3, beta=5e-4) -> LossBreakdown:
-    """Weighted sum L_final = L_LM + alpha*L_LB + beta*L_ED (plain floats)."""
-    parts = {"l_lm": float(l_lm), "l_lb": float(l_lb), "l_ed": float(l_ed)}
+def compose_t(l_lm: Tensor, l_lb: Tensor, l_ed: Tensor, alpha: float, beta: float):
+    """L_final = L_LM + alpha*L_LB + beta*L_ED; returns (total Tensor, LossBreakdown).
+
+    Raises ValueError naming the first non-finite component, L_final included.
+    """
+    parts = {"l_lm": l_lm.item(), "l_lb": l_lb.item(), "l_ed": l_ed.item()}
+    parts["l_final"] = parts["l_lm"] + alpha * parts["l_lb"] + beta * parts["l_ed"]
     for name, value in parts.items():
         if not math.isfinite(value):
-            raise ValueError(f"compose: non-finite loss component {name}={value}")
-    final = parts["l_lm"] + alpha * parts["l_lb"] + beta * parts["l_ed"]
-    return LossBreakdown(
-        l_lm=parts["l_lm"],
-        l_lb=parts["l_lb"],
-        l_ed=parts["l_ed"],
-        l_final=final,
-        alpha=alpha,
-        beta=beta,
-    )
-
-
-def compose_t(l_lm: Tensor, l_lb: Tensor, l_ed: Tensor, alpha: float, beta: float):
-    """Graph version of compose; returns (total Tensor, LossBreakdown)."""
-    breakdown = compose(l_lm.item(), l_lb.item(), l_ed.item(), alpha, beta)
+            raise ValueError(f"compose_t: non-finite loss component {name}={value}")
     total = T.add(l_lm, T.add(T.mul(l_lb, alpha), T.mul(l_ed, beta)))
-    return total, breakdown
+    return total, LossBreakdown(**parts, alpha=alpha, beta=beta)

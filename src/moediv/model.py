@@ -44,7 +44,6 @@ class LayerTrace:
 
     probs: np.ndarray     # [T, N]
     selected: np.ndarray  # [T, K]
-    gates: np.ndarray     # [T, K]
 
 
 @dataclass
@@ -184,15 +183,9 @@ def forward(model: MoEModel, tokens, domains=None):
         xn = _affine_norm(x, block["ln1_g"], block["ln1_b"])
         x = T.add(x, _attention(block, xn, b, l, h, dh))
         hn = _affine_norm(x, block["ln2_g"], block["ln2_b"])
-        y, probs, selected, gates = moe_forward_batch(block["moe"], hn)
+        y, probs, selected, _ = moe_forward_batch(block["moe"], hn)
         x = T.add(x, y)
-        traces.append(
-            LayerTrace(
-                probs=probs.data.copy(),
-                selected=selected.copy(),
-                gates=gates.data.copy(),
-            )
-        )
+        traces.append(LayerTrace(probs=probs.data.copy(), selected=selected.copy()))
         live.append({"probs": probs, "selected": selected})
 
     xf = _affine_norm(x, model.ln_f_g, model.ln_f_b)

@@ -18,26 +18,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class ExpertDistribution:
-    """Full routing distribution of one token over the N experts."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("ExpertDistribution: not a valid probability vector")
-
-
-@dataclass
-class GateAssignment:
-    """Selected expert indices and their renormalized gate weights."""
-
-    selected: np.ndarray
-    gates: np.ndarray
-
-
-@dataclass
 class ExpertFFN:
     """Gated two-layer MLP (SiLU gate), one per expert."""
 
@@ -88,14 +68,6 @@ def topk_select(probs: np.ndarray, k: int):
     return selected, gates
 
 
-def topk_gate(p, k: int) -> GateAssignment:
-    """Top-K gate assignment for a single distribution."""
-    if isinstance(p, ExpertDistribution):
-        p = p.probs
-    selected, gates = topk_select(np.asarray(p, dtype=np.float64)[None, :], k)
-    return GateAssignment(selected=selected[0], gates=gates[0])
-
-
 def moe_forward_batch(layer: MoELayer, x: Tensor):
     """Sparse MoE forward for a [T, d] token batch.
 
@@ -113,14 +85,3 @@ def moe_forward_batch(layer: MoELayer, x: Tensor):
         x, gates, selected, [(e.w_gate, e.w_up, e.w_down) for e in layer.experts]
     )
     return y, probs, selected, gates
-
-
-def moe_forward(layer: MoELayer, x):
-    """Single-vector MoE forward; returns (y, ExpertDistribution, GateAssignment)."""
-    x = T.as_tensor(x)
-    y, probs, selected, gates = moe_forward_batch(layer, T.reshape(x, (1, -1)))
-    return (
-        T.reshape(y, (-1,)),
-        ExpertDistribution(probs.data[0]),
-        GateAssignment(selected=selected[0], gates=gates.data[0].copy()),
-    )

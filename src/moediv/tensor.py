@@ -56,46 +56,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -169,16 +129,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), vjp)
-
-
-def texp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def vjp(g):
-        return (g * data,)
-
-    return _make(data, (a,), vjp)
 
 
 def tlog(a) -> Tensor:
@@ -317,18 +267,6 @@ def take_rows(a, idx) -> Tensor:
         return (_sum_rows(g, idx, a.shape[0]),)
 
     return _make(data, (a,), vjp)
-
-
-def scatter_rows(values, idx, num_rows) -> Tensor:
-    """Inverse of take_rows: sum rows of ``values`` at ``idx`` in a zero base."""
-    values = as_tensor(values)
-    idx = np.asarray(idx, dtype=np.intp)
-    data = _sum_rows(values.data, idx, num_rows)
-
-    def vjp(g):
-        return (g[idx],)
-
-    return _make(data, (values,), vjp)
 
 
 def _require_distinct_in_rows(idx, op):

@@ -1,5 +1,5 @@
-"""Training loop: per-step objective assembly, AdamW, warmup schedule,
-metrics logging and checkpointing.
+"""Training loop: the training objective, AdamW, warmup schedule, metrics
+logging and checkpointing.
 
 One trainer per model instance; everything is deterministic given
 (seed, config, corpus), and the metrics log is reproducible byte-for-byte.
@@ -12,11 +12,11 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import divergence, losses, model as model_mod
+from . import divergence, losses
 from . import tensor as T
 from .model import MoEModel, forward, lm_loss, save_checkpoint
 
@@ -35,7 +35,6 @@ class TrainConfig:
     weight_decay: float = 0.1
     total_steps: int = 2000
     seed: int = 0
-    layer_combine: str = "mean"  # how per-layer auxiliary losses merge: mean | sum
     grad_clip: float = 1.0
     checkpoint_interval: int = 500
 
@@ -44,8 +43,6 @@ class TrainConfig:
             raise ValueError("alpha and beta must be nonnegative")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
-        if self.layer_combine not in ("mean", "sum"):
-            raise ValueError("layer_combine must be 'mean' or 'sum'")
 
 
 @dataclass
@@ -132,18 +129,27 @@ def _clip_gradients(grads: dict, max_norm: float) -> dict:
     return grads
 
 
-def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
-               step: int) -> StepMetrics:
-    """One optimization step: forward, three losses, backward, AdamW update."""
-    t0 = time.perf_counter()
+def _layer_mean(terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total = T.add(total, t)
+    return T.div(total, float(len(terms)))
+
+
+def objective(model: MoEModel, batch, config: TrainConfig):
+    """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
+
+    L_LB and L_ED are means over the MoE layers. Returns (terms, breakdown,
+    trace, m_b): ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar
+    Tensors, ``breakdown`` holds their float values, ``trace`` is the
+    forward's RoutingTrace and ``m_b`` the number of distinct domains in the
+    batch (L_ED is a constant zero below two).
+    """
     tokens = batch.sequences
     b, l = tokens.shape
     logits, trace, live = forward(model, tokens, domains=batch.domains)
-
     l_lm = lm_loss(logits, tokens)
-
-    lb_terms = []
-    ed_terms = []
+    lb_terms, ed_terms = [], []
     m_b = 0
     for layer in live:
         lb_terms.append(
@@ -155,23 +161,20 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
             layer["probs"], b, l, batch.domains, eps=config.eps
         )
         ed_terms.append(ed_t)
-    ed_skipped = m_b < 2
+    l_lb = _layer_mean(lb_terms)
+    l_ed = _layer_mean(ed_terms)
+    l_final, breakdown = losses.compose_t(l_lm, l_lb, l_ed, config.alpha, config.beta)
+    terms = {"l_lm": l_lm, "l_lb": l_lb, "l_ed": l_ed, "l_final": l_final}
+    return terms, breakdown, trace, m_b
 
-    def combine(terms):
-        total = terms[0]
-        for t in terms[1:]:
-            total = T.add(total, t)
-        if config.layer_combine == "mean":
-            total = T.div(total, float(len(terms)))
-        return total
 
-    l_lb = combine(lb_terms)
-    l_ed = combine(ed_terms)
-    total, breakdown = losses.compose_t(l_lm, l_lb, l_ed, config.alpha, config.beta)
-    if not math.isfinite(breakdown.l_final):
-        raise FloatingPointError(f"non-finite loss at step {step}: {breakdown}")
+def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
+               step: int) -> StepMetrics:
+    """One optimization step: the objective, backward, AdamW update."""
+    t0 = time.perf_counter()
+    terms, breakdown, trace, m_b = objective(model, batch, config)
 
-    leaf_grads = T.backward(total)
+    leaf_grads = T.backward(terms["l_final"])
     grads = {n: leaf_grads[p] for n, p in model.params.items() if p in leaf_grads}
     grads = _clip_gradients(grads, config.grad_clip)
     lr = lr_at(step, config)
@@ -196,7 +199,7 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
         d_intra=d_intra,
         m_b=m_b,
         lr=lr,
-        ed_skipped=ed_skipped,
+        ed_skipped=m_b < 2,
         wall_time=time.perf_counter() - t0,
     )
 

@@ -67,7 +67,7 @@ def test_c5_closed_form_losses():
     n, k, t = 8, 2, 16
     probs = np.full((t, n), 1.0 / n)
     sel = np.stack([np.arange(t) % n, (np.arange(t) + n // 2) % n], axis=1)
-    lb = losses.load_balance_loss(probs, sel, n)
+    lb = losses.load_balance_loss_t(Tensor(probs), sel, n).item()
     err_lb = abs(lb - k)
 
     same = np.tile([0.5, 0.5], (8, 1))

@@ -159,12 +159,6 @@ class TestPacking:
         with pytest.raises(ValueError):
             D.pack_batches(docs, seq_len=8, batch_size=1, seed=0)
 
-    def test_label_multiset(self):
-        batches = D.pack_batches(self.docs(), seq_len=4, batch_size=4, seed=1)
-        ms = batches[0].label_multiset()
-        assert sum(ms.values()) == 4
-        assert set(ms) <= {"a", "b"}
-
 
 class TestValidationSplit:
     def test_split_shapes(self):

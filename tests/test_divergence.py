@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moediv import divergence as dv
+from moediv import losses
+from moediv import tensor as T
 
 LN2 = np.log(2.0)
 
@@ -104,35 +106,51 @@ class TestGeneralizedJSD:
             assert abs(a - b) <= 1e-12
 
 
+def domain_means(rows):
+    """Token-weighted domain means of (domain, distribution) rows, one token each."""
+    labels = [d for d, _ in rows]
+    probs = np.array([p for _, p in rows], dtype=np.float64)
+    return dv.decompose(probs, labels).aggregates
+
+
+def ed_loss(means):
+    """L_ED of an [M, N] array of domain means: one one-token sequence per domain."""
+    means = np.asarray(means, dtype=np.float64)
+    m = means.shape[0]
+    out, _ = losses.expert_divergence_loss_t(T.Tensor(means), m, 1, [str(j) for j in range(m)])
+    return out.item()
+
+
 class TestAggregation:
     def test_sequence_mean_single(self):
         p = np.array([0.1, 0.9])
-        np.testing.assert_array_equal(dv.sequence_mean([p]), p)
+        np.testing.assert_array_equal(domain_means([("s", p)])[0].mean, p)
 
     def test_sequence_mean_opposite(self):
-        out = dv.sequence_mean([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        out = domain_means([("s", [1.0, 0.0]), ("s", [0.0, 1.0])])[0].mean
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_sequence_mean_scalar_oracle(self):
         rng = np.random.default_rng(2)
         toks = [random_dist(rng, 4) for _ in range(7)]
         expected = [sum(t[i] for t in toks) / 7 for i in range(4)]
-        np.testing.assert_allclose(dv.sequence_mean(toks), expected, atol=1e-14)
+        out = domain_means([("s", t) for t in toks])[0].mean
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_sequence_mean_empty(self):
         with pytest.raises(ValueError):
-            dv.sequence_mean([])
+            dv.decompose(np.zeros((0, 4)), [])
 
     def test_domain_mean_echo(self):
-        aggs = dv.domain_mean([("a", [0.3, 0.7]), ("b", [0.9, 0.1])])
+        aggs = domain_means([("a", [0.3, 0.7]), ("b", [0.9, 0.1])])
         assert [a.domain for a in aggs] == ["a", "b"]
         np.testing.assert_allclose(aggs[0].mean, [0.3, 0.7])
-        assert aggs[0].num_sequences == 1
+        assert aggs[0].num_tokens == 1
 
     def test_domain_mean_duplicates(self):
-        aggs = dv.domain_mean([("a", [0.3, 0.7]), ("a", [0.3, 0.7])])
+        aggs = domain_means([("a", [0.3, 0.7]), ("a", [0.3, 0.7])])
         np.testing.assert_allclose(aggs[0].mean, [0.3, 0.7])
-        assert aggs[0].num_sequences == 2
+        assert aggs[0].num_tokens == 2
 
     def test_domain_mean_grouped_oracle(self):
         rng = np.random.default_rng(3)
@@ -143,68 +161,61 @@ class TestAggregation:
             for m in ms:
                 rows.append((dom, m))
             expected[dom] = np.stack(ms).mean(axis=0)
-        for agg in dv.domain_mean(rows):
+        for agg in domain_means(rows):
             np.testing.assert_allclose(agg.mean, expected[agg.domain], atol=1e-14)
 
 
 class TestExpertDivergenceLoss:
     def test_identical_means(self):
-        aggs = dv.domain_mean([("a", [0.5, 0.5]), ("b", [0.5, 0.5])])
-        assert dv.expert_divergence_loss(aggs) == pytest.approx(-np.log(1e-8), abs=1e-9)
-        assert dv.expert_divergence_loss(aggs) == pytest.approx(18.4207, abs=1e-3)
+        means = [[0.5, 0.5], [0.5, 0.5]]
+        assert ed_loss(means) == pytest.approx(-np.log(1e-8), abs=1e-9)
+        assert ed_loss(means) == pytest.approx(18.4207, abs=1e-3)
 
     def test_disjoint_one_hots(self):
-        aggs = dv.domain_mean([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
         expected = -np.log(LN2 + 1e-8)
-        assert dv.expert_divergence_loss(aggs) == pytest.approx(expected, abs=1e-12)
+        assert ed_loss([[1.0, 0.0], [0.0, 1.0]]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.3665, abs=1e-4)
 
     def test_three_domain_scalar_oracle(self):
         rng = np.random.default_rng(4)
-        aggs = dv.domain_mean([(d, random_dist(rng, 6)) for d in "abc"])
+        means = np.stack([random_dist(rng, 6) for _ in "abc"])
         pairs = list(itertools.combinations(range(3), 2))
         expected = np.mean(
-            [-np.log(dv.jsd_pair(aggs[j].mean, aggs[k].mean) + 1e-8) for j, k in pairs]
+            [-np.log(dv.jsd_pair(means[j], means[k]) + 1e-8) for j, k in pairs]
         )
-        assert dv.expert_divergence_loss(aggs) == pytest.approx(expected, rel=1e-12)
+        assert ed_loss(means) == pytest.approx(expected, rel=1e-12)
 
     def test_single_domain_skipped(self):
-        aggs = dv.domain_mean([("a", [0.5, 0.5])])
-        assert dv.expert_divergence_loss(aggs) == 0.0
+        assert ed_loss([[0.5, 0.5]]) == 0.0
 
     def test_monotone_in_jsd(self):
         # -ln is strictly decreasing: larger pairwise JSD, smaller loss
-        losses = []
+        values = []
         for gap in (0.0, 0.1, 0.3, 0.5):
-            aggs = dv.domain_mean(
-                [("a", [0.5 + gap, 0.5 - gap]), ("b", [0.5 - gap, 0.5 + gap])]
-            )
-            losses.append(dv.expert_divergence_loss(aggs))
-        assert all(losses[i] > losses[i + 1] for i in range(3))
+            values.append(ed_loss([[0.5 + gap, 0.5 - gap], [0.5 - gap, 0.5 + gap]]))
+        assert all(values[i] > values[i + 1] for i in range(3))
 
 
 class TestPairwiseSum:
     def test_identical(self):
-        aggs = dv.domain_mean([("a", [0.5, 0.5]), ("b", [0.5, 0.5])])
-        assert dv.pairwise_sum(aggs) == pytest.approx(0.0, abs=1e-15)
+        assert dv.pairwise_sum([[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(0.0, abs=1e-15)
 
     def test_disjoint(self):
-        aggs = dv.domain_mean([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-        assert dv.pairwise_sum(aggs) == pytest.approx(LN2, abs=1e-12)
+        assert dv.pairwise_sum([[1.0, 0.0], [0.0, 1.0]]) == pytest.approx(LN2, abs=1e-12)
 
     def test_four_domain_oracle(self):
         rng = np.random.default_rng(5)
-        aggs = dv.domain_mean([(d, random_dist(rng, 8)) for d in "abcd"])
+        means = np.stack([random_dist(rng, 8) for _ in "abcd"])
         expected = sum(
-            dv.jsd_pair(aggs[j].mean, aggs[k].mean)
+            dv.jsd_pair(means[j], means[k])
             for j, k in itertools.combinations(range(4), 2)
         )
         assert len(list(itertools.combinations(range(4), 2))) == 6
-        assert dv.pairwise_sum(aggs) == pytest.approx(expected, rel=1e-12)
+        assert dv.pairwise_sum(means) == pytest.approx(expected, rel=1e-12)
 
     def test_single_domain_rejected(self):
         with pytest.raises(ValueError):
-            dv.pairwise_sum(dv.domain_mean([("a", [0.5, 0.5])]))
+            dv.pairwise_sum([[0.5, 0.5]])
 
 
 class TestDecompose:

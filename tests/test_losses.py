@@ -6,6 +6,15 @@ from hypothesis import strategies as st
 from moediv import losses
 from moediv import tensor as T
 from moediv.divergence import jsd_pair
+from moediv.trainer import TrainConfig
+
+
+def load_balance(probs, sel, n):
+    return losses.load_balance_loss_t(T.Tensor(probs), sel, n).item()
+
+
+def compose(l_lm, l_lb, l_ed, alpha, beta):
+    return losses.compose_t(T.Tensor(l_lm), T.Tensor(l_lb), T.Tensor(l_ed), alpha, beta)[1]
 
 
 class TestLoadBalance:
@@ -17,7 +26,7 @@ class TestLoadBalance:
         sel = np.stack([np.arange(t) % n, (np.arange(t) + n // 2) % n], axis=1)
         counts = np.bincount(sel.reshape(-1), minlength=n)
         assert np.all(counts == counts[0])
-        assert losses.load_balance_loss(probs, sel, n) == pytest.approx(k, abs=1e-12)
+        assert load_balance(probs, sel, n) == pytest.approx(k, abs=1e-12)
 
     def test_collapse_equals_n(self):
         # everything routed to expert 0 with probability 1: loss = N
@@ -25,7 +34,7 @@ class TestLoadBalance:
         probs = np.zeros((t, n))
         probs[:, 0] = 1.0
         sel = np.zeros((t, 1), dtype=int)
-        assert losses.load_balance_loss(probs, sel, n) == pytest.approx(n, abs=1e-12)
+        assert load_balance(probs, sel, n) == pytest.approx(n, abs=1e-12)
 
     def test_scalar_oracle(self):
         rng = np.random.default_rng(0)
@@ -36,18 +45,20 @@ class TestLoadBalance:
         f = [sum(1 for row in sel if i in row) / t for i in range(n)]
         p = [probs[:, i].mean() for i in range(n)]
         expected = n * sum(fi * pi for fi, pi in zip(f, p))
-        assert losses.load_balance_loss(probs, sel, n) == pytest.approx(expected, rel=1e-12)
+        assert load_balance(probs, sel, n) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            losses.load_balance_loss(np.zeros((0, 4)), np.zeros((0, 2), dtype=int), 4)
+            load_balance(np.zeros((0, 4)), np.zeros((0, 2), dtype=int), 4)
 
     def test_graph_version_matches_float(self):
         rng = np.random.default_rng(1)
         probs = rng.random((9, 6)) + 1e-3
         probs /= probs.sum(axis=1, keepdims=True)
         sel = np.stack([rng.permutation(6)[:2] for _ in range(9)])
-        ref = losses.load_balance_loss(probs, sel, 6)
+        # plain-numpy N * sum_i f_i * P_i as the reference
+        f = np.bincount(sel.reshape(-1), minlength=6) / 9
+        ref = float(6 * (f * probs.mean(axis=0)).sum())
         out = losses.load_balance_loss_t(T.Tensor(probs), sel, 6)
         assert out.item() == pytest.approx(ref, rel=1e-12)
 
@@ -138,24 +149,30 @@ class TestExpertDivergenceT:
 
 class TestCompose:
     def test_frozen_example(self):
-        bd = losses.compose(2.0, 1.0, 18.4207, alpha=1e-3, beta=5e-4)
+        bd = compose(2.0, 1.0, 18.4207, alpha=1e-3, beta=5e-4)
         assert bd.l_final == pytest.approx(2.01021035, abs=1e-9)
 
     def test_default_weights(self):
-        bd = losses.compose(1.0, 2.0, 3.0)
+        c = TrainConfig()
+        bd = compose(1.0, 2.0, 3.0, c.alpha, c.beta)
         assert bd.alpha == 1e-3 and bd.beta == 5e-4
         assert bd.l_final == pytest.approx(1.0 + 1e-3 * 2.0 + 5e-4 * 3.0, abs=1e-15)
 
     def test_non_finite_named(self):
         with pytest.raises(ValueError, match="l_ed"):
-            losses.compose(1.0, 1.0, float("nan"))
+            compose(1.0, 1.0, float("nan"), 1e-3, 5e-4)
         with pytest.raises(ValueError, match="l_lb"):
-            losses.compose(1.0, float("inf"), 1.0)
+            compose(1.0, float("inf"), 1.0, 1e-3, 5e-4)
+
+    def test_non_finite_total_named(self):
+        # every part finite, but alpha * l_lb overflows
+        with pytest.raises(ValueError, match="l_final"):
+            compose(1.0, 10.0, 1.0, 1e308, 5e-4)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
     def test_linear_in_components(self, a, b, c):
-        bd = losses.compose(a, b, c, alpha=0.5, beta=0.25)
+        bd = compose(a, b, c, alpha=0.5, beta=0.25)
         assert bd.l_final == pytest.approx(a + 0.5 * b + 0.25 * c, abs=1e-9)
 
     def test_graph_version_matches(self):

@@ -44,25 +44,25 @@ class TestRoute:
 
 class TestTopK:
     def test_basic_selection(self):
-        g = R.topk_gate([0.1, 0.5, 0.15, 0.25], 2)
-        assert list(g.selected) == [1, 3]
-        np.testing.assert_allclose(g.gates, [0.5 / 0.75, 0.25 / 0.75], atol=1e-15)
+        selected, gates = R.topk_select([[0.1, 0.5, 0.15, 0.25]], 2)
+        assert list(selected[0]) == [1, 3]
+        np.testing.assert_allclose(gates[0], [0.5 / 0.75, 0.25 / 0.75], atol=1e-15)
 
     def test_tie_breaks_low_index(self):
-        g = R.topk_gate([0.25, 0.25, 0.25, 0.25], 2)
-        assert list(g.selected) == [0, 1]
-        np.testing.assert_allclose(g.gates, [0.5, 0.5])
+        selected, gates = R.topk_select([[0.25, 0.25, 0.25, 0.25]], 2)
+        assert list(selected[0]) == [0, 1]
+        np.testing.assert_allclose(gates[0], [0.5, 0.5])
 
     def test_k_equals_n(self):
         p = [0.4, 0.1, 0.3, 0.2]
-        g = R.topk_gate(p, 4)
-        np.testing.assert_allclose(sorted(g.gates), sorted(p), atol=1e-15)
+        _, gates = R.topk_select([p], 4)
+        np.testing.assert_allclose(sorted(gates[0]), sorted(p), atol=1e-15)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            R.topk_gate([0.5, 0.5], 3)
+            R.topk_select([[0.5, 0.5]], 3)
         with pytest.raises(ValueError):
-            R.topk_gate([0.5, 0.5], 0)
+            R.topk_select([[0.5, 0.5]], 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -91,7 +91,8 @@ def loop_moe_forward(layer, x):
     """The per-expert dispatch loop that ``expert_mixture`` replaced.
 
     Gathers each expert's tokens, runs the expert, weights it by its gate
-    and scatters it back, accumulating over experts in index order.
+    and scatters it back (a one-hot matmul), accumulating over experts in
+    index order.
     """
     probs = R.route(layer.router, x)
     selected, _ = R.topk_select(probs.data, layer.top_k)
@@ -105,7 +106,8 @@ def loop_moe_forward(layer, x):
             continue
         hi = run_expert(expert, T.take_rows(x, rows))
         wi = T.reshape(T.take_rows(flat_gates, rows * layer.top_k + cols), (rows.size, 1))
-        contrib = T.scatter_rows(T.mul(hi, wi), rows, x.shape[0])
+        scatter = (np.arange(x.shape[0])[:, None] == rows[None, :]).astype(np.float64)
+        contrib = T.matmul(scatter, T.mul(hi, wi))
         y = contrib if y is None else T.add(y, contrib)
     return y, probs, selected, gates
 
@@ -133,20 +135,20 @@ class TestMoEForward:
             e.w_up = layer.experts[0].w_up
             e.w_down = layer.experts[0].w_down
         x = rng.normal(size=5)
-        y, _, _ = R.moe_forward(layer, x)
+        y, _, _, _ = R.moe_forward_batch(layer, T.Tensor(x[None, :]))
         ref = run_expert(layer.experts[0], T.Tensor(x[None, :]))
-        np.testing.assert_allclose(y.data, ref.data[0], atol=1e-12)
+        np.testing.assert_allclose(y.data[0], ref.data[0], atol=1e-12)
 
     def test_k1_single_expert(self):
         rng = np.random.default_rng(2)
         layer = make_layer(rng, 4, 5, 7, 1)
         x = rng.normal(size=5)
-        y, dist, gate = R.moe_forward(layer, x)
-        assert gate.gates[0] == pytest.approx(1.0)
-        picked = int(gate.selected[0])
-        assert picked == int(np.argmax(dist.probs))
+        y, probs, selected, gates = R.moe_forward_batch(layer, T.Tensor(x[None, :]))
+        assert gates.data[0, 0] == pytest.approx(1.0)
+        picked = int(selected[0, 0])
+        assert picked == int(np.argmax(probs.data[0]))
         ref = run_expert(layer.experts[picked], T.Tensor(x[None, :]))
-        np.testing.assert_allclose(y.data, ref.data[0], atol=1e-12)
+        np.testing.assert_allclose(y.data[0], ref.data[0], atol=1e-12)
 
     def test_matches_dense_oracle(self):
         # brute-force oracle: run every expert densely and mix with the

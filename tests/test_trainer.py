@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from moediv import checks
 from moediv import data as D
+from moediv import tensor as T
 from moediv import trainer as TR
 from moediv.model import ModelConfig, MoEModel, load_checkpoint
 from moediv.tensor import Tensor
@@ -19,8 +21,8 @@ def tiny_batches(seed=0, n_batches=4):
         D.SynthDomainSpec("a", "abcdefgh", 2, 300, bigram_gain=1.0),
         D.SynthDomainSpec("b", "abcdefgh", 2, 300, bigram_gain=1.0),
     ]
-    docs, vocab = D.synth_corpus(specs, seed=seed)
-    return D.pack_batches(docs, seq_len=8, batch_size=4, seed=seed, domain_vocab=vocab)[:n_batches]
+    docs, _ = D.synth_corpus(specs, seed=seed)
+    return D.pack_batches(docs, seq_len=8, batch_size=4, seed=seed)[:n_batches]
 
 
 class TestTrainConfig:
@@ -37,10 +39,6 @@ class TestTrainConfig:
     def test_negative_weight(self):
         with pytest.raises(ValueError):
             TR.TrainConfig(beta=-0.1)
-
-    def test_bad_combine(self):
-        with pytest.raises(ValueError):
-            TR.TrainConfig(layer_combine="max")
 
 
 class TestSchedule:
@@ -163,6 +161,48 @@ class TestTrainStep:
         for step in range(1, 60):
             last = TR.train_step(model, batches[step % len(batches)], cfg, state, step)
         assert last.breakdown.l_lm < first
+
+
+class TestObjective:
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        real = TR.objective
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(TR, "objective", counted)
+        return calls
+
+    def test_train_step_uses_objective(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        model = MoEModel(SMALL, seed=7)
+        cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
+        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.params), 0)
+        assert len(calls) == 1
+
+    def test_check_gradients_uses_objective(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+
+        def one_eval(f, params, h=1e-5):
+            f()
+            return 0.0
+
+        monkeypatch.setattr(T, "grad_check", one_eval)
+        ok, _ = checks.check_gradients()
+        # one evaluation per term: l_lm, l_lb, l_ed, l_final
+        assert ok and len(calls) == 4
+
+    def test_terms_match_breakdown(self):
+        model = MoEModel(SMALL, seed=8)
+        cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
+        terms, bd, trace, m_b = TR.objective(model, tiny_batches()[0], cfg)
+        assert terms["l_final"].item() == pytest.approx(bd.l_final, abs=1e-15)
+        for name in ("l_lm", "l_lb", "l_ed"):
+            assert terms[name].item() == getattr(bd, name)
+        assert m_b == 2 and len(trace.layers) == SMALL.num_layers
 
 
 class TestRunTraining:
