@@ -87,16 +87,9 @@ def permute_router(model: MoEModel, layer: int, seed: int,
     return shuffled, perm
 
 
-def _as_batches(valset):
-    arr = np.asarray(valset, dtype=np.intp)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return [arr]
-
-
 def domain_perplexities(model: MoEModel, valsets: dict) -> dict:
     """Perplexity of ``model`` on each domain's validation set."""
-    return {dom: perplexity(model, _as_batches(valsets[dom])) for dom in sorted(valsets)}
+    return {dom: perplexity(model, [valsets[dom]]) for dom in sorted(valsets)}
 
 
 def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
@@ -135,7 +128,7 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
 
 
 def collect_traces(model: MoEModel, valsets: dict) -> dict:
-    """Forward every domain's validation set once; {domain: RoutingTrace}.
+    """Forward every domain's validation set once; {domain: [LayerTrace]}.
 
     The heatmaps and the divergence report read any layer from the result,
     so one call serves every layer of a command.
@@ -143,8 +136,9 @@ def collect_traces(model: MoEModel, valsets: dict) -> dict:
     out = {}
     with T.no_grad():
         for dom in sorted(valsets):
-            _, trace, _ = forward(model, np.asarray(valsets[dom], dtype=np.intp))
-            out[dom] = trace
+            # index, not unpack: a ``_`` would hold this domain's [T, V]
+            # logits through the next domain's forward
+            out[dom] = forward(model, valsets[dom])[1]
     return out
 
 
@@ -156,15 +150,14 @@ def activation_heatmap(traces: dict, layer: int, hard: bool = False) -> HeatmapM
     Bayes cross-check with the inverse form).
     """
     doms = sorted(traces)
-    n = traces[doms[0]].layers[layer].probs.shape[1]
+    n = traces[doms[0]][layer].probs.shape[1]
     rows = []
     for dom in doms:
-        lt = traces[dom].layers[layer]
+        lt = traces[dom][layer]
         if hard:
-            counts = np.bincount(lt.selected.reshape(-1), minlength=n).astype(np.float64)
-            row = counts
+            row = np.bincount(lt.selected.reshape(-1), minlength=n).astype(np.float64)
         else:
-            row = lt.probs.mean(axis=0)
+            row = lt.probs.data.mean(axis=0)
         rows.append(row / row.sum())
     return HeatmapMatrix(
         rows=doms, cols=[f"expert_{i}" for i in range(n)], values=np.stack(rows)
@@ -178,11 +171,10 @@ def inverse_heatmap(traces: dict, layer: int) -> HeatmapMatrix:
     domain get a uniform row and are flagged.
     """
     doms = sorted(traces)
-    n = traces[doms[0]].layers[layer].probs.shape[1]
+    n = traces[doms[0]][layer].probs.shape[1]
     counts = np.zeros((n, len(doms)))
     for j, dom in enumerate(doms):
-        lt = traces[dom].layers[layer]
-        counts[:, j] = np.bincount(lt.selected.reshape(-1), minlength=n)
+        counts[:, j] = np.bincount(traces[dom][layer].selected.reshape(-1), minlength=n)
     flagged = []
     values = np.zeros_like(counts)
     for i in range(n):
@@ -221,9 +213,9 @@ def divergence_report(traces: dict) -> list[DivergenceReport]:
         raise ValueError("divergence_report: empty validation sets")
     doms = sorted(traces)
     reports = []
-    for layer in range(len(traces[doms[0]].layers)):
-        probs = np.concatenate([traces[d].layers[layer].probs for d in doms])
-        labels = [d for d in doms for _ in range(traces[d].layers[layer].probs.shape[0])]
+    for layer in range(len(traces[doms[0]])):
+        probs = np.concatenate([traces[d][layer].probs.data for d in doms])
+        labels = [d for d in doms for _ in range(traces[d][layer].probs.shape[0])]
         reports.append(decompose(probs, labels))
     return reports
 

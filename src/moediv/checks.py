@@ -114,15 +114,12 @@ def gradient_check_fixture(seed=5):
 
 def check_gradients(tol=1e-4, h=1e-5, seed=5):
     """Analytic gradients of each term of the training objective vs central
-    differences."""
+    differences, all terms from one finite-difference pass."""
     model, batch = gradient_check_fixture(seed)
     train_config = trainer.TrainConfig(total_steps=1, warmup_steps=0)
-    errs = {}
-    params = model.param_list()
-    for name in ("l_lm", "l_lb", "l_ed", "l_final"):
-        errs[name] = T.grad_check(
-            lambda: trainer.objective(model, batch, train_config)[0][name], params, h=h
-        )
+    errs = T.grad_check(
+        lambda: trainer.objective(model, batch, train_config)[0], model.param_list(), h=h
+    )
     ok = all(e <= tol for e in errs.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in errs.items())
     return ok, f"max relative errors: {detail} (tol {tol:.0e})"

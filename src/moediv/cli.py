@@ -92,11 +92,13 @@ def _load_valsets(path, seq_len, limit):
     }
 
 
-def _load_model(ckpt_path):
-    _require_file(ckpt_path, "--ckpt")
-    model, step, _ = load_checkpoint(ckpt_path)
+def _model_and_valsets(args):
+    """The --ckpt model and the --data validation sets of an analysis verb."""
+    _require_file(args.ckpt, "--ckpt")
+    model, step, _ = load_checkpoint(args.ckpt)
     log.info("loaded checkpoint at step %d", step)
-    return model
+    _require_file(args.data, "--data")
+    return model, _load_valsets(args.data, model.config.max_seq_len, args.limit)
 
 
 def cmd_train(args):
@@ -136,22 +138,18 @@ def cmd_train(args):
 
 
 def cmd_decompose(args):
-    model = _load_model(args.ckpt)
-    _require_file(args.data, "--data")
-    valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
+    model, valsets = _model_and_valsets(args)
     reports = analysis.divergence_report(analysis.collect_traces(model, valsets))
     sys.stdout.write(analysis.report_csv(reports))
     return 0
 
 
 def cmd_perturb(args):
-    model = _load_model(args.ckpt)
-    _require_file(args.data, "--data")
+    model, valsets = _model_and_valsets(args)
     if not 0 <= args.layer < model.config.num_layers:
         raise ValueError(
             f"--layer {args.layer} out of range: model has {model.config.num_layers} layers"
         )
-    valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
     result = analysis.delta_ppl_mean(model, args.layer, valsets, args.seed, draws=args.draws)
     for draw in result["draws"]:
         for rec in draw.to_records():
@@ -161,9 +159,7 @@ def cmd_perturb(args):
 
 
 def cmd_heatmap(args):
-    model = _load_model(args.ckpt)
-    _require_file(args.data, "--data")
-    valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
+    model, valsets = _model_and_valsets(args)
     traces = analysis.collect_traces(model, valsets)
     for layer in range(model.config.num_layers):
         if args.inverse:
@@ -176,9 +172,7 @@ def cmd_heatmap(args):
 
 
 def cmd_ternary(args):
-    model = _load_model(args.ckpt)
-    _require_file(args.data, "--data")
-    valsets = _load_valsets(args.data, model.config.max_seq_len, args.limit)
+    model, valsets = _model_and_valsets(args)
     if len(valsets) != 3:
         raise ValueError(f"ternary requires exactly 3 domains, data has {len(valsets)}")
     traces = analysis.collect_traces(model, valsets)

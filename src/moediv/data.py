@@ -26,10 +26,6 @@ class DomainBatch:
     sequences: np.ndarray
     domains: list[str]
 
-    @property
-    def num_sequences(self) -> int:
-        return self.sequences.shape[0]
-
 
 def load_corpus(path):
     """Read a JSONL file of {"text": ..., "domain": ...} records.

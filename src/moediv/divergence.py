@@ -115,13 +115,7 @@ class DivergenceReport:
     d_total: float
     d_inter: float
     d_intra: float
-    jsd_matrix: np.ndarray
-    global_mean: np.ndarray
     aggregates: list[DomainAggregate] = field(default_factory=list)
-
-    @property
-    def num_domains(self) -> int:
-        return len(self.aggregates)
 
 
 def decompose(probs, labels) -> DivergenceReport:
@@ -163,21 +157,8 @@ def decompose(probs, labels) -> DivergenceReport:
     d_total = h_global - mean_token_entropy
     d_inter = h_global - weighted_domain_entropy
     d_intra = weighted_domain_entropy - mean_token_entropy
-
-    m = len(aggregates)
-    jsd_matrix = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = jsd_pair(aggregates[i].mean, aggregates[j].mean)
-            jsd_matrix[i, j] = jsd_matrix[j, i] = v
-
     return DivergenceReport(
-        d_total=d_total,
-        d_inter=d_inter,
-        d_intra=d_intra,
-        jsd_matrix=jsd_matrix,
-        global_mean=global_mean,
-        aggregates=aggregates,
+        d_total=d_total, d_inter=d_inter, d_intra=d_intra, aggregates=aggregates
     )
 
 

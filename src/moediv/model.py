@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,22 +40,10 @@ class ModelConfig:
 
 @dataclass
 class LayerTrace:
-    """Per-token routing record of one MoE layer (numpy copies, no graph)."""
+    """Routing record of one MoE layer: the router output and its top-K."""
 
-    probs: np.ndarray     # [T, N]
+    probs: Tensor         # [T, N]; a graph node unless made under no_grad
     selected: np.ndarray  # [T, K]
-
-
-@dataclass
-class RoutingTrace:
-    layers: list[LayerTrace]
-    batch_shape: tuple  # (num_sequences, seq_len)
-    domains: list = field(default_factory=list)
-
-    def token_labels(self):
-        """One domain label per token, sequence labels repeated seq_len times."""
-        b, l = self.batch_shape
-        return [d for d in self.domains for _ in range(l)]
 
 
 class MoEModel:
@@ -155,17 +143,17 @@ def _attention(block, xn, b, l, h, dh):
     return T.matmul(out, block["wo"])
 
 
-def forward(model: MoEModel, tokens, domains=None):
+def forward(model: MoEModel, tokens):
     """Run the model on a [B, L] batch of token ids.
 
-    Returns (logits Tensor [B*L, V], RoutingTrace, live) where ``live`` holds
-    the in-graph per-layer router probability Tensors and selections needed
-    by the differentiable auxiliary losses.
+    Returns (logits Tensor [B*L, V], [LayerTrace per MoE layer]). Each
+    trace's ``probs`` is the router output itself, so the auxiliary losses
+    differentiate through it; under ``no_grad`` it is a plain Tensor.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
+    if tokens.ndim != 2:
+        raise ValueError(f"forward: tokens must be a [B, L] array, got shape {tokens.shape}")
     b, l = tokens.shape
     if l > c.max_seq_len:
         raise ValueError(f"sequence length {l} exceeds max_seq_len {c.max_seq_len}")
@@ -177,25 +165,17 @@ def forward(model: MoEModel, tokens, domains=None):
     x = T.reshape(x, (b * l, c.hidden_size))
 
     h, dh = c.num_heads, c.hidden_size // c.num_heads
-    traces = []
-    live = []
+    layers = []
     for block in model.blocks:
         xn = _affine_norm(x, block["ln1_g"], block["ln1_b"])
         x = T.add(x, _attention(block, xn, b, l, h, dh))
         hn = _affine_norm(x, block["ln2_g"], block["ln2_b"])
         y, probs, selected, _ = moe_forward_batch(block["moe"], hn)
         x = T.add(x, y)
-        traces.append(LayerTrace(probs=probs.data.copy(), selected=selected.copy()))
-        live.append({"probs": probs, "selected": selected})
+        layers.append(LayerTrace(probs=probs, selected=selected))
 
     xf = _affine_norm(x, model.ln_f_g, model.ln_f_b)
-    logits = T.matmul(xf, model.lm_head)
-    trace = RoutingTrace(
-        layers=traces,
-        batch_shape=(b, l),
-        domains=list(domains) if domains is not None else [],
-    )
-    return logits, trace, live
+    return T.matmul(xf, model.lm_head), layers
 
 
 def lm_loss(logits, tokens):
@@ -205,8 +185,6 @@ def lm_loss(logits, tokens):
     have no target and are excluded.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
     b, l = tokens.shape
     if l < 2:
         raise ValueError("lm_loss needs sequences of length >= 2")
@@ -216,16 +194,15 @@ def lm_loss(logits, tokens):
 
 
 def perplexity(model: MoEModel, batches) -> float:
-    """exp(mean token NLL) over all next-token targets in ``batches``."""
+    """exp(mean token NLL) over all next-token targets in ``batches``, an
+    iterable of [B, L] token arrays."""
     total_nll = 0.0
     total_tok = 0
     n_batches = 0
     with T.no_grad():
         for batch in batches:
-            tokens = np.asarray(getattr(batch, "sequences", batch), dtype=np.intp)
-            if tokens.ndim == 1:
-                tokens = tokens[None, :]
-            logits, _, _ = forward(model, tokens)
+            tokens = np.asarray(batch, dtype=np.intp)
+            logits, _ = forward(model, tokens)
             nll = lm_loss(logits, tokens).item()
             count = tokens.shape[0] * (tokens.shape[1] - 1)
             total_nll += nll * count

@@ -483,30 +483,34 @@ def backward(root: Tensor) -> dict:
     return leaf_grads
 
 
-def grad_check(f, params, h=1e-5) -> float:
+def grad_check(f, params, h=1e-5) -> dict:
     """Max relative error between backward() and central finite differences.
 
-    ``f`` is a zero-argument callable returning a scalar Tensor built from
-    ``params`` (a list of requires_grad leaf tensors). Each parameter
-    coordinate is perturbed in place by ±h.
+    ``f`` is a zero-argument callable returning a dict of named scalar
+    Tensors built from ``params`` (a list of requires_grad leaf tensors).
+    Each parameter coordinate is perturbed in place by ±h, and one call of
+    ``f`` per perturbation serves every name. Returns {name: max relative
+    error}.
     """
-    root = f()
-    analytic = backward(root)
-    worst = 0.0
+    roots = f()
+    analytic = {name: backward(root) for name, root in roots.items()}
+    worst = dict.fromkeys(roots, 0.0)
     for p in params:
-        a = analytic.get(p)
-        if a is None:
-            a = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
-        aflat = a.reshape(-1)
+        aflat = {
+            name: grads[p].reshape(-1) if p in grads else np.zeros(flat.size)
+            for name, grads in analytic.items()
+        }
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = f().item()
+            fp = {name: t.item() for name, t in f().items()}
             flat[i] = orig - h
-            fm = f().item()
+            fm = {name: t.item() for name, t in f().items()}
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
+            for name in roots:
+                numeric = (fp[name] - fm[name]) / (2.0 * h)
+                a = aflat[name][i]
+                denom = max(abs(a), abs(numeric), 1e-8)
+                worst[name] = max(worst[name], abs(a - numeric) / denom)
     return worst

@@ -140,39 +140,38 @@ def objective(model: MoEModel, batch, config: TrainConfig):
     """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
 
     L_LB and L_ED are means over the MoE layers. Returns (terms, breakdown,
-    trace, m_b): ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar
-    Tensors, ``breakdown`` holds their float values, ``trace`` is the
-    forward's RoutingTrace and ``m_b`` the number of distinct domains in the
-    batch (L_ED is a constant zero below two).
+    layers, m_b): ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar
+    Tensors, ``breakdown`` holds their float values, ``layers`` is the
+    forward's LayerTrace list (``probs`` are graph nodes) and ``m_b`` the
+    number of distinct domains in the batch (L_ED is a constant zero below
+    two).
     """
     tokens = batch.sequences
     b, l = tokens.shape
-    logits, trace, live = forward(model, tokens, domains=batch.domains)
+    logits, layers = forward(model, tokens)
     l_lm = lm_loss(logits, tokens)
     lb_terms, ed_terms = [], []
     m_b = 0
-    for layer in live:
+    for layer in layers:
         lb_terms.append(
-            losses.load_balance_loss_t(
-                layer["probs"], layer["selected"], model.config.num_experts
-            )
+            losses.load_balance_loss_t(layer.probs, layer.selected, model.config.num_experts)
         )
         ed_t, m_b = losses.expert_divergence_loss_t(
-            layer["probs"], b, l, batch.domains, eps=config.eps
+            layer.probs, b, l, batch.domains, eps=config.eps
         )
         ed_terms.append(ed_t)
     l_lb = _layer_mean(lb_terms)
     l_ed = _layer_mean(ed_terms)
     l_final, breakdown = losses.compose_t(l_lm, l_lb, l_ed, config.alpha, config.beta)
     terms = {"l_lm": l_lm, "l_lb": l_lb, "l_ed": l_ed, "l_final": l_final}
-    return terms, breakdown, trace, m_b
+    return terms, breakdown, layers, m_b
 
 
 def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
                step: int) -> StepMetrics:
     """One optimization step: the objective, backward, AdamW update."""
     t0 = time.perf_counter()
-    terms, breakdown, trace, m_b = objective(model, batch, config)
+    terms, breakdown, layers, m_b = objective(model, batch, config)
 
     leaf_grads = T.backward(terms["l_final"])
     grads = {n: leaf_grads[p] for n, p in model.params.items() if p in leaf_grads}
@@ -183,10 +182,11 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
         config.adam_beta1, config.adam_beta2, config.weight_decay,
     )
 
-    token_labels = trace.token_labels()
+    seq_len = batch.sequences.shape[1]
+    token_labels = [d for d in batch.domains for _ in range(seq_len)]
     d_total, d_inter, d_intra = [], [], []
-    for layer_trace in trace.layers:
-        rep = divergence.decompose(layer_trace.probs, token_labels)
+    for layer in layers:
+        rep = divergence.decompose(layer.probs.data, token_labels)
         d_total.append(rep.d_total)
         d_inter.append(rep.d_inter)
         d_intra.append(rep.d_intra)
@@ -223,7 +223,10 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
     with open(metrics_path, mode, encoding="utf-8") as mf:
         for step in range(start_step, config.total_steps):
             batch = batches[step % len(batches)]
-            metrics = train_step(model, batch, config, opt_state, step)
+            try:
+                metrics = train_step(model, batch, config, opt_state, step)
+            except ValueError as exc:
+                raise ValueError(f"step {step}: {exc}") from exc
             mf.write(json.dumps(metrics.to_record(), sort_keys=True) + "\n")
             if metrics.ed_skipped:
                 log.debug("step %d: divergence-skipped (single-domain batch)", step)

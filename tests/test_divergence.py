@@ -257,15 +257,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             dv.decompose(np.array([[0.5, 0.5], [0.5, 0.5]]), ["a"])
 
-    def test_jsd_matrix_properties(self):
-        rng = np.random.default_rng(7)
-        probs = np.stack([random_dist(rng, 4) for _ in range(9)])
-        rep = dv.decompose(probs, [d for d in "abc" for _ in range(3)])
-        m = rep.jsd_matrix
-        assert np.array_equal(m, m.T)
-        assert np.all(np.diag(m) == 0)
-        assert np.all(m >= -1e-12) and np.all(m <= LN2 + 1e-12)
-
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_decomposition_identity(self, seed):

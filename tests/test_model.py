@@ -37,27 +37,20 @@ class TestForward:
     def test_shapes(self):
         model = MoEModel(SMALL, seed=0)
         tokens = np.arange(12).reshape(3, 4) % SMALL.vocab_size
-        logits, trace, live = forward(model, tokens, domains=["a", "b", "a"])
+        logits, layers = forward(model, tokens)
         assert logits.shape == (12, SMALL.vocab_size)
-        assert len(trace.layers) == 2 and len(live) == 2
-        assert trace.layers[0].probs.shape == (12, 4)
-        assert trace.layers[0].selected.shape == (12, 2)
-        assert trace.batch_shape == (3, 4)
-
-    def test_token_labels(self):
-        model = MoEModel(SMALL, seed=0)
-        tokens = np.zeros((2, 3), dtype=int)
-        _, trace, _ = forward(model, tokens, domains=["x", "y"])
-        assert trace.token_labels() == ["x", "x", "x", "y", "y", "y"]
+        assert len(layers) == 2
+        assert layers[0].probs.shape == (12, 4)
+        assert layers[0].selected.shape == (12, 2)
 
     def test_causality(self):
         # changing a future token must not change earlier logits
         model = MoEModel(SMALL, seed=1)
         tokens = np.array([[1, 2, 3, 4, 5]])
-        logits1, _, _ = forward(model, tokens)
+        logits1, _ = forward(model, tokens)
         tokens2 = tokens.copy()
         tokens2[0, 4] = 9
-        logits2, _, _ = forward(model, tokens2)
+        logits2, _ = forward(model, tokens2)
         np.testing.assert_array_equal(logits1.data[:4], logits2.data[:4])
         assert np.any(logits1.data[4] != logits2.data[4])
 
@@ -65,16 +58,16 @@ class TestForward:
         # batched forward must equal per-sequence forward
         model = MoEModel(SMALL, seed=2)
         tokens = np.array([[1, 2, 3], [7, 8, 9]])
-        both, _, _ = forward(model, tokens)
-        one, _, _ = forward(model, tokens[:1])
-        two, _, _ = forward(model, tokens[1:])
+        both, _ = forward(model, tokens)
+        one, _ = forward(model, tokens[:1])
+        two, _ = forward(model, tokens[1:])
         np.testing.assert_allclose(both.data[:3], one.data, atol=1e-10)
         np.testing.assert_allclose(both.data[3:], two.data, atol=1e-10)
 
     def test_deterministic(self):
         tokens = np.array([[3, 1, 4, 1, 5]])
-        a, _, _ = forward(MoEModel(SMALL, seed=3), tokens)
-        b, _, _ = forward(MoEModel(SMALL, seed=3), tokens)
+        a, _ = forward(MoEModel(SMALL, seed=3), tokens)
+        b, _ = forward(MoEModel(SMALL, seed=3), tokens)
         assert np.array_equal(a.data, b.data)
 
     def test_bad_tokens(self):
@@ -84,12 +77,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((1, SMALL.max_seq_len + 1), dtype=int))
 
+    def test_one_dim_tokens_refused(self):
+        model = MoEModel(SMALL, seed=0)
+        with pytest.raises(ValueError, match=r"\(4,\)"):
+            forward(model, np.array([1, 2, 3, 4]))
+
 
 class TestLMLoss:
     def test_matches_shifted_oracle(self):
         model = MoEModel(SMALL, seed=4)
         tokens = np.array([[2, 5, 7, 1], [3, 3, 0, 8]])
-        logits, _, _ = forward(model, tokens)
+        logits, _ = forward(model, tokens)
         loss = lm_loss(logits, tokens)
         # oracle: average -log softmax(logits[t])[tokens[t+1]] over the
         # 3 predicting positions of each sequence
@@ -105,7 +103,7 @@ class TestLMLoss:
 
     def test_too_short(self):
         model = MoEModel(SMALL, seed=0)
-        logits, _, _ = forward(model, np.array([[1]]))
+        logits, _ = forward(model, np.array([[1]]))
         with pytest.raises(ValueError):
             lm_loss(logits, np.array([[1]]))
 
@@ -115,7 +113,7 @@ class TestLMLoss:
         model.lm_head.data[:] = 0.0
         model.ln_f_b.data[:] = 0.0
         tokens = np.array([[1, 2, 3, 4]])
-        logits, _, _ = forward(model, tokens)
+        logits, _ = forward(model, tokens)
         assert lm_loss(logits, tokens).item() == pytest.approx(
             np.log(SMALL.vocab_size), abs=1e-10
         )
@@ -185,8 +183,8 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         loaded, _, _ = load_checkpoint(path)
         tokens = np.array([[1, 2, 3, 4]])
-        a, _, _ = forward(model, tokens)
-        b, _, _ = forward(loaded, tokens)
+        a, _ = forward(model, tokens)
+        b, _ = forward(loaded, tokens)
         assert np.array_equal(a.data, b.data)
 
     def test_bad_magic(self, tmp_path):

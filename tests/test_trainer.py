@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from moediv import checks
+from moediv import analysis, checks, divergence
 from moediv import data as D
 from moediv import tensor as T
 from moediv import trainer as TR
@@ -144,7 +144,7 @@ class TestTrainStep:
     def test_single_domain_batch_skips_divergence(self):
         model = MoEModel(SMALL, seed=2)
         batch = tiny_batches()[0]
-        batch.domains = ["a"] * batch.num_sequences
+        batch.domains = ["a"] * len(batch.sequences)
         state = TR.AdamWState.init(model.params)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         m = TR.train_step(model, batch, cfg, state, step=0)
@@ -187,22 +187,44 @@ class TestObjective:
         calls = self.count_calls(monkeypatch)
 
         def one_eval(f, params, h=1e-5):
-            f()
-            return 0.0
+            return dict.fromkeys(f(), 0.0)
 
         monkeypatch.setattr(T, "grad_check", one_eval)
         ok, _ = checks.check_gradients()
-        # one evaluation per term: l_lm, l_lb, l_ed, l_final
-        assert ok and len(calls) == 4
+        # one evaluation serves every term: l_lm, l_lb, l_ed, l_final
+        assert ok and len(calls) == 1
 
     def test_terms_match_breakdown(self):
         model = MoEModel(SMALL, seed=8)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
-        terms, bd, trace, m_b = TR.objective(model, tiny_batches()[0], cfg)
+        terms, bd, layers, m_b = TR.objective(model, tiny_batches()[0], cfg)
         assert terms["l_final"].item() == pytest.approx(bd.l_final, abs=1e-15)
         for name in ("l_lm", "l_lb", "l_ed"):
             assert terms[name].item() == getattr(bd, name)
-        assert m_b == 2 and len(trace.layers) == SMALL.num_layers
+        assert m_b == 2 and len(layers) == SMALL.num_layers
+
+    def test_step_decomposition_reads_objective_layers(self):
+        # train_step's D values are decompose() of the objective's router
+        # probabilities, each sequence's label repeated once per token
+        batch = tiny_batches()[0]
+        cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
+        model = MoEModel(SMALL, seed=9)
+        _, _, layers, _ = TR.objective(MoEModel(SMALL, seed=9), batch, cfg)
+        m = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.params), 0)
+        seq_len = batch.sequences.shape[1]
+        labels = [d for d in batch.domains for _ in range(seq_len)]
+        for i, layer in enumerate(layers):
+            rep = divergence.decompose(layer.probs.data, labels)
+            assert (m.d_total[i], m.d_inter[i], m.d_intra[i]) == (
+                rep.d_total, rep.d_inter, rep.d_intra)
+
+    def test_layer_probs_are_graph_nodes(self):
+        model = MoEModel(SMALL, seed=10)
+        cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
+        _, _, layers, _ = TR.objective(model, tiny_batches()[0], cfg)
+        assert layers[0].probs.requires_grad
+        traces = analysis.collect_traces(model, {"a": tiny_batches()[0].sequences})
+        assert not traces["a"][0].probs.requires_grad
 
 
 class TestRunTraining:
@@ -250,3 +272,9 @@ class TestRunTraining:
         fa = open(full_ckpt, "rb").read()
         fb = open(tmp_path / "resume" / "final.moediv", "rb").read()
         assert fa == fb
+
+    def test_non_finite_loss_names_step(self, tmp_path):
+        model = MoEModel(SMALL, seed=11)
+        cfg = TR.TrainConfig(alpha=1e308, total_steps=2, warmup_steps=0)
+        with pytest.raises(ValueError, match=r"^step 0: .*l_final"):
+            TR.run_training(model, tiny_batches(), cfg, tmp_path)
