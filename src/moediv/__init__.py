@@ -17,7 +17,6 @@ from .divergence import (
     jsd_pair,
     kl,
 )
-from .losses import LossBreakdown
 from .model import ModelConfig, MoEModel, forward, load_checkpoint, perplexity, save_checkpoint
 from .tensor import Tensor, backward, grad_check, no_grad
 from .trainer import AdamWState, TrainConfig, objective, run_training, train_step

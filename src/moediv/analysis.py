@@ -55,6 +55,8 @@ class HeatmapMatrix:
         buf.write("row," + ",".join(self.cols) + "\n")
         for name, row in zip(self.rows, self.values):
             buf.write(name + "," + ",".join(f"{v:.10g}" for v in row) + "\n")
+        if self.flagged_rows:
+            buf.write("# never selected: " + ",".join(self.flagged_rows) + "\n")
         return buf.getvalue()
 
 
@@ -63,8 +65,7 @@ def _clone_model(model: MoEModel) -> MoEModel:
     return MoEModel(copy.deepcopy(model.config), arrays=arrays)
 
 
-def permute_router(model: MoEModel, layer: int, seed: int,
-                   reject_identity: bool = True, forced_perm=None) -> tuple:
+def permute_router(model: MoEModel, layer: int, seed: int, forced_perm=None) -> tuple:
     """Return (model copy with layer's router rows permuted, permutation).
 
     Only the given layer's router weight matrix changes; a uniformly random
@@ -79,7 +80,7 @@ def permute_router(model: MoEModel, layer: int, seed: int,
     else:
         rng = np.random.default_rng(seed)
         perm = rng.permutation(n)
-        while reject_identity and np.array_equal(perm, np.arange(n)):
+        while np.array_equal(perm, np.arange(n)):
             perm = rng.permutation(n)
     shuffled = _clone_model(model)
     name = f"layers.{layer}.moe.router"
@@ -101,11 +102,7 @@ def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
     """
     if not valsets:
         raise ValueError("delta_ppl: empty validation sets")
-    shuffled, perm = permute_router(
-        model, layer, seed,
-        reject_identity=forced_perm is None,
-        forced_perm=forced_perm,
-    )
+    shuffled, perm = permute_router(model, layer, seed, forced_perm=forced_perm)
     ppl_shuf = domain_perplexities(shuffled, valsets)
     delta = {dom: ppl_shuf[dom] - ppl_original[dom] for dom in ppl_shuf}
     return PermutationResult(

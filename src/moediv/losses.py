@@ -8,25 +8,13 @@ router only through the soft probabilities.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .divergence import DEFAULT_EPS
 from .tensor import Tensor
-
-
-@dataclass
-class LossBreakdown:
-    l_lm: float
-    l_lb: float
-    l_ed: float
-    l_final: float
-    alpha: float
-    beta: float
 
 
 def _selection_fractions(selections, num_experts: int) -> np.ndarray:
@@ -39,11 +27,12 @@ def _selection_fractions(selections, num_experts: int) -> np.ndarray:
     return counts / t
 
 
-def load_balance_loss_t(probs: Tensor, selections, num_experts: int) -> Tensor:
+def load_balance_loss_t(probs: Tensor, selections) -> Tensor:
     """L_LB = N * sum_i f_i * P_i over a [T, N] batch; f_i enters as a constant."""
-    f = _selection_fractions(selections, num_experts)
+    n = probs.shape[1]
+    f = _selection_fractions(selections, n)
     p_mean = T.tmean(probs, axis=0)
-    return T.mul(T.tsum(T.mul(p_mean, f)), float(num_experts))
+    return T.mul(T.tsum(T.mul(p_mean, f)), float(n))
 
 
 def _entropy_t(p: Tensor) -> Tensor:
@@ -53,71 +42,47 @@ def _entropy_t(p: Tensor) -> Tensor:
     return T.mul(T.tsum(T.mul(p, T.tlog(T.add(p, 1e-300))), axis=-1), -1.0)
 
 
-def expert_divergence_loss_t(
-    probs: Tensor,
-    num_sequences: int,
-    seq_len: int,
-    domains,
-    eps: float = DEFAULT_EPS,
-):
+def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -> Tensor:
     """Differentiable L_ED for one MoE layer.
 
-    ``probs`` is the [B*L, N] router output with sequences packed in order;
-    ``domains`` gives one label per sequence. Token distributions are
-    averaged to sequence means, sequence means to unweighted domain means,
-    and the loss is the mean of -ln(JSD + eps) over unique domain pairs.
-
-    Returns (loss Tensor, number of distinct domains). With fewer than two
-    domains the loss is a constant zero (divergence-skipped).
+    ``probs`` is the [B, L, N] router output and ``domains`` gives one
+    label per sequence. Token distributions are averaged to sequence means,
+    sequence means to unweighted domain means, and the loss is the mean of
+    -ln(JSD + eps) over unique domain pairs. With fewer than two domains the
+    loss is a constant zero (divergence-skipped).
     """
     domains = list(domains)
-    if len(domains) != num_sequences:
-        raise ValueError("one domain label per sequence required")
-    unique = []
-    for d in domains:
-        if d not in unique:
-            unique.append(d)
-    m_b = len(unique)
-    if m_b < 2:
-        return Tensor(0.0), m_b
-
-    n_experts = probs.shape[-1]
-    seq_means = T.tmean(
-        T.reshape(probs, (num_sequences, seq_len, n_experts)), axis=1
-    )  # [B, N]
-    domain_rows = []
-    darr = np.asarray(domains)
-    for d in unique:
-        idx = np.nonzero(darr == d)[0]
-        rows = T.take_rows(seq_means, idx)
-        domain_rows.append(T.tmean(rows, axis=0, keepdims=True))
-    means = T.concat(domain_rows, axis=0)  # [M_B, N]
-
-    terms = []
-    for j, k in itertools.combinations(range(m_b), 2):
-        pj = T.take_rows(means, np.array([j]))
-        pk = T.take_rows(means, np.array([k]))
-        m = T.mul(T.add(pj, pk), 0.5)
-        jsd = T.sub(
-            _entropy_t(m),
-            T.mul(T.add(_entropy_t(pj), _entropy_t(pk)), 0.5),
+    if len(domains) != probs.shape[0]:
+        raise ValueError(
+            f"expert_divergence_loss_t: {len(domains)} domain labels "
+            f"for {probs.shape[0]} sequences"
         )
-        terms.append(T.mul(T.tlog(T.add(jsd, eps)), -1.0))
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return T.reshape(T.div(total, float(len(terms))), ()), m_b
+    unique = list(dict.fromkeys(domains))
+    if len(unique) < 2:
+        return Tensor(0.0)
+
+    seq_means = T.tmean(probs, axis=1)  # [B, N]
+    darr = np.asarray(domains)
+    means = T.concat(
+        [T.tmean(T.take_rows(seq_means, np.nonzero(darr == d)[0]), axis=0, keepdims=True)
+         for d in unique],
+        axis=0,
+    )  # [M_B, N]
+    j, k = np.triu_indices(len(unique), 1)
+    pj, pk = T.take_rows(means, j), T.take_rows(means, k)  # [P, N]
+    m = T.mul(T.add(pj, pk), 0.5)
+    jsd = T.sub(_entropy_t(m), T.mul(T.add(_entropy_t(pj), _entropy_t(pk)), 0.5))
+    return T.tmean(T.mul(T.tlog(T.add(jsd, eps)), -1.0))
 
 
-def compose_t(l_lm: Tensor, l_lb: Tensor, l_ed: Tensor, alpha: float, beta: float):
-    """L_final = L_LM + alpha*L_LB + beta*L_ED; returns (total Tensor, LossBreakdown).
+def compose_t(l_lm: Tensor, l_lb: Tensor, l_ed: Tensor, alpha: float, beta: float) -> Tensor:
+    """L_final = L_LM + alpha*L_LB + beta*L_ED, added left to right.
 
     Raises ValueError naming the first non-finite component, L_final included.
     """
-    parts = {"l_lm": l_lm.item(), "l_lb": l_lb.item(), "l_ed": l_ed.item()}
-    parts["l_final"] = parts["l_lm"] + alpha * parts["l_lb"] + beta * parts["l_ed"]
-    for name, value in parts.items():
+    total = T.add(T.add(l_lm, T.mul(l_lb, alpha)), T.mul(l_ed, beta))
+    for name, part in (("l_lm", l_lm), ("l_lb", l_lb), ("l_ed", l_ed), ("l_final", total)):
+        value = part.item()
         if not math.isfinite(value):
             raise ValueError(f"compose_t: non-finite loss component {name}={value}")
-    total = T.add(l_lm, T.add(T.mul(l_lb, alpha), T.mul(l_ed, beta)))
-    return total, LossBreakdown(**parts, alpha=alpha, beta=beta)
+    return total

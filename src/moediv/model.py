@@ -253,18 +253,26 @@ def load_checkpoint(path):
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a moediv checkpoint (bad magic)")
         header = json.loads(f.readline().decode())
-        config = ModelConfig(**header["config"])
-        arrays = {}
-        for name, shape in header["params"]:
-            n_items = int(np.prod(shape)) if shape else 1
-            arrays[name] = np.frombuffer(f.read(n_items * 8), dtype="<f8").reshape(shape)
-        model = MoEModel(config, arrays=arrays)
-        opt_state = None
-        if header.get("has_opt"):
-            m, v = {}, {}
-            for name, shape in header["params"]:
-                n_items = int(np.prod(shape)) if shape else 1
-                m[name] = np.frombuffer(f.read(n_items * 8), dtype="<f8").reshape(shape).copy()
-                v[name] = np.frombuffer(f.read(n_items * 8), dtype="<f8").reshape(shape).copy()
-            opt_state = AdamWState(m=m, v=v, t=header.get("opt_t", 0))
+        blob = f.read()
+    config = ModelConfig(**header["config"])
+    names = [name for name, _ in header["params"]]
+    layout = [shape for _, shape in header["params"]]
+    if header.get("has_opt"):
+        layout += [shape for shape in layout for _ in ("m", "v")]
+    sizes = [int(np.prod(shape)) for shape in layout]
+    expected = 8 * sum(sizes)
+    if len(blob) != expected:
+        reason = "truncated" if len(blob) < expected else f"{len(blob) - expected} trailing bytes"
+        raise ValueError(f"{path}: {reason}: expected {expected} data bytes, read {len(blob)}")
+    chunks = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+    arrays = [chunk.reshape(shape) for chunk, shape in zip(chunks, layout)]
+    model = MoEModel(config, arrays=dict(zip(names, arrays)))
+    opt_state = None
+    if header.get("has_opt"):
+        moments = arrays[len(names):]
+        opt_state = AdamWState(
+            m={n: a.copy() for n, a in zip(names, moments[0::2])},
+            v={n: a.copy() for n, a in zip(names, moments[1::2])},
+            t=header.get("opt_t", 0),
+        )
     return model, header["step"], opt_state

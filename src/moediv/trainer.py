@@ -60,34 +60,6 @@ class AdamWState:
         )
 
 
-@dataclass
-class StepMetrics:
-    step: int
-    breakdown: losses.LossBreakdown
-    d_total: list
-    d_inter: list
-    d_intra: list
-    m_b: int
-    lr: float
-    ed_skipped: bool
-    wall_time: float
-
-    def to_record(self) -> dict:
-        # wall_time deliberately excluded: the log must be reproducible
-        return {
-            "step": self.step,
-            "l_lm": self.breakdown.l_lm,
-            "l_lb": self.breakdown.l_lb,
-            "l_ed": self.breakdown.l_ed,
-            "l_final": self.breakdown.l_final,
-            "d_total": self.d_total,
-            "d_inter": self.d_inter,
-            "d_intra": self.d_intra,
-            "m_b": self.m_b,
-            "lr": self.lr,
-        }
-
-
 def lr_at(step: int, config: TrainConfig) -> float:
     """Linear ramp 0 -> lr over warmup_steps, then constant."""
     if config.warmup_steps > 0 and step < config.warmup_steps:
@@ -139,39 +111,34 @@ def _layer_mean(terms):
 def objective(model: MoEModel, batch, config: TrainConfig):
     """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
 
-    L_LB and L_ED are means over the MoE layers. Returns (terms, breakdown,
-    layers, m_b): ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar
-    Tensors, ``breakdown`` holds their float values, ``layers`` is the
-    forward's LayerTrace list (``probs`` are graph nodes) and ``m_b`` the
-    number of distinct domains in the batch (L_ED is a constant zero below
-    two).
+    L_LB and L_ED are means over the MoE layers. Returns (terms, layers):
+    ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar Tensors and
+    ``layers`` is the forward's LayerTrace list (``probs`` are graph nodes).
     """
     tokens = batch.sequences
-    b, l = tokens.shape
     logits, layers = forward(model, tokens)
     l_lm = lm_loss(logits, tokens)
     lb_terms, ed_terms = [], []
-    m_b = 0
     for layer in layers:
-        lb_terms.append(
-            losses.load_balance_loss_t(layer.probs, layer.selected, model.config.num_experts)
-        )
-        ed_t, m_b = losses.expert_divergence_loss_t(
-            layer.probs, b, l, batch.domains, eps=config.eps
-        )
-        ed_terms.append(ed_t)
+        lb_terms.append(losses.load_balance_loss_t(layer.probs, layer.selected))
+        ed_terms.append(losses.expert_divergence_loss_t(
+            T.reshape(layer.probs, tokens.shape + (-1,)), batch.domains, eps=config.eps
+        ))
     l_lb = _layer_mean(lb_terms)
     l_ed = _layer_mean(ed_terms)
-    l_final, breakdown = losses.compose_t(l_lm, l_lb, l_ed, config.alpha, config.beta)
-    terms = {"l_lm": l_lm, "l_lb": l_lb, "l_ed": l_ed, "l_final": l_final}
-    return terms, breakdown, layers, m_b
+    l_final = losses.compose_t(l_lm, l_lb, l_ed, config.alpha, config.beta)
+    return {"l_lm": l_lm, "l_lb": l_lb, "l_ed": l_ed, "l_final": l_final}, layers
 
 
 def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
-               step: int) -> StepMetrics:
-    """One optimization step: the objective, backward, AdamW update."""
-    t0 = time.perf_counter()
-    terms, breakdown, layers, m_b = objective(model, batch, config)
+               step: int) -> dict:
+    """One optimization step: the objective, backward, AdamW update.
+
+    Returns the step's ``metrics.jsonl`` record: step, lr, the number of
+    distinct domains m_b (L_ED is a constant zero below two), the four loss
+    terms and the per-layer D_total, D_inter and D_intra.
+    """
+    terms, layers = objective(model, batch, config)
 
     leaf_grads = T.backward(terms["l_final"])
     grads = {n: leaf_grads[p] for n, p in model.params.items() if p in leaf_grads}
@@ -182,26 +149,14 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
         config.adam_beta1, config.adam_beta2, config.weight_decay,
     )
 
+    record = {"step": step, "lr": lr, "m_b": len(set(batch.domains))}
+    record.update((name, t.item()) for name, t in terms.items())
     seq_len = batch.sequences.shape[1]
     token_labels = [d for d in batch.domains for _ in range(seq_len)]
-    d_total, d_inter, d_intra = [], [], []
-    for layer in layers:
-        rep = divergence.decompose(layer.probs.data, token_labels)
-        d_total.append(rep.d_total)
-        d_inter.append(rep.d_inter)
-        d_intra.append(rep.d_intra)
-
-    return StepMetrics(
-        step=step,
-        breakdown=breakdown,
-        d_total=d_total,
-        d_inter=d_inter,
-        d_intra=d_intra,
-        m_b=m_b,
-        lr=lr,
-        ed_skipped=m_b < 2,
-        wall_time=time.perf_counter() - t0,
-    )
+    reports = [divergence.decompose(layer.probs.data, token_labels) for layer in layers]
+    for key in ("d_total", "d_inter", "d_intra"):
+        record[key] = [getattr(rep, key) for rep in reports]
+    return record
 
 
 def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
@@ -223,12 +178,14 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
     with open(metrics_path, mode, encoding="utf-8") as mf:
         for step in range(start_step, config.total_steps):
             batch = batches[step % len(batches)]
+            t0 = time.perf_counter()
             try:
-                metrics = train_step(model, batch, config, opt_state, step)
+                record = train_step(model, batch, config, opt_state, step)
             except ValueError as exc:
                 raise ValueError(f"step {step}: {exc}") from exc
-            mf.write(json.dumps(metrics.to_record(), sort_keys=True) + "\n")
-            if metrics.ed_skipped:
+            step_ms = 1e3 * (time.perf_counter() - t0)
+            mf.write(json.dumps(record, sort_keys=True) + "\n")
+            if record["m_b"] < 2:
                 log.debug("step %d: divergence-skipped (single-domain batch)", step)
             if (step + 1) % config.checkpoint_interval == 0:
                 save_checkpoint(ckpt_path, model, step=step + 1, opt_state=opt_state)
@@ -236,8 +193,7 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
             if step % 100 == 0:
                 log.info(
                     "step %d: l_lm=%.4f l_lb=%.4f l_ed=%.4f (%.1f ms)",
-                    step, metrics.breakdown.l_lm, metrics.breakdown.l_lb,
-                    metrics.breakdown.l_ed, 1e3 * metrics.wall_time,
+                    step, record["l_lm"], record["l_lb"], record["l_ed"], step_ms,
                 )
     final_path = os.path.join(out_dir, "final.moediv")
     save_checkpoint(final_path, model, step=config.total_steps, opt_state=opt_state)

@@ -67,18 +67,18 @@ def test_c5_closed_form_losses():
     n, k, t = 8, 2, 16
     probs = np.full((t, n), 1.0 / n)
     sel = np.stack([np.arange(t) % n, (np.arange(t) + n // 2) % n], axis=1)
-    lb = losses.load_balance_loss_t(Tensor(probs), sel, n).item()
+    lb = losses.load_balance_loss_t(Tensor(probs), sel).item()
     err_lb = abs(lb - k)
 
     same = np.tile([0.5, 0.5], (8, 1))
-    ed_same, _ = losses.expert_divergence_loss_t(
-        Tensor(same), 4, 2, ["a", "a", "b", "b"]
+    ed_same = losses.expert_divergence_loss_t(
+        Tensor(same.reshape(4, 2, 2)), ["a", "a", "b", "b"]
     )
     err_same = abs(ed_same.item() - (-np.log(1e-8)))
 
     disjoint = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-    ed_dis, _ = losses.expert_divergence_loss_t(
-        Tensor(disjoint), 4, 2, ["a", "a", "b", "b"]
+    ed_dis = losses.expert_divergence_loss_t(
+        Tensor(disjoint.reshape(4, 2, 2)), ["a", "a", "b", "b"]
     )
     err_dis = abs(ed_dis.item() - (-np.log(np.log(2.0) + 1e-8)))
 

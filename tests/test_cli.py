@@ -196,6 +196,33 @@ class TestAnalysisCommands:
         header = capsys.readouterr().out.split("\n")[1]
         assert header == "row,a,b,c"
 
+    def test_heatmap_inverse_flags_never_selected(self, tmp_path, capsys):
+        # the dead-expert recipe of test_analysis: a large ln2 bias on
+        # coordinate 0 and expert 3's router row pointing against it keep
+        # expert 3 out of every top-2 set
+        model = MoEModel(ModelConfig(num_layers=1, hidden_size=16, intermediate_size=24,
+                                     num_experts=4, top_k=2, num_heads=2, vocab_size=128,
+                                     max_seq_len=16), seed=3)
+        model.params["layers.0.ln2.b"].data[0] = 100.0
+        model.params["layers.0.moe.router"].data[3] = 0.0
+        model.params["layers.0.moe.router"].data[3, 0] = -1.0
+        ckpt = tmp_path / "dead.moediv"
+        save_checkpoint(ckpt, model)
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
+        assert cli.run(["heatmap", "--ckpt", str(ckpt), "--data", str(corpus)]) == 0
+        assert capsys.readouterr().out.count("#") == 1  # only "# layer 0"
+        assert cli.run(["heatmap", "--ckpt", str(ckpt), "--data", str(corpus), "--inverse"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        # "# layer 0", the header, one row per expert, then the flag line
+        assert len(lines) == 1 + 1 + 4 + 1
+        prefix = "# never selected: "
+        assert lines[-1].startswith(prefix)
+        flagged = lines[-1][len(prefix):].split(",")
+        assert "expert_3" in flagged
+        rows = {l.split(",")[0]: [float(v) for v in l.split(",")[1:]] for l in lines[2:6]}
+        for name in flagged:
+            assert rows[name] == pytest.approx([1 / 3] * 3, abs=1e-9)
+
     def test_ternary(self, trained, capsys):
         rc = cli.run(["ternary", "--ckpt", str(trained["ckpt"]),
                       "--data", str(trained["corpus"])])

@@ -117,7 +117,7 @@ def ed_loss(means):
     """L_ED of an [M, N] array of domain means: one one-token sequence per domain."""
     means = np.asarray(means, dtype=np.float64)
     m = means.shape[0]
-    out, _ = losses.expert_divergence_loss_t(T.Tensor(means), m, 1, [str(j) for j in range(m)])
+    out = losses.expert_divergence_loss_t(T.Tensor(means[:, None, :]), [str(j) for j in range(m)])
     return out.item()
 
 

@@ -9,12 +9,20 @@ from moediv.divergence import jsd_pair
 from moediv.trainer import TrainConfig
 
 
-def load_balance(probs, sel, n):
-    return losses.load_balance_loss_t(T.Tensor(probs), sel, n).item()
+def load_balance(probs, sel):
+    return losses.load_balance_loss_t(T.Tensor(probs), sel).item()
 
 
 def compose(l_lm, l_lb, l_ed, alpha, beta):
-    return losses.compose_t(T.Tensor(l_lm), T.Tensor(l_lb), T.Tensor(l_ed), alpha, beta)[1]
+    return losses.compose_t(T.Tensor(l_lm), T.Tensor(l_lb), T.Tensor(l_ed), alpha, beta).item()
+
+
+def ed_loss(probs, seq_len, domains):
+    """L_ED of [B*L, N] token rows packed sequence by sequence."""
+    probs = T.as_tensor(probs)
+    return losses.expert_divergence_loss_t(
+        T.reshape(probs, (len(domains), seq_len, probs.shape[-1])), domains
+    )
 
 
 class TestLoadBalance:
@@ -26,7 +34,7 @@ class TestLoadBalance:
         sel = np.stack([np.arange(t) % n, (np.arange(t) + n // 2) % n], axis=1)
         counts = np.bincount(sel.reshape(-1), minlength=n)
         assert np.all(counts == counts[0])
-        assert load_balance(probs, sel, n) == pytest.approx(k, abs=1e-12)
+        assert load_balance(probs, sel) == pytest.approx(k, abs=1e-12)
 
     def test_collapse_equals_n(self):
         # everything routed to expert 0 with probability 1: loss = N
@@ -34,7 +42,7 @@ class TestLoadBalance:
         probs = np.zeros((t, n))
         probs[:, 0] = 1.0
         sel = np.zeros((t, 1), dtype=int)
-        assert load_balance(probs, sel, n) == pytest.approx(n, abs=1e-12)
+        assert load_balance(probs, sel) == pytest.approx(n, abs=1e-12)
 
     def test_scalar_oracle(self):
         rng = np.random.default_rng(0)
@@ -45,11 +53,11 @@ class TestLoadBalance:
         f = [sum(1 for row in sel if i in row) / t for i in range(n)]
         p = [probs[:, i].mean() for i in range(n)]
         expected = n * sum(fi * pi for fi, pi in zip(f, p))
-        assert load_balance(probs, sel, n) == pytest.approx(expected, rel=1e-12)
+        assert load_balance(probs, sel) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            load_balance(np.zeros((0, 4)), np.zeros((0, 2), dtype=int), 4)
+            load_balance(np.zeros((0, 4)), np.zeros((0, 2), dtype=int))
 
     def test_graph_version_matches_float(self):
         rng = np.random.default_rng(1)
@@ -59,7 +67,7 @@ class TestLoadBalance:
         # plain-numpy N * sum_i f_i * P_i as the reference
         f = np.bincount(sel.reshape(-1), minlength=6) / 9
         ref = float(6 * (f * probs.mean(axis=0)).sum())
-        out = losses.load_balance_loss_t(T.Tensor(probs), sel, 6)
+        out = losses.load_balance_loss_t(T.Tensor(probs), sel)
         assert out.item() == pytest.approx(ref, rel=1e-12)
 
     def test_fractions_are_constants(self):
@@ -68,7 +76,7 @@ class TestLoadBalance:
         rng = np.random.default_rng(2)
         probs = T.Tensor(rng.dirichlet(np.ones(4), size=6), requires_grad=True)
         sel = np.stack([rng.permutation(4)[:2] for _ in range(6)])
-        out = losses.load_balance_loss_t(probs, sel, 4)
+        out = losses.load_balance_loss_t(probs, sel)
         grads = T.backward(out)
         f = losses._selection_fractions(sel, 4)
         expected = np.tile(4 * f / 6, (6, 1))
@@ -86,21 +94,17 @@ class TestExpertDivergenceT:
 
     def test_identical_means_closed_form(self):
         probs = self._probs_for([[0.5, 0.5], [0.5, 0.5]], 2, 3)
-        out, m_b = losses.expert_divergence_loss_t(
-            T.Tensor(probs), 4, 3, ["a", "a", "b", "b"]
-        )
-        assert m_b == 2
+        out = ed_loss(probs, 3, ["a", "a", "b", "b"])
         assert out.item() == pytest.approx(-np.log(1e-8), abs=1e-9)
 
     def test_disjoint_means_closed_form(self):
         probs = self._probs_for([[1.0, 0.0], [0.0, 1.0]], 1, 4)
-        out, _ = losses.expert_divergence_loss_t(T.Tensor(probs), 2, 4, ["a", "b"])
+        out = ed_loss(probs, 4, ["a", "b"])
         assert out.item() == pytest.approx(-np.log(np.log(2.0) + 1e-8), abs=1e-12)
 
     def test_single_domain_skipped(self):
         probs = self._probs_for([[0.6, 0.4]], 2, 3)
-        out, m_b = losses.expert_divergence_loss_t(T.Tensor(probs), 2, 3, ["a", "a"])
-        assert m_b == 1
+        out = ed_loss(probs, 3, ["a", "a"])
         assert out.item() == 0.0
 
     def test_three_domain_scalar_oracle(self):
@@ -108,8 +112,7 @@ class TestExpertDivergenceT:
         b, l, n = 6, 4, 5
         probs = rng.dirichlet(np.ones(n), size=b * l)
         domains = ["x", "y", "z", "x", "y", "z"]
-        out, m_b = losses.expert_divergence_loss_t(T.Tensor(probs), b, l, domains)
-        assert m_b == 3
+        out = ed_loss(probs, l, domains)
         seq_means = probs.reshape(b, l, n).mean(axis=1)
         dm = {d: np.mean([seq_means[i] for i in range(b) if domains[i] == d], axis=0)
               for d in "xyz"}
@@ -119,9 +122,41 @@ class TestExpertDivergenceT:
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            losses.expert_divergence_loss_t(
-                T.Tensor(np.full((4, 2), 0.5)), 2, 2, ["a"]
-            )
+            losses.expert_divergence_loss_t(T.Tensor(np.full((2, 2, 2), 0.5)), ["a"])
+
+    @pytest.mark.parametrize("shape, labels", [
+        ((3, 2, 2), ["a", "b"]),
+        ((3, 2, 2), ["a", "b", "a", "b"]),
+        ((8, 2), ["a", "a", "b", "b"]),  # flat [B*L, N] rows: 8 sequences to the loss
+    ])
+    def test_label_count_must_match_batch(self, shape, labels):
+        with pytest.raises(ValueError, match=f"{len(labels)} domain labels for {shape[0]} sequences"):
+            losses.expert_divergence_loss_t(T.Tensor(np.full(shape, 0.5)), labels)
+
+    @staticmethod
+    def _many_domains(m, seed, n=5, seq_len=3):
+        # two sequences per domain, the domains interleaved
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(n), size=2 * m * seq_len)
+        return probs, [f"d{i % m}" for i in range(2 * m)]
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_many_domains_scalar_oracle(self, m):
+        probs, domains = self._many_domains(m, seed=10 + m)
+        out = ed_loss(probs, 3, domains)
+        seq_means = probs.reshape(2 * m, 3, -1).mean(axis=1)
+        dm = [np.mean([seq_means[i] for i in range(2 * m) if domains[i] == d], axis=0)
+              for d in dict.fromkeys(domains)]
+        expected = np.mean([-np.log(jsd_pair(dm[a], dm[b]) + 1e-8)
+                            for a in range(m) for b in range(a + 1, m)])
+        assert out.item() == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_many_domains_grad_check(self, m):
+        probs, domains = self._many_domains(m, seed=20 + m)
+        probs = T.Tensor(probs, requires_grad=True)
+        errs = T.grad_check(lambda: {"l_ed": ed_loss(probs, 3, domains)}, [probs])
+        assert errs["l_ed"] <= 1e-6
 
     def test_sequence_means_unweighted(self):
         # two sequences of the same domain contribute equally regardless of
@@ -132,16 +167,14 @@ class TestExpertDivergenceT:
              [0.3, 0.7], [0.3, 0.7],       # seq 3, domain b
              [0.7, 0.3], [0.7, 0.3]]       # seq 4, domain b
         )
-        out, _ = losses.expert_divergence_loss_t(
-            T.Tensor(probs), 4, 2, ["a", "a", "b", "b"]
-        )
+        out = ed_loss(probs, 2, ["a", "a", "b", "b"])
         # both domain means are (0.5, 0.5): identical means closed form
         assert out.item() == pytest.approx(-np.log(1e-8), abs=1e-9)
 
     def test_gradient_flows_to_probs(self):
         rng = np.random.default_rng(4)
         probs = T.Tensor(rng.dirichlet(np.ones(4), size=8), requires_grad=True)
-        out, _ = losses.expert_divergence_loss_t(probs, 4, 2, ["a", "a", "b", "b"])
+        out = ed_loss(probs, 2, ["a", "a", "b", "b"])
         grads = T.backward(out)
         assert probs in grads
         assert np.any(grads[probs] != 0)
@@ -149,14 +182,14 @@ class TestExpertDivergenceT:
 
 class TestCompose:
     def test_frozen_example(self):
-        bd = compose(2.0, 1.0, 18.4207, alpha=1e-3, beta=5e-4)
-        assert bd.l_final == pytest.approx(2.01021035, abs=1e-9)
+        total = compose(2.0, 1.0, 18.4207, alpha=1e-3, beta=5e-4)
+        assert total == pytest.approx(2.01021035, abs=1e-9)
 
     def test_default_weights(self):
         c = TrainConfig()
-        bd = compose(1.0, 2.0, 3.0, c.alpha, c.beta)
-        assert bd.alpha == 1e-3 and bd.beta == 5e-4
-        assert bd.l_final == pytest.approx(1.0 + 1e-3 * 2.0 + 5e-4 * 3.0, abs=1e-15)
+        assert c.alpha == 1e-3 and c.beta == 5e-4
+        total = compose(1.0, 2.0, 3.0, c.alpha, c.beta)
+        assert total == pytest.approx(1.0 + 1e-3 * 2.0 + 5e-4 * 3.0, abs=1e-15)
 
     def test_non_finite_named(self):
         with pytest.raises(ValueError, match="l_ed"):
@@ -172,12 +205,9 @@ class TestCompose:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
     def test_linear_in_components(self, a, b, c):
-        bd = compose(a, b, c, alpha=0.5, beta=0.25)
-        assert bd.l_final == pytest.approx(a + 0.5 * b + 0.25 * c, abs=1e-9)
+        total = compose(a, b, c, alpha=0.5, beta=0.25)
+        assert total == pytest.approx(a + 0.5 * b + 0.25 * c, abs=1e-9)
 
     def test_graph_version_matches(self):
-        total, bd = losses.compose_t(
-            T.Tensor(1.5), T.Tensor(0.8), T.Tensor(4.0), 1e-3, 5e-4
-        )
-        assert total.item() == pytest.approx(bd.l_final, abs=1e-15)
-        assert bd.l_lm == 1.5 and bd.l_lb == 0.8 and bd.l_ed == 4.0
+        # the Tensor adds left to right, so it equals the float sum exactly
+        assert compose(1.5, 0.8, 4.0, 1e-3, 5e-4) == 1.5 + 1e-3 * 0.8 + 5e-4 * 4.0

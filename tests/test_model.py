@@ -193,6 +193,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_truncated_refused(self, tmp_path, with_opt):
+        model = MoEModel(SMALL, seed=13)
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, model, opt_state=AdamWState.init(model.params) if with_opt else None)
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(ValueError, match=r"m\.moediv: truncated: expected \d+ data bytes, read"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        model = MoEModel(SMALL, seed=14)
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes() + b"\0" * 5)
+        with pytest.raises(ValueError, match=r"m\.moediv: 5 trailing bytes"):
+            load_checkpoint(path)
+
     def test_no_tmp_file_left(self, tmp_path):
         model = MoEModel(SMALL, seed=12)
         save_checkpoint(tmp_path / "m.moediv", model)
