@@ -8,7 +8,6 @@ export as CSV with a one-line header.
 
 from __future__ import annotations
 
-import copy
 import io
 from dataclasses import dataclass, field
 
@@ -60,11 +59,6 @@ class HeatmapMatrix:
         return buf.getvalue()
 
 
-def _clone_model(model: MoEModel) -> MoEModel:
-    arrays = {name: p.data for name, p in model.params.items()}
-    return MoEModel(copy.deepcopy(model.config), arrays=arrays)
-
-
 def permute_router(model: MoEModel, layer: int, seed: int, forced_perm=None) -> tuple:
     """Return (model copy with layer's router rows permuted, permutation).
 
@@ -82,9 +76,9 @@ def permute_router(model: MoEModel, layer: int, seed: int, forced_perm=None) -> 
         perm = rng.permutation(n)
         while np.array_equal(perm, np.arange(n)):
             perm = rng.permutation(n)
-    shuffled = _clone_model(model)
-    name = f"layers.{layer}.moe.router"
-    shuffled.params[name].data = model.params[name].data[perm].copy()
+    shuffled = MoEModel(model.config, flat=model.flat)
+    router = shuffled.params[f"layers.{layer}.moe.router"].data
+    router[...] = router[perm]
     return shuffled, perm
 
 

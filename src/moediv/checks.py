@@ -103,7 +103,7 @@ def gradient_check_fixture(seed=5):
     for name, p in model.params.items():
         if name.endswith((".g", ".b")):
             continue
-        p.data = rng.normal(0.0, 0.4, size=p.data.shape)
+        p.data[...] = rng.normal(0.0, 0.4, size=p.shape)
     tokens = rng.integers(0, config.vocab_size, size=(4, 6))
     batch = DomainBatch(
         sequences=tokens.astype(np.intp),
@@ -118,7 +118,7 @@ def check_gradients(tol=1e-4, h=1e-5, seed=5):
     model, batch = gradient_check_fixture(seed)
     train_config = trainer.TrainConfig(total_steps=1, warmup_steps=0)
     errs = T.grad_check(
-        lambda: trainer.objective(model, batch, train_config)[0], model.param_list(), h=h
+        lambda: trainer.objective(model, batch, train_config)[0], list(model.params.values()), h=h
     )
     ok = all(e <= tol for e in errs.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in errs.items())

@@ -10,7 +10,7 @@ training loss L_ED lives in :mod:`moediv.losses`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,22 +100,12 @@ def pairwise_sum(means) -> float:
 
 
 @dataclass
-class DomainAggregate:
-    """Token-weighted mean routing distribution of one domain."""
-
-    domain: str
-    mean: np.ndarray
-    num_tokens: int
-
-
-@dataclass
 class DivergenceReport:
     """Total/inter/intra routing diversity of a labeled token batch."""
 
     d_total: float
     d_inter: float
     d_intra: float
-    aggregates: list[DomainAggregate] = field(default_factory=list)
 
 
 def decompose(probs, labels) -> DivergenceReport:
@@ -136,30 +126,16 @@ def decompose(probs, labels) -> DivergenceReport:
     plogp = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
     mean_token_entropy = float(-plogp.sum(axis=1).mean())
 
-    order: list[str] = []
-    for lab in labels:
-        if lab not in order:
-            order.append(lab)
     labels_arr = np.asarray(labels)
-    aggregates = []
-    for dom in order:
-        sel = probs[labels_arr == dom]
-        aggregates.append(
-            DomainAggregate(
-                domain=dom, mean=sel.mean(axis=0), num_tokens=sel.shape[0]
-            )
-        )
-
     h_global = entropy(global_mean)
-    weighted_domain_entropy = sum(
-        (a.num_tokens / t) * entropy(a.mean) for a in aggregates
-    )
+    weighted_domain_entropy = 0.0
+    for dom in dict.fromkeys(labels):
+        sel = probs[labels_arr == dom]
+        weighted_domain_entropy += (sel.shape[0] / t) * entropy(sel.mean(axis=0))
     d_total = h_global - mean_token_entropy
     d_inter = h_global - weighted_domain_entropy
     d_intra = weighted_domain_entropy - mean_token_entropy
-    return DivergenceReport(
-        d_total=d_total, d_inter=d_inter, d_intra=d_intra, aggregates=aggregates
-    )
+    return DivergenceReport(d_total=d_total, d_inter=d_inter, d_intra=d_intra)
 
 
 def proportionality_check(base, deltas, t):

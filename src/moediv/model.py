@@ -8,6 +8,7 @@ core in minutes while still producing authentic per-layer routing traces.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -46,81 +47,80 @@ class LayerTrace:
     selected: np.ndarray  # [T, K]
 
 
+def _param_shapes(c: ModelConfig) -> dict:
+    """{name: shape} of every parameter, in the order of ``MoEModel.flat``."""
+    d, m = c.hidden_size, c.intermediate_size
+    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d)}
+    for l in range(c.num_layers):
+        pre = f"layers.{l}."
+        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
+        shapes.update({pre + "attn." + w: (d, d) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
+                       pre + "moe.router": (c.num_experts, d)})
+        for e in range(c.num_experts):
+            epre = f"{pre}experts.{e}."
+            shapes.update({epre + "w_gate": (d, m), epre + "w_up": (d, m),
+                           epre + "w_down": (m, d)})
+    shapes.update({"ln_f.g": (d,), "ln_f.b": (d,), "lm_head": (d, c.vocab_size)})
+    return shapes
+
+
 class MoEModel:
-    """Parameter store plus structured per-layer views."""
+    """Every parameter in one float64 vector ``flat``, with named and
+    per-layer views of it."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, arrays=None):
-        """Random init drawn from ``seed``, or a copy of ``arrays``.
+    def __init__(self, config: ModelConfig, seed: int = 0, flat=None):
+        """Random init drawn from ``seed``, or a copy of ``flat``.
 
-        ``arrays`` maps every parameter name to an array of its shape; no
-        random init is drawn then.
+        ``flat`` is a vector in this config's layout; no random init is
+        drawn then. Otherwise layer-norm gains start at one, biases at zero
+        and every weight at N(0, 0.02^2), drawn in ``params`` order.
         """
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
-        c = config
+        self.shapes = _param_shapes(config)
+        size = sum(math.prod(s) for s in self.shapes.values())
+        if flat is None:
+            self.flat = np.zeros(size)
+        else:
+            self.flat = np.array(flat, dtype=np.float64)
+            if self.flat.shape != (size,):
+                raise ValueError(f"flat has shape {self.flat.shape}, expected ({size},)")
+        self.params = {
+            name: Tensor(view, requires_grad=True) for name, view in self.split(self.flat).items()
+        }
+        if flat is None:
+            rng = np.random.default_rng(seed)
+            for name, p in self.params.items():
+                if name.endswith(".g"):
+                    p.data[...] = 1.0
+                elif not name.endswith(".b"):
+                    p.data[...] = rng.normal(0.0, 0.02, size=p.shape)
 
-        def param(name, shape, init):
-            if arrays is None:
-                data = init(shape)
-            else:
-                if name not in arrays:
-                    raise ValueError(f"missing parameter {name}")
-                data = np.array(arrays[name], dtype=np.float64)
-                if data.shape != shape:
-                    raise ValueError(
-                        f"parameter {name} has shape {data.shape}, expected {shape}"
-                    )
-            t = Tensor(data, requires_grad=True)
-            self.params[name] = t
-            return t
-
-        def p(name, shape, std=0.02):
-            return param(name, shape, lambda s: rng.normal(0.0, std, size=s))
-
-        def ones(name, shape):
-            return param(name, shape, np.ones)
-
-        def zeros(name, shape):
-            return param(name, shape, np.zeros)
-
-        self.tok_emb = p("tok_emb", (c.vocab_size, c.hidden_size))
-        self.pos_emb = p("pos_emb", (c.max_seq_len, c.hidden_size))
+        self.tok_emb = self.params["tok_emb"]
+        self.pos_emb = self.params["pos_emb"]
         self.blocks = []
-        for l in range(c.num_layers):
+        for l in range(config.num_layers):
             pre = f"layers.{l}."
-            block = {
-                "ln1_g": ones(pre + "ln1.g", (c.hidden_size,)),
-                "ln1_b": zeros(pre + "ln1.b", (c.hidden_size,)),
-                "wq": p(pre + "attn.wq", (c.hidden_size, c.hidden_size)),
-                "wk": p(pre + "attn.wk", (c.hidden_size, c.hidden_size)),
-                "wv": p(pre + "attn.wv", (c.hidden_size, c.hidden_size)),
-                "wo": p(pre + "attn.wo", (c.hidden_size, c.hidden_size)),
-                "ln2_g": ones(pre + "ln2.g", (c.hidden_size,)),
-                "ln2_b": zeros(pre + "ln2.b", (c.hidden_size,)),
-            }
-            router = p(pre + "moe.router", (c.num_experts, c.hidden_size))
-            experts = []
-            for e in range(c.num_experts):
-                epre = f"{pre}experts.{e}."
-                experts.append(
-                    ExpertFFN(
-                        w_gate=p(epre + "w_gate", (c.hidden_size, c.intermediate_size)),
-                        w_up=p(epre + "w_up", (c.hidden_size, c.intermediate_size)),
-                        w_down=p(epre + "w_down", (c.intermediate_size, c.hidden_size)),
-                    )
-                )
-            block["moe"] = MoELayer(router=router, experts=experts, top_k=c.top_k)
+            block = {n[len(pre):]: p for n, p in self.params.items() if n.startswith(pre)}
+            experts = [
+                ExpertFFN(*(block[f"experts.{e}.{w}"] for w in ("w_gate", "w_up", "w_down")))
+                for e in range(config.num_experts)
+            ]
+            block["moe"] = MoELayer(router=block["moe.router"], experts=experts,
+                                    top_k=config.top_k)
             self.blocks.append(block)
-        self.ln_f_g = ones("ln_f.g", (c.hidden_size,))
-        self.ln_f_b = zeros("ln_f.b", (c.hidden_size,))
-        self.lm_head = p("lm_head", (c.hidden_size, c.vocab_size))
-        if arrays is not None and len(arrays) != len(self.params):
-            extra = sorted(set(arrays) - set(self.params))
-            raise ValueError(f"unknown parameters {extra}")
+        self.ln_f_g = self.params["ln_f.g"]
+        self.ln_f_b = self.params["ln_f.b"]
+        self.lm_head = self.params["lm_head"]
 
-    def param_list(self):
-        return list(self.params.values())
+    def split(self, vector) -> dict:
+        """{name: view} of each parameter's part of a vector in ``flat``'s layout."""
+        views, start = {}, 0
+        for name, shape in self.shapes.items():
+            size = math.prod(shape)
+            views[name] = vector[start:start + size].reshape(shape)
+            start += size
+        return views
 
 
 def _affine_norm(x, g, b):
@@ -131,16 +131,16 @@ def _attention(block, xn, b, l, h, dh):
     def split(t):
         return T.transpose(T.reshape(t, (b, l, h, dh)), (0, 2, 1, 3))
 
-    q = split(T.matmul(xn, block["wq"]))
-    k = split(T.matmul(xn, block["wk"]))
-    v = split(T.matmul(xn, block["wv"]))
+    q = split(T.matmul(xn, block["attn.wq"]))
+    k = split(T.matmul(xn, block["attn.wk"]))
+    v = split(T.matmul(xn, block["attn.wv"]))
     scale = 1.0 / np.sqrt(dh)
     mask = np.triu(np.full((l, l), -1e30), k=1)
     scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale), mask)
     att = T.softmax_rows(scores)
     out = T.matmul(att, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b * l, h * dh))
-    return T.matmul(out, block["wo"])
+    return T.matmul(out, block["attn.wo"])
 
 
 def forward(model: MoEModel, tokens):
@@ -167,9 +167,9 @@ def forward(model: MoEModel, tokens):
     h, dh = c.num_heads, c.hidden_size // c.num_heads
     layers = []
     for block in model.blocks:
-        xn = _affine_norm(x, block["ln1_g"], block["ln1_b"])
+        xn = _affine_norm(x, block["ln1.g"], block["ln1.b"])
         x = T.add(x, _attention(block, xn, b, l, h, dh))
-        hn = _affine_norm(x, block["ln2_g"], block["ln2_b"])
+        hn = _affine_norm(x, block["ln2.g"], block["ln2.b"])
         y, probs, selected, _ = moe_forward_batch(block["moe"], hn)
         x = T.add(x, y)
         layers.append(LayerTrace(probs=probs, selected=selected))
@@ -221,13 +221,12 @@ def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
     """Write config + parameters (+ optimizer moments) atomically.
 
     Layout: magic line, one JSON header line, then raw little-endian float64
-    blobs in header order (all params, then per-param Adam m and v).
+    blobs: ``model.flat``, then each parameter's Adam m and v in header order.
     """
-    names = list(model.params.keys())
     header = {
         "config": asdict(model.config),
         "step": int(step),
-        "params": [[n, list(model.params[n].shape)] for n in names],
+        "params": [[n, list(s)] for n, s in model.shapes.items()],
         "has_opt": opt_state is not None,
         "opt_t": int(opt_state.t) if opt_state is not None else 0,
     }
@@ -235,44 +234,52 @@ def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
     with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for n in names:
-            f.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
+        f.write(model.flat.astype("<f8", copy=False))
         if opt_state is not None:
-            for n in names:
-                f.write(np.ascontiguousarray(opt_state.m[n], dtype="<f8").tobytes())
-                f.write(np.ascontiguousarray(opt_state.v[n], dtype="<f8").tobytes())
+            for m, v in zip(model.split(opt_state.m).values(), model.split(opt_state.v).values()):
+                f.write(m.astype("<f8", copy=False))
+                f.write(v.astype("<f8", copy=False))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (model, step, opt_state_or_None)."""
+    """Read a checkpoint; returns (model, step, opt_state_or_None).
+
+    Raises ValueError naming ``path`` for a bad magic line, an unreadable
+    header or config, a parameter layout that is not the config's, and a
+    truncated file or trailing bytes.
+    """
     from .trainer import AdamWState  # local import to avoid a cycle
 
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a moediv checkpoint (bad magic)")
-        header = json.loads(f.readline().decode())
+        header_line = f.readline()
         blob = f.read()
-    config = ModelConfig(**header["config"])
-    names = [name for name, _ in header["params"]]
-    layout = [shape for _, shape in header["params"]]
-    if header.get("has_opt"):
-        layout += [shape for shape in layout for _ in ("m", "v")]
-    sizes = [int(np.prod(shape)) for shape in layout]
-    expected = 8 * sum(sizes)
+    try:
+        header = json.loads(header_line)
+        config = ModelConfig(**header["config"])
+        step = header["step"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from exc
+    shapes = _param_shapes(config)
+    if header.get("params") != [[n, list(s)] for n, s in shapes.items()]:
+        raise ValueError(f"{path}: parameter names and shapes do not match the config")
+    sizes = [math.prod(s) for s in shapes.values()]
+    n = sum(sizes)
+    expected = 8 * n * (3 if header.get("has_opt") else 1)
     if len(blob) != expected:
         reason = "truncated" if len(blob) < expected else f"{len(blob) - expected} trailing bytes"
         raise ValueError(f"{path}: {reason}: expected {expected} data bytes, read {len(blob)}")
-    chunks = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
-    arrays = [chunk.reshape(shape) for chunk, shape in zip(chunks, layout)]
-    model = MoEModel(config, arrays=dict(zip(names, arrays)))
+    values = np.frombuffer(blob, dtype="<f8")
+    model = MoEModel(config, flat=values[:n])
     opt_state = None
     if header.get("has_opt"):
-        moments = arrays[len(names):]
+        # per parameter: its m, then its v
+        chunks = np.split(values[n:], np.cumsum([s for s in sizes for _ in "mv"])[:-1])
         opt_state = AdamWState(
-            m={n: a.copy() for n, a in zip(names, moments[0::2])},
-            v={n: a.copy() for n, a in zip(names, moments[1::2])},
+            m=np.concatenate(chunks[0::2]), v=np.concatenate(chunks[1::2]),
             t=header.get("opt_t", 0),
         )
-    return model, header["step"], opt_state
+    return model, step, opt_state

@@ -33,11 +33,10 @@ class Tensor:
     only the optimizer mutates leaf parameters, between graphs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._vjp = None
@@ -45,10 +44,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -137,17 +132,6 @@ def tlog(a) -> Tensor:
 
     def vjp(g):
         return (g / a.data,)
-
-    return _make(data, (a,), vjp)
-
-
-def silu(a) -> Tensor:
-    a = as_tensor(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    data = a.data * sig
-
-    def vjp(g):
-        return (g * (sig * (1.0 + a.data * (1.0 - sig))),)
 
     return _make(data, (a,), vjp)
 
@@ -455,11 +439,10 @@ def _toposort(root: Tensor):
 def backward(root: Tensor) -> dict:
     """Propagate d(root)/d(leaf) to every requires_grad leaf.
 
-    Returns a map {leaf Tensor: gradient ndarray} and also stores each
-    gradient on ``leaf.grad``. The root must be scalar. Gradients of shared
-    subexpressions accumulate additively; the traversal order is a function
-    of graph construction order, so identical graphs give bit-identical
-    results.
+    Returns a map {leaf Tensor: gradient ndarray}. The root must be
+    scalar. Gradients of shared subexpressions accumulate additively; the
+    traversal order is a function of graph construction order, so identical
+    graphs give bit-identical results.
     """
     if root.data.size != 1:
         raise ValueError("backward: root must be a scalar")
@@ -473,7 +456,6 @@ def backward(root: Tensor) -> dict:
         if node._vjp is None:
             if node.requires_grad:
                 leaf_grads[node] = g
-                node.grad = g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

@@ -47,17 +47,15 @@ class TrainConfig:
 
 @dataclass
 class AdamWState:
-    m: dict
-    v: dict
+    """Adam moments, vectors in the layout of ``MoEModel.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def init(cls, params: dict):
-        return cls(
-            m={n: np.zeros_like(p.data) for n, p in params.items()},
-            v={n: np.zeros_like(p.data) for n, p in params.items()},
-            t=0,
-        )
+    def init(cls, params_vec: np.ndarray):
+        return cls(m=np.zeros_like(params_vec), v=np.zeros_like(params_vec), t=0)
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -67,38 +65,54 @@ def lr_at(step: int, config: TrainConfig) -> float:
     return config.lr
 
 
-def adamw_update(params: dict, grads: dict, state: AdamWState, lr: float,
-                 beta1: float, beta2: float, weight_decay: float, eps: float = 1e-8):
-    """Standard decoupled-weight-decay Adam step with bias correction."""
+_ADAMW_SLICE = 1 << 15  # 256 KB slices: their temporaries stay in cache, whole-vector ones do not
+
+
+def adamw_update(params_vec: np.ndarray, grads_vec: np.ndarray, state: AdamWState,
+                 lr: float, beta1: float, beta2: float, weight_decay: float,
+                 eps: float = 1e-8):
+    """Standard decoupled-weight-decay Adam step with bias correction.
+
+    Updates ``params_vec`` and the moments of ``state`` in place.
+    """
+    if grads_vec.shape != params_vec.shape:
+        raise ValueError(
+            f"adamw_update: gradient shape {grads_vec.shape} does not match "
+            f"parameters {params_vec.shape}"
+        )
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValueError(f"adamw_update: gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
+    for start in range(0, params_vec.size, _ADAMW_SLICE):
+        part = slice(start, start + _ADAMW_SLICE)
+        p, g, m, v = params_vec[part], grads_vec[part], state.m[part], state.v[part]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        p.data = p.data * (1.0 - lr * weight_decay) - lr * (m / bc1) / (
-            np.sqrt(v / bc2) + eps
-        )
+        p *= 1.0 - lr * weight_decay
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return state
 
 
-def _clip_gradients(grads: dict, max_norm: float) -> dict:
-    if max_norm <= 0:
-        return grads
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        grads = {n: g * scale for n, g in grads.items()}
-    return grads
+def _flat_gradient(model: MoEModel, leaf_grads: dict, max_norm: float) -> np.ndarray:
+    """The step gradient in ``model.flat``'s layout, zero for parameters
+    that got none, scaled to global norm ``max_norm`` when above it
+    (``max_norm`` <= 0 disables clipping)."""
+    grad = np.zeros_like(model.flat)
+    views = model.split(grad)
+    sq = 0.0
+    for name, p in model.params.items():
+        g = leaf_grads.get(p)
+        if g is not None:
+            views[name][...] = g
+            # one float per parameter, added in params order: a single sum
+            # over ``grad`` rounds differently and moves the clipped steps
+            sq += float((g * g).sum())
+    total = math.sqrt(sq)
+    if max_norm > 0 and total > max_norm:
+        grad *= max_norm / total
+    return grad
 
 
 def _layer_mean(terms):
@@ -140,12 +154,10 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
     """
     terms, layers = objective(model, batch, config)
 
-    leaf_grads = T.backward(terms["l_final"])
-    grads = {n: leaf_grads[p] for n, p in model.params.items() if p in leaf_grads}
-    grads = _clip_gradients(grads, config.grad_clip)
+    grad = _flat_gradient(model, T.backward(terms["l_final"]), config.grad_clip)
     lr = lr_at(step, config)
     adamw_update(
-        model.params, grads, state, lr,
+        model.flat, grad, state, lr,
         config.adam_beta1, config.adam_beta2, config.weight_decay,
     )
 
@@ -173,7 +185,7 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
     metrics_path = os.path.join(out_dir, metrics_name)
     ckpt_path = os.path.join(out_dir, "checkpoint.moediv")
     if opt_state is None:
-        opt_state = AdamWState.init(model.params)
+        opt_state = AdamWState.init(model.flat)
     mode = "a" if start_step > 0 else "w"
     with open(metrics_path, mode, encoding="utf-8") as mf:
         for step in range(start_step, config.total_steps):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moediv import analysis as A
+from moediv import divergence as dv
 from moediv import model as model_mod
 from moediv.model import ModelConfig, MoEModel, forward, perplexity
 
@@ -207,11 +208,19 @@ class TestTernary:
 
 class TestDivergenceReport:
     def test_per_layer_identity(self, model, valsets):
-        reports = A.divergence_report(A.collect_traces(model, valsets))
+        traces = A.collect_traces(model, valsets)
+        reports = A.divergence_report(traces)
         assert len(reports) == CFG.num_layers
-        for rep in reports:
+        for layer, rep in enumerate(reports):
             assert abs(rep.d_total - rep.d_inter - rep.d_intra) <= 1e-10
-            assert len(rep.aggregates) == 3
+            # D_inter from the token-weighted domain means
+            probs = [traces[d][layer].probs.data for d in sorted(traces)]
+            means = [p.mean(axis=0) for p in probs]
+            assert len(means) == 3
+            pooled = np.concatenate(probs)
+            inter = dv.entropy(pooled.mean(axis=0)) - sum(
+                len(p) / len(pooled) * dv.entropy(m) for p, m in zip(probs, means))
+            assert abs(rep.d_inter - inter) <= 1e-10
 
     def test_csv_format(self, model, valsets):
         text = A.report_csv(A.divergence_report(A.collect_traces(model, valsets)))

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,10 +108,22 @@ class TestGeneralizedJSD:
 
 
 def domain_means(rows):
-    """Token-weighted domain means of (domain, distribution) rows, one token each."""
+    """Token-weighted domain means of (domain, distribution) rows, one token
+    each, in first-seen domain order.
+
+    Also checks that ``decompose``'s D_inter is H(global mean) minus the
+    token-weighted entropies of these means.
+    """
     labels = [d for d, _ in rows]
     probs = np.array([p for _, p in rows], dtype=np.float64)
-    return dv.decompose(probs, labels).aggregates
+    aggs = []
+    for dom in dict.fromkeys(labels):
+        sel = probs[[lab == dom for lab in labels]]
+        aggs.append(SimpleNamespace(domain=dom, mean=sel.mean(axis=0), num_tokens=len(sel)))
+    inter = dv.entropy(probs.mean(axis=0)) - sum(
+        a.num_tokens / len(rows) * dv.entropy(a.mean) for a in aggs)
+    assert dv.decompose(probs, labels).d_inter == pytest.approx(inter, abs=1e-12)
+    return aggs
 
 
 def ed_loss(means):

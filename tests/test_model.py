@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,19 +158,17 @@ class TestCheckpoint:
 
     def test_roundtrip_with_optimizer(self, tmp_path):
         model = MoEModel(SMALL, seed=9)
-        state = AdamWState.init(model.params)
+        state = AdamWState.init(model.flat)
         rng = np.random.default_rng(0)
-        for n in state.m:
-            state.m[n][:] = rng.normal(size=state.m[n].shape)
-            state.v[n][:] = rng.random(state.v[n].shape)
+        state.m[:] = rng.normal(size=state.m.shape)
+        state.v[:] = rng.random(state.v.shape)
         state.t = 7
         path = tmp_path / "m.moediv"
         save_checkpoint(path, model, step=100, opt_state=state)
         _, _, loaded = load_checkpoint(path)
         assert loaded.t == 7
-        for n in state.m:
-            assert np.array_equal(loaded.m[n], state.m[n])
-            assert np.array_equal(loaded.v[n], state.v[n])
+        assert np.array_equal(loaded.m, state.m)
+        assert np.array_equal(loaded.v, state.v)
 
     def test_byte_identical_rewrites(self, tmp_path):
         model = MoEModel(SMALL, seed=10)
@@ -197,7 +197,7 @@ class TestCheckpoint:
     def test_truncated_refused(self, tmp_path, with_opt):
         model = MoEModel(SMALL, seed=13)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, opt_state=AdamWState.init(model.params) if with_opt else None)
+        save_checkpoint(path, model, opt_state=AdamWState.init(model.flat) if with_opt else None)
         path.write_bytes(path.read_bytes()[:-12])
         with pytest.raises(ValueError, match=r"m\.moediv: truncated: expected \d+ data bytes, read"):
             load_checkpoint(path)
@@ -215,21 +215,53 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.moediv", model)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.moediv"]
 
+    @staticmethod
+    def edit_header(path, edit):
+        magic, header, blob = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        edit(header)
+        path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+
+    def test_cut_header_refused(self, tmp_path):
+        path = tmp_path / "m.moediv"
+        path.write_bytes(b"MOEDIV1\n" + b'{"config": {"hid')
+        with pytest.raises(ValueError, match=r"m\.moediv: bad header: Unterminated string"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_refused(self, tmp_path):
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, MoEModel(SMALL, seed=15))
+        self.edit_header(path, lambda h: h["config"].update(bogus=1))
+        with pytest.raises(ValueError, match=r"m\.moediv: bad header: .*'bogus'"):
+            load_checkpoint(path)
+
+    def test_param_layout_mismatch_refused(self, tmp_path):
+        # same data size, so only the layout comparison can catch it
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, MoEModel(SMALL, seed=16))
+
+        def transpose_lm_head(h):
+            h["params"][-1][1] = h["params"][-1][1][::-1]
+
+        self.edit_header(path, transpose_lm_head)
+        with pytest.raises(ValueError, match=r"m\.moediv: parameter names and shapes do not"):
+            load_checkpoint(path)
+
 
 class TestFromArrays:
     def test_copies_given_arrays(self):
         model = MoEModel(SMALL, seed=13)
-        arrays = {name: p.data for name, p in model.params.items()}
-        built = MoEModel(SMALL, arrays=arrays)
+        built = MoEModel(SMALL, flat=model.flat)
         assert list(built.params) == list(model.params)
+        assert not np.shares_memory(built.flat, model.flat)
         for name, p in built.params.items():
-            assert np.array_equal(p.data, arrays[name])
-            assert p.data is not arrays[name] and p.requires_grad
+            assert np.array_equal(p.data, model.params[name].data)
+            assert np.shares_memory(p.data, built.flat) and p.requires_grad
         tokens = np.array([[1, 2, 3, 4]])
         assert np.array_equal(forward(model, tokens)[0].data, forward(built, tokens)[0].data)
 
     def test_draws_no_random_init(self, monkeypatch):
-        arrays = {name: p.data for name, p in MoEModel(SMALL, seed=14).params.items()}
+        flat = MoEModel(SMALL, seed=14).flat
 
         class NoDraws:
             def normal(self, *args, **kwargs):
@@ -238,15 +270,10 @@ class TestFromArrays:
         monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
         with pytest.raises(AssertionError):
             MoEModel(SMALL, seed=0)
-        MoEModel(SMALL, arrays=arrays)
+        MoEModel(SMALL, flat=flat)
 
     def test_rejects_mismatched_arrays(self):
-        arrays = {name: p.data for name, p in MoEModel(SMALL, seed=15).params.items()}
-        missing = dict(arrays)
-        del missing["lm_head"]
-        with pytest.raises(ValueError, match="missing parameter lm_head"):
-            MoEModel(SMALL, arrays=missing)
-        with pytest.raises(ValueError, match="layers.0.attn.wq"):
-            MoEModel(SMALL, arrays={**arrays, "layers.0.attn.wq": np.zeros((2, 2))})
-        with pytest.raises(ValueError, match="bogus"):
-            MoEModel(SMALL, arrays={**arrays, "bogus": np.zeros(1)})
+        flat = MoEModel(SMALL, seed=15).flat
+        for bad in (flat[:-1], np.append(flat, 0.0), flat.reshape(1, -1)):
+            with pytest.raises(ValueError, match=rf"expected \({flat.size},\)"):
+                MoEModel(SMALL, flat=bad)

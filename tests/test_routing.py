@@ -8,6 +8,12 @@ from moediv import routing as R
 from moediv import tensor as T
 
 
+def silu(a):
+    """SiLU as one graph op, the formula ``expert_mixture`` inlines."""
+    sig = 1.0 / (1.0 + np.exp(-a.data))
+    return T._make(a.data * sig, (a,), lambda g: (g * (sig * (1.0 + a.data * (1.0 - sig))),))
+
+
 def scalar_softmax(row):
     m = max(row)
     exps = [np.exp(v - m) for v in row]
@@ -83,7 +89,7 @@ class TestTopK:
 
 def run_expert(expert, x):
     """One expert's SiLU-gated MLP as separate graph ops (the oracle)."""
-    h = T.mul(T.silu(T.matmul(x, expert.w_gate)), T.matmul(x, expert.w_up))
+    h = T.mul(silu(T.matmul(x, expert.w_gate)), T.matmul(x, expert.w_up))
     return T.matmul(h, expert.w_down)
 
 

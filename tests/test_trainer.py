@@ -8,7 +8,6 @@ from moediv import data as D
 from moediv import tensor as T
 from moediv import trainer as TR
 from moediv.model import ModelConfig, MoEModel, load_checkpoint
-from moediv.tensor import Tensor
 
 SMALL = ModelConfig(
     num_layers=1, hidden_size=16, intermediate_size=24, num_experts=4,
@@ -58,70 +57,103 @@ class TestAdamW:
     def test_first_step_unit_direction(self):
         # with bias correction, step 1 moves each coordinate by
         # lr * g/|g| (up to eps), independent of gradient magnitude
-        p = {"w": Tensor(np.zeros(3), requires_grad=True)}
+        p = np.zeros(3)
         state = TR.AdamWState.init(p)
-        g = {"w": np.array([10.0, -0.01, 0.0])}
+        g = np.array([10.0, -0.01, 0.0])
         TR.adamw_update(p, g, state, lr=0.1, beta1=0.9, beta2=0.95, weight_decay=0.0)
-        np.testing.assert_allclose(p["w"].data[:2], [-0.1, 0.1], atol=1e-5)
-        assert p["w"].data[2] == 0.0
+        np.testing.assert_allclose(p[:2], [-0.1, 0.1], atol=1e-5)
+        assert p[2] == 0.0
 
     def test_decoupled_decay(self):
         # zero gradient: parameter shrinks by exactly (1 - lr*wd)
-        p = {"w": Tensor(np.array([2.0]), requires_grad=True)}
+        p = np.array([2.0])
         state = TR.AdamWState.init(p)
-        TR.adamw_update(p, {"w": np.zeros(1)}, state, lr=0.1, beta1=0.9,
+        TR.adamw_update(p, np.zeros(1), state, lr=0.1, beta1=0.9,
                         beta2=0.95, weight_decay=0.5)
-        assert p["w"].data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-12)
+        assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-12)
 
-    def test_scalar_reference_trajectory(self):
-        # independent scalar re-implementation of 5 steps
-        lr, b1, b2, wd, eps = 0.01, 0.9, 0.95, 0.1, 1e-8
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-        state = TR.AdamWState.init(p)
-        w, m, v = 1.0, 0.0, 0.0
-        for t in range(1, 6):
-            g = float(2 * w)  # gradient of w^2
-            TR.adamw_update(p, {"w": np.array([2 * p["w"].data[0]])}, state,
-                            lr=lr, beta1=b1, beta2=b2, weight_decay=wd)
+    @staticmethod
+    def scalar_reference(w, steps, lr, b1, b2, wd, eps):
+        """Independent scalar AdamW on the gradient of w^2."""
+        m = v = 0.0
+        for t in range(1, steps + 1):
+            g = float(2 * w)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             w = w * (1 - lr * wd) - lr * mhat / (np.sqrt(vhat) + eps)
-        assert p["w"].data[0] == pytest.approx(w, abs=1e-12)
+        return w
+
+    def test_scalar_reference_trajectory(self):
+        # independent scalar re-implementation of 5 steps
+        lr, b1, b2, wd, eps = 0.01, 0.9, 0.95, 0.1, 1e-8
+        p = np.array([1.0])
+        state = TR.AdamWState.init(p)
+        for _ in range(5):
+            TR.adamw_update(p, 2 * p, state, lr=lr, beta1=b1, beta2=b2, weight_decay=wd)
+        w = self.scalar_reference(1.0, 5, lr, b1, b2, wd, eps)
+        assert p[0] == pytest.approx(w, abs=1e-12)
         assert state.t == 5
 
+    def test_slices_match_scalar_reference(self):
+        # the update walks the vector in slices; values on both sides of a
+        # slice boundary and at the ragged end follow the scalar reference
+        # bit for bit
+        lr, b1, b2, wd, eps = 0.01, 0.9, 0.95, 0.1, 1e-8
+        n = 2 ** 15 + 3
+        p = np.linspace(-1.0, 1.0, n)
+        start = p.copy()
+        state = TR.AdamWState.init(p)
+        for _ in range(5):
+            TR.adamw_update(p, 2 * p, state, lr=lr, beta1=b1, beta2=b2, weight_decay=wd)
+        for i in (0, 2 ** 15 - 1, 2 ** 15, n - 1):
+            assert p[i] == self.scalar_reference(start[i], 5, lr, b1, b2, wd, eps), i
+
     def test_shape_mismatch(self):
-        p = {"w": Tensor(np.zeros(3), requires_grad=True)}
+        p = np.zeros(3)
         state = TR.AdamWState.init(p)
         with pytest.raises(ValueError):
-            TR.adamw_update(p, {"w": np.zeros(4)}, state, lr=0.1,
+            TR.adamw_update(p, np.zeros(4), state, lr=0.1,
                             beta1=0.9, beta2=0.95, weight_decay=0.0)
+
+
+def flat_gradient(grads, max_norm):
+    """``_flat_gradient`` of {name: array} leaf gradients of a SMALL model,
+    as (flat vector, {name: view})."""
+    model = MoEModel(SMALL, seed=0)
+    flat = TR._flat_gradient(model, {model.params[n]: g for n, g in grads.items()}, max_norm)
+    return flat, model.split(flat)
+
+
+def vec(*head, size=SMALL.hidden_size):
+    return np.concatenate([head, np.zeros(size - len(head))])
 
 
 class TestClipping:
     def test_below_threshold_untouched(self):
-        g = {"a": np.array([0.3, 0.4])}
-        out = TR._clip_gradients(g, 1.0)
-        assert out["a"] is g["a"]
+        g = {"ln_f.b": vec(0.3, 0.4)}
+        flat, out = flat_gradient(g, 1.0)
+        assert np.array_equal(out["ln_f.b"], g["ln_f.b"])
+        assert np.count_nonzero(flat) == 2
 
     def test_scaled_to_max_norm(self):
-        g = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
-        out = TR._clip_gradients(g, 1.0)
-        total = np.sqrt(sum(float((x * x).sum()) for x in out.values()))
+        g = {"ln_f.g": vec(3.0, 0.0), "ln_f.b": vec(4.0)}
+        flat, out = flat_gradient(g, 1.0)
+        total = np.sqrt(float((flat * flat).sum()))
         assert total == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_allclose(out["a"], [0.6, 0.0])
+        np.testing.assert_allclose(out["ln_f.g"][:2], [0.6, 0.0])
 
     def test_disabled(self):
-        g = {"a": np.array([100.0])}
-        assert TR._clip_gradients(g, 0.0)["a"] is g["a"]
+        g = {"ln_f.b": vec(100.0)}
+        assert np.array_equal(flat_gradient(g, 0.0)[1]["ln_f.b"], g["ln_f.b"])
 
 
 class TestTrainStep:
     def test_metrics_fields(self):
         model = MoEModel(SMALL, seed=0)
         batch = tiny_batches()[0]
-        state = TR.AdamWState.init(model.params)
+        state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=2)
         rec = TR.train_step(model, batch, cfg, state, step=0)
         assert rec["step"] == 0
@@ -134,7 +166,7 @@ class TestTrainStep:
     def test_parameters_move(self):
         model = MoEModel(SMALL, seed=1)
         before = {n: p.data.copy() for n, p in model.params.items()}
-        state = TR.AdamWState.init(model.params)
+        state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         TR.train_step(model, tiny_batches()[0], cfg, state, step=0)
         moved = [n for n in before if not np.array_equal(before[n], model.params[n].data)]
@@ -144,7 +176,7 @@ class TestTrainStep:
         model = MoEModel(SMALL, seed=2)
         batch = tiny_batches()[0]
         batch.domains = ["a"] * len(batch.sequences)
-        state = TR.AdamWState.init(model.params)
+        state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         rec = TR.train_step(model, batch, cfg, state, step=0)
         assert rec["m_b"] == 1
@@ -153,7 +185,7 @@ class TestTrainStep:
     def test_loss_decreases_over_steps(self):
         model = MoEModel(SMALL, seed=3)
         batches = tiny_batches(seed=3)
-        state = TR.AdamWState.init(model.params)
+        state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=60, warmup_steps=5, lr=3e-3)
         first = TR.train_step(model, batches[0], cfg, state, 0)["l_lm"]
         last = None
@@ -179,7 +211,7 @@ class TestObjective:
         calls = self.count_calls(monkeypatch)
         model = MoEModel(SMALL, seed=7)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
-        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.params), 0)
+        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat), 0)
         assert len(calls) == 1
 
     def test_check_gradients_uses_objective(self, monkeypatch):
@@ -200,7 +232,7 @@ class TestObjective:
         batch = tiny_batches()[0]
         terms, layers = TR.objective(MoEModel(SMALL, seed=8), batch, cfg)
         model = MoEModel(SMALL, seed=8)
-        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.params), 0)
+        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat), 0)
         assert rec["l_final"] == rec["l_lm"] + cfg.alpha * rec["l_lb"] + cfg.beta * rec["l_ed"]
         for name in ("l_lm", "l_lb", "l_ed", "l_final"):
             assert rec[name] == terms[name].item()
@@ -213,7 +245,7 @@ class TestObjective:
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         model = MoEModel(SMALL, seed=9)
         _, layers = TR.objective(MoEModel(SMALL, seed=9), batch, cfg)
-        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.params), 0)
+        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat), 0)
         seq_len = batch.sequences.shape[1]
         labels = [d for d in batch.domains for _ in range(seq_len)]
         for i, layer in enumerate(layers):
@@ -281,3 +313,19 @@ class TestRunTraining:
         cfg = TR.TrainConfig(alpha=1e308, total_steps=2, warmup_steps=0)
         with pytest.raises(ValueError, match=r"^step 0: .*l_final"):
             TR.run_training(model, tiny_batches(), cfg, tmp_path)
+
+
+def test_params_stay_views_of_flat(tmp_path):
+    # every path that builds or updates a model writes into ``flat`` in place
+    def assert_views(model):
+        for name, p in model.params.items():
+            assert np.shares_memory(p.data, model.flat), name
+
+    model = MoEModel(SMALL, seed=12)
+    cfg = TR.TrainConfig(total_steps=2, warmup_steps=0, checkpoint_interval=2)
+    final, _ = TR.run_training(model, tiny_batches(), cfg, tmp_path)
+    assert_views(model)
+    loaded, _, _ = load_checkpoint(final)
+    assert_views(loaded)
+    assert_views(analysis.permute_router(loaded, 0, seed=0)[0])
+    assert_views(checks.gradient_check_fixture()[0])
