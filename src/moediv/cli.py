@@ -76,6 +76,13 @@ def parse_config(path=None):
     return ModelConfig(**model_kw), TrainConfig(**train_kw), data_kw
 
 
+def _count(text):
+    """argparse type of ``--limit`` and ``--draws``: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _require_file(path, flag):
     if path is None or not os.path.exists(path):
         raise UsageError(f"{flag}: no such file: {path}")
@@ -210,7 +217,7 @@ def build_parser():
     p = sub.add_parser("decompose", help="per-layer divergence report on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=int, default=100, help="sequences per domain")
+    p.add_argument("--limit", type=_count, default=100, help="sequences per domain")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("perturb", help="router-permutation delta-PPL analysis")
@@ -218,21 +225,21 @@ def build_parser():
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=3)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--draws", type=_count, default=3)
+    p.add_argument("--limit", type=_count, default=100)
     p.set_defaults(fn=cmd_perturb)
 
     p = sub.add_parser("heatmap", help="expert activation heatmaps as CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--inverse", action="store_true", help="P(domain|expert) form")
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_count, default=100)
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("ternary", help="3-domain simplex coordinates per expert")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_count, default=100)
     p.set_defaults(fn=cmd_ternary)
 
     p = sub.add_parser("check", help="run the invariant suite")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_EPS = 1e-8
-LN2 = float(np.log(2.0))
 
 
 def _validate_dist(p, name="p"):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .routing import ExpertFFN, MoELayer, moe_forward_batch
+from .routing import MoELayer, moe_forward_batch
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"MOEDIV1\n"
@@ -56,18 +56,15 @@ def _param_shapes(c: ModelConfig) -> dict:
         shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
         shapes.update({pre + "attn." + w: (d, d) for w in ("wq", "wk", "wv", "wo")})
         shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
-                       pre + "moe.router": (c.num_experts, d)})
-        for e in range(c.num_experts):
-            epre = f"{pre}experts.{e}."
-            shapes.update({epre + "w_gate": (d, m), epre + "w_up": (d, m),
-                           epre + "w_down": (m, d)})
+                       pre + "moe.router": (c.num_experts, d),
+                       pre + "moe.experts": (c.num_experts, 3, d, m)})
     shapes.update({"ln_f.g": (d,), "ln_f.b": (d,), "lm_head": (d, c.vocab_size)})
     return shapes
 
 
 class MoEModel:
-    """Every parameter in one float64 vector ``flat``, with named and
-    per-layer views of it."""
+    """Every parameter in one float64 vector ``flat``; ``params`` holds a
+    named view of it per parameter."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, flat=None):
         """Random init drawn from ``seed``, or a copy of ``flat``.
@@ -96,23 +93,6 @@ class MoEModel:
                 elif not name.endswith(".b"):
                     p.data[...] = rng.normal(0.0, 0.02, size=p.shape)
 
-        self.tok_emb = self.params["tok_emb"]
-        self.pos_emb = self.params["pos_emb"]
-        self.blocks = []
-        for l in range(config.num_layers):
-            pre = f"layers.{l}."
-            block = {n[len(pre):]: p for n, p in self.params.items() if n.startswith(pre)}
-            experts = [
-                ExpertFFN(*(block[f"experts.{e}.{w}"] for w in ("w_gate", "w_up", "w_down")))
-                for e in range(config.num_experts)
-            ]
-            block["moe"] = MoELayer(router=block["moe.router"], experts=experts,
-                                    top_k=config.top_k)
-            self.blocks.append(block)
-        self.ln_f_g = self.params["ln_f.g"]
-        self.ln_f_b = self.params["ln_f.b"]
-        self.lm_head = self.params["lm_head"]
-
     def split(self, vector) -> dict:
         """{name: view} of each parameter's part of a vector in ``flat``'s layout."""
         views, start = {}, 0
@@ -127,20 +107,20 @@ def _affine_norm(x, g, b):
     return T.add(T.mul(T.layernorm(x), g), b)
 
 
-def _attention(block, xn, b, l, h, dh):
+def _attention(w, xn, b, l, h, dh):
     def split(t):
         return T.transpose(T.reshape(t, (b, l, h, dh)), (0, 2, 1, 3))
 
-    q = split(T.matmul(xn, block["attn.wq"]))
-    k = split(T.matmul(xn, block["attn.wk"]))
-    v = split(T.matmul(xn, block["attn.wv"]))
+    q = split(T.matmul(xn, w["attn.wq"]))
+    k = split(T.matmul(xn, w["attn.wk"]))
+    v = split(T.matmul(xn, w["attn.wv"]))
     scale = 1.0 / np.sqrt(dh)
     mask = np.triu(np.full((l, l), -1e30), k=1)
     scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale), mask)
     att = T.softmax_rows(scores)
     out = T.matmul(att, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b * l, h * dh))
-    return T.matmul(out, block["attn.wo"])
+    return T.matmul(out, w["attn.wo"])
 
 
 def forward(model: MoEModel, tokens):
@@ -161,21 +141,25 @@ def forward(model: MoEModel, tokens):
         raise ValueError("token id out of vocabulary range")
 
     # [B, L, d] token rows plus the first L position rows, broadcast over B
-    x = T.add(T.take_rows(model.tok_emb, tokens), T.take_rows(model.pos_emb, np.arange(l)))
+    p = model.params
+    x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
     x = T.reshape(x, (b * l, c.hidden_size))
 
     h, dh = c.num_heads, c.hidden_size // c.num_heads
     layers = []
-    for block in model.blocks:
-        xn = _affine_norm(x, block["ln1.g"], block["ln1.b"])
-        x = T.add(x, _attention(block, xn, b, l, h, dh))
-        hn = _affine_norm(x, block["ln2.g"], block["ln2.b"])
-        y, probs, selected, _ = moe_forward_batch(block["moe"], hn)
+    for i in range(c.num_layers):
+        pre = f"layers.{i}."
+        w = {name[len(pre):]: t for name, t in p.items() if name.startswith(pre)}
+        xn = _affine_norm(x, w["ln1.g"], w["ln1.b"])
+        x = T.add(x, _attention(w, xn, b, l, h, dh))
+        hn = _affine_norm(x, w["ln2.g"], w["ln2.b"])
+        moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
+        y, probs, selected, _ = moe_forward_batch(moe, hn)
         x = T.add(x, y)
         layers.append(LayerTrace(probs=probs, selected=selected))
 
-    xf = _affine_norm(x, model.ln_f_g, model.ln_f_b)
-    return T.matmul(xf, model.lm_head), layers
+    xf = _affine_norm(x, p["ln_f.g"], p["ln_f.b"])
+    return T.matmul(xf, p["lm_head"]), layers
 
 
 def lm_loss(logits, tokens):
@@ -221,7 +205,7 @@ def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
     """Write config + parameters (+ optimizer moments) atomically.
 
     Layout: magic line, one JSON header line, then raw little-endian float64
-    blobs: ``model.flat``, then each parameter's Adam m and v in header order.
+    vectors in ``model.flat``'s layout: ``model.flat``, then Adam's m and v.
     """
     header = {
         "config": asdict(model.config),
@@ -236,9 +220,8 @@ def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         f.write(model.flat.astype("<f8", copy=False))
         if opt_state is not None:
-            for m, v in zip(model.split(opt_state.m).values(), model.split(opt_state.v).values()):
-                f.write(m.astype("<f8", copy=False))
-                f.write(v.astype("<f8", copy=False))
+            f.write(opt_state.m.astype("<f8", copy=False))
+            f.write(opt_state.v.astype("<f8", copy=False))
     os.replace(tmp, path)
 
 
@@ -266,20 +249,15 @@ def load_checkpoint(path):
     shapes = _param_shapes(config)
     if header.get("params") != [[n, list(s)] for n, s in shapes.items()]:
         raise ValueError(f"{path}: parameter names and shapes do not match the config")
-    sizes = [math.prod(s) for s in shapes.values()]
-    n = sum(sizes)
+    n = sum(math.prod(s) for s in shapes.values())
     expected = 8 * n * (3 if header.get("has_opt") else 1)
     if len(blob) != expected:
         reason = "truncated" if len(blob) < expected else f"{len(blob) - expected} trailing bytes"
         raise ValueError(f"{path}: {reason}: expected {expected} data bytes, read {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f8")
-    model = MoEModel(config, flat=values[:n])
+    vectors = np.frombuffer(blob, dtype="<f8").reshape(-1, n)
+    model = MoEModel(config, flat=vectors[0])
     opt_state = None
     if header.get("has_opt"):
-        # per parameter: its m, then its v
-        chunks = np.split(values[n:], np.cumsum([s for s in sizes for _ in "mv"])[:-1])
-        opt_state = AdamWState(
-            m=np.concatenate(chunks[0::2]), v=np.concatenate(chunks[1::2]),
-            t=header.get("opt_t", 0),
-        )
+        opt_state = AdamWState(m=vectors[1].copy(), v=vectors[2].copy(),
+                               t=header.get("opt_t", 0))
     return model, step, opt_state

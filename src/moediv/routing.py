@@ -18,20 +18,11 @@ from .tensor import Tensor
 
 
 @dataclass
-class ExpertFFN:
-    """Gated two-layer MLP (SiLU gate), one per expert."""
-
-    w_gate: Tensor  # [d, m]
-    w_up: Tensor    # [d, m]
-    w_down: Tensor  # [m, d]
-
-
-@dataclass
 class MoELayer:
-    """Router weights plus the expert networks of one layer."""
+    """Router weights plus the expert weights of one layer."""
 
-    router: Tensor  # [N, d], one row per expert
-    experts: list
+    router: Tensor   # [N, d], one row per expert
+    experts: Tensor  # [N, 3, d, m], laid out as ``tensor.expert_mixture`` reads it
     top_k: int
 
     @property
@@ -81,7 +72,5 @@ def moe_forward_batch(layer: MoELayer, x: Tensor):
     selected, _ = topk_select(probs.data, layer.top_k)
     chosen = T.take_along_last(probs, selected)
     gates = T.div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
-    y = T.expert_mixture(
-        x, gates, selected, [(e.w_gate, e.w_up, e.w_down) for e in layer.experts]
-    )
+    y = T.expert_mixture(x, gates, selected, layer.experts)
     return y, probs, selected, gates

@@ -347,9 +347,10 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     """Sparse mixture of SiLU-gated MLP experts as one graph node.
 
     ``x`` is [T, d], ``gates`` [T, K] and ``selected`` an int array [T, K]
-    of expert indices, distinct within a row; ``experts`` lists one
-    (w_gate [d, m], w_up [d, m], w_down [m, d]) triple per expert. Returns
-    y [T, d] with
+    of expert indices, distinct within a row. ``experts`` [N, 3, d, m]
+    holds expert i's w_gate [d, m] at ``experts[i, 0]``, its w_up [d, m] at
+    ``experts[i, 1]`` and its w_down [m, d] as the same m*d values as
+    ``experts[i, 2]``. Returns y [T, d] with
 
         y[t] = sum_k gates[t, k] * E_{selected[t, k]}(x[t]),
         E(x) = (silu(x w_gate) * (x w_up)) w_down.
@@ -359,17 +360,17 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     order (dropless grouped dispatch as in MegaBlocks). A token appears at
     most once per expert, so each gated expert output is added into its
     token rows by plain assignment, expert by expert. Selections are
-    constants of the backward pass; experts that get no token get no
-    gradient.
+    constants of the backward pass; the gradient slices of experts that
+    get no token are zero.
     """
-    x, gates = as_tensor(x), as_tensor(gates)
-    experts = [tuple(as_tensor(w) for w in triple) for triple in experts]
-    parents = (x, gates) + tuple(w for triple in experts for w in triple)
+    x, gates, experts = as_tensor(x), as_tensor(gates), as_tensor(experts)
+    parents = (x, gates, experts)
     selected = np.asarray(selected, dtype=np.intp)
     _require_distinct_in_rows(selected, "expert_mixture")
     t, k = selected.shape
-    counts = np.bincount(selected.reshape(-1), minlength=len(experts))
-    if counts.size != len(experts):
+    n, _, d, m = experts.shape
+    counts = np.bincount(selected.reshape(-1), minlength=n)
+    if counts.size != n:
         raise ValueError("expert_mixture: expert index out of range")
     bounds = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(selected.reshape(-1), kind="stable")  # slot t * K + k
@@ -377,17 +378,21 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     slot_gates = gates.data.reshape(-1)[order][:, None]
     record = _recording(parents)
 
+    def weights(w, i):  # expert i's (w_gate, w_up, w_down), as views of w
+        return w[i, 0], w[i, 1], w[i, 2].reshape(m, d)
+
     data = np.zeros((t, x.shape[1]))
     saved = []
-    for (w_gate, w_up, w_down), lo, hi in zip(experts, bounds[:-1], bounds[1:]):
+    for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
+        w_gate, w_up, w_down = weights(experts.data, i)
         rows = slot_tokens[lo:hi]
         xi = x.data[rows]
-        pre = xi @ w_gate.data
+        pre = xi @ w_gate
         sig = 1.0 / (1.0 + np.exp(-pre))
         act = pre * sig
-        up = xi @ w_up.data
+        up = xi @ w_up
         h = act * up
-        expert_out = h @ w_down.data
+        expert_out = h @ w_down
         data[rows] += expert_out * slot_gates[lo:hi]
         if record:
             saved.append((xi, pre, sig, act, up, h, expert_out))
@@ -395,22 +400,25 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     def vjp(g):
         g_x = np.zeros_like(x.data)
         g_gates = np.empty(t * k)
-        g_weights = []
-        for (w_gate, w_up, w_down), lo, hi, (xi, pre, sig, act, up, h, expert_out) in zip(
-                experts, bounds[:-1], bounds[1:], saved):
+        g_experts = np.zeros(experts.shape)
+        for i, lo, hi, (xi, pre, sig, act, up, h, expert_out) in zip(
+                range(n), bounds[:-1], bounds[1:], saved):
             if lo == hi:
-                g_weights += [None, None, None]
                 continue
+            w_gate, w_up, w_down = weights(experts.data, i)
+            g_w_gate, g_w_up, g_w_down = weights(g_experts, i)
             rows = slot_tokens[lo:hi]
             g_rows = g[rows]
             g_gates[order[lo:hi]] = (expert_out * g_rows).sum(axis=1)
             go = g_rows * slot_gates[lo:hi]
-            gh = go @ w_down.data.T
+            gh = go @ w_down.T
             g_pre = gh * up * (sig * (1.0 + pre * (1.0 - sig)))
             g_up = gh * act
-            g_x[rows] += g_pre @ w_gate.data.T + g_up @ w_up.data.T
-            g_weights += [xi.T @ g_pre, xi.T @ g_up, h.T @ go]
-        return (g_x, g_gates.reshape(t, k), *g_weights)
+            g_x[rows] += g_pre @ w_gate.T + g_up @ w_up.T
+            g_w_gate[...] = xi.T @ g_pre
+            g_w_up[...] = xi.T @ g_up
+            g_w_down[...] = h.T @ go
+        return g_x, g_gates.reshape(t, k), g_experts
 
     return _make(data, parents, vjp)
 

@@ -101,15 +101,13 @@ def _flat_gradient(model: MoEModel, leaf_grads: dict, max_norm: float) -> np.nda
     (``max_norm`` <= 0 disables clipping)."""
     grad = np.zeros_like(model.flat)
     views = model.split(grad)
-    sq = 0.0
     for name, p in model.params.items():
         g = leaf_grads.get(p)
         if g is not None:
             views[name][...] = g
-            # one float per parameter, added in params order: a single sum
-            # over ``grad`` rounds differently and moves the clipped steps
-            sq += float((g * g).sum())
-    total = math.sqrt(sq)
+    # einsum sums in one thread; BLAS ``grad @ grad`` splits the sum across
+    # threads, so its last bits would depend on the thread count
+    total = math.sqrt(np.einsum("i,i->", grad, grad))
     if max_norm > 0 and total > max_norm:
         grad *= max_norm / total
     return grad

@@ -140,6 +140,23 @@ class TestExitCodes:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("decompose", "--limit", "0"),
+        ("decompose", "--limit", "-1"),
+        ("heatmap", "--limit", "0"),
+        ("ternary", "--limit", "0"),
+        ("perturb", "--limit", "0"),
+        ("perturb", "--draws", "0"),
+        ("perturb", "--draws", "-2"),
+    ])
+    def test_count_below_one_is_usage_error(self, trained, capsys, verb, flag, value):
+        extra = ["--layer", "0"] if verb == "perturb" else []
+        rc = cli.run([verb, "--ckpt", str(trained["ckpt"]), "--data", str(trained["corpus"]),
+                      *extra, flag, value])
+        assert rc == 1
+        assert f"argument {flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
 class TestTrainOutputs:
     def test_artifacts(self, trained):
         out = trained["out"]

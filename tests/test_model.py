@@ -112,8 +112,8 @@ class TestLMLoss:
     def test_uniform_model_near_log_vocab(self):
         # zeroed head gives uniform next-token predictions
         model = MoEModel(SMALL, seed=5)
-        model.lm_head.data[:] = 0.0
-        model.ln_f_b.data[:] = 0.0
+        model.params["lm_head"].data[:] = 0.0
+        model.params["ln_f.b"].data[:] = 0.0
         tokens = np.array([[1, 2, 3, 4]])
         logits, _ = forward(model, tokens)
         assert lm_loss(logits, tokens).item() == pytest.approx(
@@ -124,7 +124,7 @@ class TestLMLoss:
 class TestPerplexity:
     def test_uniform_equals_vocab(self):
         model = MoEModel(SMALL, seed=6)
-        model.lm_head.data[:] = 0.0
+        model.params["lm_head"].data[:] = 0.0
         batches = [np.array([[1, 2, 3], [4, 5, 6]])]
         assert perplexity(model, batches) == pytest.approx(SMALL.vocab_size, rel=1e-10)
 
@@ -169,6 +169,17 @@ class TestCheckpoint:
         assert loaded.t == 7
         assert np.array_equal(loaded.m, state.m)
         assert np.array_equal(loaded.v, state.v)
+
+    def test_data_is_flat_then_moments(self, tmp_path):
+        model = MoEModel(SMALL, seed=17)
+        state = AdamWState.init(model.flat)
+        rng = np.random.default_rng(1)
+        state.m[:] = rng.normal(size=state.m.shape)
+        state.v[:] = rng.random(state.v.shape)
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, model, opt_state=state)
+        _, _, blob = path.read_bytes().split(b"\n", 2)
+        assert blob == np.concatenate([model.flat, state.m, state.v]).astype("<f8").tobytes()
 
     def test_byte_identical_rewrites(self, tmp_path):
         model = MoEModel(SMALL, seed=10)
@@ -246,6 +257,64 @@ class TestCheckpoint:
         self.edit_header(path, transpose_lm_head)
         with pytest.raises(ValueError, match=r"m\.moediv: parameter names and shapes do not"):
             load_checkpoint(path)
+
+    def test_per_expert_layout_refused(self, tmp_path):
+        # the header of a checkpoint written when each expert weight was a
+        # parameter of its own; the data size is the same
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, MoEModel(SMALL, seed=18))
+        d, m = SMALL.hidden_size, SMALL.intermediate_size
+
+        def per_expert_names(h):
+            params = []
+            for name, shape in h["params"]:
+                if not name.endswith(".moe.experts"):
+                    params.append([name, shape])
+                    continue
+                pre = name[:-len("moe.experts")]
+                for e in range(SMALL.num_experts):
+                    params += [[f"{pre}experts.{e}.w_gate", [d, m]],
+                               [f"{pre}experts.{e}.w_up", [d, m]],
+                               [f"{pre}experts.{e}.w_down", [m, d]]]
+            h["params"] = params
+
+        self.edit_header(path, per_expert_names)
+        with pytest.raises(ValueError, match=r"m\.moediv: parameter names and shapes do not"):
+            load_checkpoint(path)
+
+
+class TestInit:
+    def test_one_expert_tensor_per_layer(self):
+        c = ModelConfig()
+        model = MoEModel(c)
+        assert len(model.params) == 25
+        assert model.params["layers.1.moe.experts"].shape == (
+            c.num_experts, 3, c.hidden_size, c.intermediate_size)
+
+    def test_matches_per_expert_draws(self):
+        # the draws of a model whose expert weights are separate
+        # parameters: w_gate [d, m], w_up [d, m], w_down [m, d] per expert
+        model = MoEModel(SMALL, seed=19)
+        rng = np.random.default_rng(19)
+        c, p = SMALL, model.params
+        d, m = c.hidden_size, c.intermediate_size
+        draw = lambda *shape: rng.normal(0.0, 0.02, size=shape)
+        assert np.array_equal(p["tok_emb"].data, draw(c.vocab_size, d))
+        assert np.array_equal(p["pos_emb"].data, draw(c.max_seq_len, d))
+        for l in range(c.num_layers):
+            pre = f"layers.{l}."
+            for w in ("wq", "wk", "wv", "wo"):
+                assert np.array_equal(p[pre + "attn." + w].data, draw(d, d))
+            assert np.array_equal(p[pre + "moe.router"].data, draw(c.num_experts, d))
+            experts = p[pre + "moe.experts"].data
+            for e in range(c.num_experts):
+                assert np.array_equal(experts[e, 0], draw(d, m))
+                assert np.array_equal(experts[e, 1], draw(d, m))
+                assert np.array_equal(experts[e, 2].reshape(m, d), draw(m, d))
+        assert np.array_equal(p["lm_head"].data, draw(d, c.vocab_size))
+        for name, t in p.items():
+            if name.endswith((".g", ".b")):
+                assert np.all(t.data == (1.0 if name.endswith(".g") else 0.0))
 
 
 class TestFromArrays:

@@ -87,10 +87,19 @@ class TestTopK:
             assert chosen.min() >= rest.max() - 1e-15
 
 
-def run_expert(expert, x):
-    """One expert's SiLU-gated MLP as separate graph ops (the oracle)."""
-    h = T.mul(silu(T.matmul(x, expert.w_gate)), T.matmul(x, expert.w_up))
-    return T.matmul(h, expert.w_down)
+def expert_weight(layer, i, j):
+    """Slice j of expert i's block in the stacked expert tensor, as a graph op."""
+    n, _, d, m = layer.experts.shape
+    return T.take_rows(T.reshape(layer.experts, (n * 3, d, m)), 3 * i + j)
+
+
+def run_expert(layer, i, x):
+    """Expert i's SiLU-gated MLP as separate graph ops (the oracle)."""
+    _, _, d, m = layer.experts.shape
+    w_gate, w_up = expert_weight(layer, i, 0), expert_weight(layer, i, 1)
+    w_down = T.reshape(expert_weight(layer, i, 2), (m, d))
+    h = T.mul(silu(T.matmul(x, w_gate)), T.matmul(x, w_up))
+    return T.matmul(h, w_down)
 
 
 def loop_moe_forward(layer, x):
@@ -106,11 +115,11 @@ def loop_moe_forward(layer, x):
     gates = T.div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
     flat_gates = T.reshape(gates, (-1,))
     y = None
-    for i, expert in enumerate(layer.experts):
+    for i in range(layer.num_experts):
         rows, cols = np.nonzero(selected == i)
         if rows.size == 0:
             continue
-        hi = run_expert(expert, T.take_rows(x, rows))
+        hi = run_expert(layer, i, T.take_rows(x, rows))
         wi = T.reshape(T.take_rows(flat_gates, rows * layer.top_k + cols), (rows.size, 1))
         scatter = (np.arange(x.shape[0])[:, None] == rows[None, :]).astype(np.float64)
         contrib = T.matmul(scatter, T.mul(hi, wi))
@@ -119,14 +128,8 @@ def loop_moe_forward(layer, x):
 
 
 def make_layer(rng, n_experts, d, m, k):
-    experts = [
-        R.ExpertFFN(
-            w_gate=T.Tensor(rng.normal(size=(d, m)), requires_grad=True),
-            w_up=T.Tensor(rng.normal(size=(d, m)), requires_grad=True),
-            w_down=T.Tensor(rng.normal(size=(m, d)), requires_grad=True),
-        )
-        for _ in range(n_experts)
-    ]
+    # per expert: w_gate [d, m], w_up [d, m], w_down [m, d] stored as [d, m]
+    experts = T.Tensor(rng.normal(size=(n_experts, 3, d, m)), requires_grad=True)
     router = T.Tensor(rng.normal(size=(n_experts, d)), requires_grad=True)
     return R.MoELayer(router=router, experts=experts, top_k=k)
 
@@ -136,13 +139,10 @@ class TestMoEForward:
         # if every expert computes the same function, the mixture equals it
         rng = np.random.default_rng(1)
         layer = make_layer(rng, 4, 5, 7, 2)
-        for e in layer.experts[1:]:
-            e.w_gate = layer.experts[0].w_gate
-            e.w_up = layer.experts[0].w_up
-            e.w_down = layer.experts[0].w_down
+        layer.experts.data[1:] = layer.experts.data[0]
         x = rng.normal(size=5)
         y, _, _, _ = R.moe_forward_batch(layer, T.Tensor(x[None, :]))
-        ref = run_expert(layer.experts[0], T.Tensor(x[None, :]))
+        ref = run_expert(layer, 0, T.Tensor(x[None, :]))
         np.testing.assert_allclose(y.data[0], ref.data[0], atol=1e-12)
 
     def test_k1_single_expert(self):
@@ -153,7 +153,7 @@ class TestMoEForward:
         assert gates.data[0, 0] == pytest.approx(1.0)
         picked = int(selected[0, 0])
         assert picked == int(np.argmax(probs.data[0]))
-        ref = run_expert(layer.experts[picked], T.Tensor(x[None, :]))
+        ref = run_expert(layer, picked, T.Tensor(x[None, :]))
         np.testing.assert_allclose(y.data[0], ref.data[0], atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -164,7 +164,7 @@ class TestMoEForward:
         xs = rng.normal(size=(10, 4))
         y, probs, selected, gates = R.moe_forward_batch(layer, T.Tensor(xs))
         dense = np.stack(
-            [run_expert(layer.experts[i], T.Tensor(xs)).data for i in range(6)], axis=0
+            [run_expert(layer, i, T.Tensor(xs)).data for i in range(6)], axis=0
         )
         for t in range(10):
             expected = sum(
@@ -193,7 +193,7 @@ class TestMoEForward:
             pytest.skip("all experts selected for this draw")
         grads = T.backward(T.tsum(T.mul(y, y)))
         for i in unused:
-            assert layer.experts[i].w_down not in grads
+            assert not np.any(grads[layer.experts][i])
 
     def test_router_gradient_flows(self):
         rng = np.random.default_rng(6)
@@ -225,10 +225,6 @@ class TestMoEForward:
         np.testing.assert_allclose(y1.data, y2.data, atol=1e-10)
 
 
-def expert_weights(layer):
-    return [(e.w_gate, e.w_up, e.w_down) for e in layer.experts]
-
-
 class TestExpertMixture:
     """The fused expert op against the per-expert loop it replaced."""
 
@@ -250,7 +246,7 @@ class TestExpertMixture:
         layer = make_layer(rng, 4, 5, 7, k)
         x = T.Tensor(rng.normal(size=(9, 5)), requires_grad=True)
         weights = rng.normal(size=(9, 5))
-        params = [x, layer.router] + [w for triple in expert_weights(layer) for w in triple]
+        params = [x, layer.router, layer.experts]
         new = T.backward(T.tsum(T.mul(R.moe_forward_batch(layer, x)[0], weights)))
         old = T.backward(T.tsum(T.mul(loop_moe_forward(layer, x)[0], weights)))
         for p in params:
@@ -271,11 +267,10 @@ class TestExpertMixture:
         gates = T.Tensor(rng.random((5, k)) + 0.1, requires_grad=True)
         selected = np.array(selected)
         weights = rng.normal(size=(5, 3))
-        experts = expert_weights(layer)
-        params = [x, gates] + [w for triple in experts for w in triple]
+        params = [x, gates, layer.experts]
 
         def f():
-            y = T.expert_mixture(x, gates, selected, experts)
+            y = T.expert_mixture(x, gates, selected, layer.experts)
             return T.tsum(T.mul(y, weights))
 
         assert T.grad_check(lambda: {"y": f()}, params, h=1e-6)["y"] <= 1e-6
@@ -285,12 +280,11 @@ class TestExpertMixture:
         layer = make_layer(rng, 4, 3, 4, 2)
         x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         gates = T.Tensor(np.full((3, 2), 0.5), requires_grad=True)
-        y = T.expert_mixture(x, gates, np.array([[0, 2], [2, 3], [3, 0]]),
-                             expert_weights(layer))
+        y = T.expert_mixture(x, gates, np.array([[0, 2], [2, 3], [3, 0]]), layer.experts)
         grads = T.backward(T.tsum(T.mul(y, y)))
-        idle = layer.experts[1]
-        assert all(w not in grads for w in (idle.w_gate, idle.w_up, idle.w_down))
-        assert all(w in grads for w in (layer.experts[0].w_gate, x, gates))
+        assert not np.any(grads[layer.experts][1])
+        assert all(np.any(grads[layer.experts][i, j]) for i in (0, 2, 3) for j in range(3))
+        assert all(w in grads for w in (x, gates))
 
     def test_one_graph_node(self):
         rng = np.random.default_rng(61)
@@ -298,18 +292,19 @@ class TestExpertMixture:
         x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         y, _, _, _ = R.moe_forward_batch(layer, x)
         assert y._parents[0] is x
-        assert len(y._parents) == 2 + 3 * 4
+        assert y._parents[2] is layer.experts
+        assert len(y._parents) == 3
 
     def test_repeated_expert_in_row(self):
         rng = np.random.default_rng(63)
         layer = make_layer(rng, 3, 3, 4, 2)
         with pytest.raises(ValueError, match="repeated"):
             T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
-                             np.array([[0, 1], [2, 2]]), expert_weights(layer))
+                             np.array([[0, 1], [2, 2]]), layer.experts)
 
     def test_expert_out_of_range(self):
         rng = np.random.default_rng(62)
         layer = make_layer(rng, 2, 3, 4, 1)
         with pytest.raises(ValueError, match="out of range"):
             T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 1))),
-                             np.array([[0], [2]]), expert_weights(layer))
+                             np.array([[0], [2]]), layer.experts)
