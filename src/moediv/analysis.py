@@ -1,7 +1,8 @@
 """Post-hoc specialization analyses over a frozen model.
 
-Router-permutation perplexity deltas, domain/expert activation heatmaps (and
-the expert-centric inverse form), ternary simplex coordinates for 3-domain
+Router-permutation perplexity deltas (one record per domain, the line
+``moediv perturb`` prints), domain/expert activation heatmaps (and the
+expert-centric inverse form), ternary simplex coordinates for 3-domain
 setups, and per-layer divergence reports on validation sets. All matrices
 export as CSV with a one-line header.
 """
@@ -16,30 +17,6 @@ import numpy as np
 from . import tensor as T
 from .divergence import DivergenceReport, decompose
 from .model import MoEModel, forward, perplexity
-
-
-@dataclass
-class PermutationResult:
-    layer: int
-    permutation: np.ndarray
-    seed: int
-    ppl_original: dict  # domain -> PPL
-    ppl_shuffled: dict
-    delta: dict
-
-    def to_records(self):
-        return [
-            {
-                "layer": self.layer,
-                "domain": dom,
-                "ppl_orig": self.ppl_original[dom],
-                "ppl_shuf": self.ppl_shuffled[dom],
-                "delta": self.delta[dom],
-                "seed": self.seed,
-                "permutation": self.permutation.tolist(),
-            }
-            for dom in self.delta
-        ]
 
 
 @dataclass
@@ -59,23 +36,22 @@ class HeatmapMatrix:
         return buf.getvalue()
 
 
-def permute_router(model: MoEModel, layer: int, seed: int, forced_perm=None) -> tuple:
+def permute_router(model: MoEModel, layer: int, seed: int) -> tuple:
     """Return (model copy with layer's router rows permuted, permutation).
 
     Only the given layer's router weight matrix changes; a uniformly random
-    permutation of its row indices is drawn from ``seed``. The identity draw
-    is rejected and redrawn unless explicitly forced.
+    permutation of its row indices other than the identity is drawn from
+    ``seed``. A one-expert model has no such permutation and is refused.
     """
     if not 0 <= layer < model.config.num_layers:
         raise ValueError(f"layer {layer} out of range (model has {model.config.num_layers})")
     n = model.config.num_experts
-    if forced_perm is not None:
-        perm = np.asarray(forced_perm, dtype=np.intp)
-    else:
-        rng = np.random.default_rng(seed)
+    if n < 2:
+        raise ValueError(f"permute_router needs at least 2 experts, model has {n}")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    while np.array_equal(perm, np.arange(n)):
         perm = rng.permutation(n)
-        while np.array_equal(perm, np.arange(n)):
-            perm = rng.permutation(n)
     shuffled = MoEModel(model.config, flat=model.flat)
     router = shuffled.params[f"layers.{layer}.moe.router"].data
     router[...] = router[perm]
@@ -84,36 +60,41 @@ def permute_router(model: MoEModel, layer: int, seed: int, forced_perm=None) -> 
 
 def domain_perplexities(model: MoEModel, valsets: dict) -> dict:
     """Perplexity of ``model`` on each domain's validation set."""
-    return {dom: perplexity(model, [valsets[dom]]) for dom in sorted(valsets)}
+    return {dom: perplexity(model, valsets[dom]) for dom in sorted(valsets)}
 
 
 def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
-              ppl_original: dict, forced_perm=None) -> PermutationResult:
+              ppl_original: dict) -> list[dict]:
     """Perplexity increase per domain after permuting one layer's router rows.
 
     ``ppl_original`` is ``domain_perplexities(model, valsets)``, computed
-    once by the caller and shared by every permutation it draws.
+    once by the caller and shared by every permutation it draws. Returns one
+    record per domain, in sorted order, as ``moediv perturb`` prints it:
+    layer, domain, ppl_orig, ppl_shuf, delta, seed and permutation.
     """
     if not valsets:
         raise ValueError("delta_ppl: empty validation sets")
-    shuffled, perm = permute_router(model, layer, seed, forced_perm=forced_perm)
-    ppl_shuf = domain_perplexities(shuffled, valsets)
-    delta = {dom: ppl_shuf[dom] - ppl_original[dom] for dom in ppl_shuf}
-    return PermutationResult(
-        layer=layer, permutation=perm, seed=seed,
-        ppl_original=dict(ppl_original), ppl_shuffled=ppl_shuf, delta=delta,
-    )
+    shuffled, perm = permute_router(model, layer, seed)
+    return [
+        {"layer": layer, "domain": dom, "ppl_orig": ppl_original[dom], "ppl_shuf": ppl,
+         "delta": ppl - ppl_original[dom], "seed": seed, "permutation": perm.tolist()}
+        for dom, ppl in domain_perplexities(shuffled, valsets).items()
+    ]
 
 
 def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
                    draws: int = 3) -> dict:
-    """Mean per-domain delta-PPL over ``draws`` independent permutations."""
+    """Mean per-domain delta-PPL over ``draws`` independent permutations.
+
+    Returns {"mean_delta": {domain: mean}, "draws": [delta_ppl's records
+    per draw]}.
+    """
     ppl_original = domain_perplexities(model, valsets)
     results = [delta_ppl(model, layer, valsets, seed + i, ppl_original)
                for i in range(draws)]
     mean = {
-        dom: float(np.mean([r.delta[dom] for r in results]))
-        for dom in results[0].delta
+        dom: float(np.mean([records[j]["delta"] for records in results]))
+        for j, dom in enumerate(sorted(valsets))
     }
     return {"mean_delta": mean, "draws": results}
 
@@ -133,22 +114,16 @@ def collect_traces(model: MoEModel, valsets: dict) -> dict:
     return out
 
 
-def activation_heatmap(traces: dict, layer: int, hard: bool = False) -> HeatmapMatrix:
-    """Rows = domains, cols = experts; mean activation, rows sum to 1.
+def activation_heatmap(traces: dict, layer: int) -> HeatmapMatrix:
+    """Rows = domains, cols = experts; mean router probability, rows sum to 1.
 
-    ``traces`` comes from ``collect_traces``. Soft probabilities by default;
-    ``hard=True`` uses top-K selection frequencies instead (used for the
-    Bayes cross-check with the inverse form).
+    ``traces`` comes from ``collect_traces``.
     """
     doms = sorted(traces)
     n = traces[doms[0]][layer].probs.shape[1]
     rows = []
     for dom in doms:
-        lt = traces[dom][layer]
-        if hard:
-            row = np.bincount(lt.selected.reshape(-1), minlength=n).astype(np.float64)
-        else:
-            row = lt.probs.data.mean(axis=0)
+        row = traces[dom][layer].probs.data.mean(axis=0)
         rows.append(row / row.sum())
     return HeatmapMatrix(
         rows=doms, cols=[f"expert_{i}" for i in range(n)], values=np.stack(rows)

@@ -154,12 +154,12 @@ def cmd_decompose(args):
 def cmd_perturb(args):
     model, valsets = _model_and_valsets(args)
     if not 0 <= args.layer < model.config.num_layers:
-        raise ValueError(
+        raise UsageError(
             f"--layer {args.layer} out of range: model has {model.config.num_layers} layers"
         )
     result = analysis.delta_ppl_mean(model, args.layer, valsets, args.seed, draws=args.draws)
-    for draw in result["draws"]:
-        for rec in draw.to_records():
+    for records in result["draws"]:
+        for rec in records:
             print(json.dumps(rec, sort_keys=True))
     print(json.dumps({"layer": args.layer, "mean_delta": result["mean_delta"]}, sort_keys=True))
     return 0

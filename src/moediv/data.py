@@ -31,18 +31,19 @@ def load_corpus(path):
     """Read a JSONL file of {"text": ..., "domain": ...} records.
 
     Returns (documents, domain_vocab); unknown domains enter the vocabulary
-    in first-seen order. Malformed records raise with their line number.
+    in first-seen order. A malformed record, or one that is not UTF-8, raises
+    ValueError naming the file and line.
     """
     docs = []
     vocab: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
             if not isinstance(rec, dict) or "text" not in rec or "domain" not in rec:
                 raise ValueError(

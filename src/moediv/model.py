@@ -124,7 +124,7 @@ def _attention(w, xn, b, l, h, dh):
 
 
 def forward(model: MoEModel, tokens):
-    """Run the model on a [B, L] batch of token ids.
+    """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
     Returns (logits Tensor [B*L, V], [LayerTrace per MoE layer]). Each
     trace's ``probs`` is the router output itself, so the auxiliary losses
@@ -132,8 +132,8 @@ def forward(model: MoEModel, tokens):
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
-    if tokens.ndim != 2:
-        raise ValueError(f"forward: tokens must be a [B, L] array, got shape {tokens.shape}")
+    if tokens.ndim != 2 or tokens.size == 0:
+        raise ValueError(f"forward: need a non-empty [B, L] token array, got shape {tokens.shape}")
     b, l = tokens.shape
     if l > c.max_seq_len:
         raise ValueError(f"sequence length {l} exceeds max_seq_len {c.max_seq_len}")
@@ -177,24 +177,11 @@ def lm_loss(logits, tokens):
     return T.cross_entropy_mean(T.take_rows(logits, keep), targets)
 
 
-def perplexity(model: MoEModel, batches) -> float:
-    """exp(mean token NLL) over all next-token targets in ``batches``, an
-    iterable of [B, L] token arrays."""
-    total_nll = 0.0
-    total_tok = 0
-    n_batches = 0
+def perplexity(model: MoEModel, tokens) -> float:
+    """exp(mean next-token NLL) of ``model`` on one [B, L] token array."""
     with T.no_grad():
-        for batch in batches:
-            tokens = np.asarray(batch, dtype=np.intp)
-            logits, _ = forward(model, tokens)
-            nll = lm_loss(logits, tokens).item()
-            count = tokens.shape[0] * (tokens.shape[1] - 1)
-            total_nll += nll * count
-            total_tok += count
-            n_batches += 1
-    if n_batches == 0 or total_tok == 0:
-        raise ValueError("perplexity: empty dataset")
-    return float(np.exp(total_nll / total_tok))
+        logits, _ = forward(model, tokens)
+        return float(np.exp(lm_loss(logits, tokens).item()))
 
 
 # ---------------------------------------------------------------------------

@@ -479,28 +479,29 @@ def grad_check(f, params, h=1e-5) -> dict:
     ``f`` is a zero-argument callable returning a dict of named scalar
     Tensors built from ``params`` (a list of requires_grad leaf tensors).
     Each parameter coordinate is perturbed in place by ±h, and one call of
-    ``f`` per perturbation serves every name. Returns {name: max relative
-    error}.
+    ``f`` per perturbation, made under ``no_grad``, serves every name.
+    Returns {name: max relative error}.
     """
     roots = f()
     analytic = {name: backward(root) for name, root in roots.items()}
     worst = dict.fromkeys(roots, 0.0)
-    for p in params:
-        flat = p.data.reshape(-1)
-        aflat = {
-            name: grads[p].reshape(-1) if p in grads else np.zeros(flat.size)
-            for name, grads in analytic.items()
-        }
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = {name: t.item() for name, t in f().items()}
-            flat[i] = orig - h
-            fm = {name: t.item() for name, t in f().items()}
-            flat[i] = orig
-            for name in roots:
-                numeric = (fp[name] - fm[name]) / (2.0 * h)
-                a = aflat[name][i]
-                denom = max(abs(a), abs(numeric), 1e-8)
-                worst[name] = max(worst[name], abs(a - numeric) / denom)
+    with no_grad():
+        for p in params:
+            flat = p.data.reshape(-1)
+            aflat = {
+                name: grads[p].reshape(-1) if p in grads else np.zeros(flat.size)
+                for name, grads in analytic.items()
+            }
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = {name: t.item() for name, t in f().items()}
+                flat[i] = orig - h
+                fm = {name: t.item() for name, t in f().items()}
+                flat[i] = orig
+                for name in roots:
+                    numeric = (fp[name] - fm[name]) / (2.0 * h)
+                    a = aflat[name][i]
+                    denom = max(abs(a), abs(numeric), 1e-8)
+                    worst[name] = max(worst[name], abs(a - numeric) / denom)
     return worst

@@ -170,8 +170,7 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
 
 
 def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
-                 start_step: int = 0, opt_state: AdamWState | None = None,
-                 metrics_name: str = "metrics.jsonl"):
+                 start_step: int = 0, opt_state: AdamWState | None = None):
     """Loop train_step over a fixed batch schedule.
 
     The schedule cycles ``batches`` in order (they arrive pre-shuffled from
@@ -180,7 +179,7 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
     the configured interval and at the end.
     """
     os.makedirs(out_dir, exist_ok=True)
-    metrics_path = os.path.join(out_dir, metrics_name)
+    metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "checkpoint.moediv")
     if opt_state is None:
         opt_state = AdamWState.init(model.flat)

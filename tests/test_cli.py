@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -123,10 +124,19 @@ class TestExitCodes:
     def test_unknown_verb(self):
         assert cli.run(["frobnicate"]) == 1
 
-    def test_runtime_failure_is_2(self, trained):
+    def test_runtime_failure_is_2(self, trained, tmp_path):
+        # a checkpoint cut short, which load_checkpoint refuses
+        cut = tmp_path / "cut.moediv"
+        cut.write_bytes(trained["ckpt"].read_bytes()[:-8])
+        rc = cli.run(["perturb", "--ckpt", str(cut),
+                      "--layer", "0", "--data", str(trained["corpus"])])
+        assert rc == 2
+
+    def test_layer_out_of_range_is_usage_error(self, trained, capsys):
         rc = cli.run(["perturb", "--ckpt", str(trained["ckpt"]),
                       "--layer", "9", "--data", str(trained["corpus"])])
-        assert rc == 2
+        assert rc == 1
+        assert "--layer 9 out of range" in capsys.readouterr().err
 
     def test_refuses_nonempty_out(self, trained, tmp_path):
         out = tmp_path / "occupied"
@@ -193,6 +203,19 @@ class TestAnalysisCommands:
         assert set(summary["mean_delta"]) == {"a", "b", "c"}
         # 2 draws x 3 domains + summary
         assert len(records) == 7
+
+    def test_perturb_prints_delta_ppl_records(self, trained, capsys):
+        rc = cli.run(["perturb", "--ckpt", str(trained["ckpt"]), "--layer", "0",
+                      "--data", str(trained["corpus"]), "--seed", "4", "--limit", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        model, valsets = cli._model_and_valsets(argparse.Namespace(
+            ckpt=str(trained["ckpt"]), data=str(trained["corpus"]), limit=2))
+        result = analysis.delta_ppl_mean(model, 0, valsets, seed=4)
+        expected = [json.dumps(rec, sort_keys=True) for recs in result["draws"] for rec in recs]
+        expected.append(json.dumps({"layer": 0, "mean_delta": result["mean_delta"]},
+                                   sort_keys=True))
+        assert out == "\n".join(expected) + "\n"
 
     def test_heatmap(self, trained, capsys):
         rc = cli.run(["heatmap", "--ckpt", str(trained["ckpt"]),

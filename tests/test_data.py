@@ -44,6 +44,12 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match=":2:"):
             D.load_corpus(p)
 
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b'{"text": "x", "domain": "a"}\n{"text": "\x98", "domain": "a"}\n')
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: malformed record: 'utf-8' codec"):
+            D.load_corpus(p)
+
     def test_missing_field(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"text": "x"}])

@@ -84,6 +84,11 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(4,\)"):
             forward(model, np.array([1, 2, 3, 4]))
 
+    def test_zero_length_tokens_refused(self):
+        model = MoEModel(SMALL, seed=0)
+        with pytest.raises(ValueError, match=r"got shape \(2, 0\)"):
+            forward(model, np.zeros((2, 0), dtype=np.intp))
+
 
 class TestLMLoss:
     def test_matches_shifted_oracle(self):
@@ -125,24 +130,12 @@ class TestPerplexity:
     def test_uniform_equals_vocab(self):
         model = MoEModel(SMALL, seed=6)
         model.params["lm_head"].data[:] = 0.0
-        batches = [np.array([[1, 2, 3], [4, 5, 6]])]
-        assert perplexity(model, batches) == pytest.approx(SMALL.vocab_size, rel=1e-10)
-
-    def test_token_weighted(self):
-        # pooled PPL must equal exp of the token-weighted mean NLL, not the
-        # mean of per-batch PPLs
-        model = MoEModel(SMALL, seed=7)
-        b1 = np.array([[1, 2]])
-        b2 = np.array([[3, 4, 5, 6, 7]])
-        pooled = perplexity(model, [b1, b2])
-        n1 = np.log(perplexity(model, [b1]))
-        n2 = np.log(perplexity(model, [b2]))
-        expected = np.exp((n1 * 1 + n2 * 4) / 5)
-        assert pooled == pytest.approx(expected, rel=1e-10)
+        tokens = np.array([[1, 2, 3], [4, 5, 6]])
+        assert perplexity(model, tokens) == pytest.approx(SMALL.vocab_size, rel=1e-10)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            perplexity(MoEModel(SMALL, seed=0), [])
+        with pytest.raises(ValueError, match=r"non-empty \[B, L\] token array, got shape \(0, 4\)"):
+            perplexity(MoEModel(SMALL, seed=0), np.zeros((0, 4), dtype=np.intp))
 
 
 class TestCheckpoint:

@@ -160,6 +160,20 @@ class TestGradCheck:
 
         assert T.grad_check(lambda: {"y": f()}, [x], h=1e-5)["y"] <= 1e-6
 
+    def test_perturbed_calls_do_not_record(self):
+        p = T.Tensor([0.3, -1.2], requires_grad=True)
+        recorded = []
+
+        def f():
+            y = T.tsum(T.mul(p, p))
+            recorded.append(y.requires_grad)
+            return {"y": y}
+
+        T.grad_check(f, [p], h=1e-5)
+        # the analytic pass records; the 2 x 2 perturbed calls do not
+        assert recorded == [True, False, False, False, False]
+        assert T.tsum(T.mul(p, p)).requires_grad
+
 
 def one_hot(idx, n):
     """[len(idx), n] matrix with a 1 at (j, idx[j]); a dense gather matrix."""
