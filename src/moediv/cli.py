@@ -73,14 +73,19 @@ def parse_config(path=None):
                         break
                 else:
                     raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
-    return ModelConfig(**model_kw), TrainConfig(**train_kw), data_kw
+    try:
+        return ModelConfig(**model_kw), TrainConfig(**train_kw), data_kw
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
-def _count(text):
-    """argparse type of ``--limit`` and ``--draws``: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(lo):
+    """argparse type that accepts a decimal integer of at least ``lo``."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _require_file(path, flag):
@@ -209,7 +214,7 @@ def build_parser():
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--data", required=True, help="JSONL corpus with text/domain fields")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--force", action="store_true", help="allow non-empty --out")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
@@ -217,29 +222,29 @@ def build_parser():
     p = sub.add_parser("decompose", help="per-layer divergence report on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=_count, default=100, help="sequences per domain")
+    p.add_argument("--limit", type=_int_at_least(1), default=100, help="sequences per domain")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("perturb", help="router-permutation delta-PPL analysis")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=_count, default=3)
-    p.add_argument("--limit", type=_count, default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--draws", type=_int_at_least(1), default=3)
+    p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.set_defaults(fn=cmd_perturb)
 
     p = sub.add_parser("heatmap", help="expert activation heatmaps as CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--inverse", action="store_true", help="P(domain|expert) form")
-    p.add_argument("--limit", type=_count, default=100)
+    p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("ternary", help="3-domain simplex coordinates per expert")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=_count, default=100)
+    p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.set_defaults(fn=cmd_ternary)
 
     p = sub.add_parser("check", help="run the invariant suite")

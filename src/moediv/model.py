@@ -1,8 +1,9 @@
 """Toy decoder-only transformer with a sparse MoE feed-forward in every block.
 
-Pre-norm blocks, multi-head causal self-attention with learned absolute
-position embeddings, byte-level vocabulary. Small enough to train on one CPU
-core in minutes while still producing authentic per-layer routing traces.
+Pre-norm blocks, multi-head causal self-attention as one
+``tensor.causal_attention`` node per block, learned absolute position
+embeddings, byte-level vocabulary. Small enough to train on one CPU core in
+minutes while still producing authentic per-layer routing traces.
 """
 
 from __future__ import annotations
@@ -107,22 +108,6 @@ def _affine_norm(x, g, b):
     return T.add(T.mul(T.layernorm(x), g), b)
 
 
-def _attention(w, xn, b, l, h, dh):
-    def split(t):
-        return T.transpose(T.reshape(t, (b, l, h, dh)), (0, 2, 1, 3))
-
-    q = split(T.matmul(xn, w["attn.wq"]))
-    k = split(T.matmul(xn, w["attn.wk"]))
-    v = split(T.matmul(xn, w["attn.wv"]))
-    scale = 1.0 / np.sqrt(dh)
-    mask = np.triu(np.full((l, l), -1e30), k=1)
-    scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale), mask)
-    att = T.softmax_rows(scores)
-    out = T.matmul(att, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b * l, h * dh))
-    return T.matmul(out, w["attn.wo"])
-
-
 def forward(model: MoEModel, tokens):
     """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
@@ -145,13 +130,13 @@ def forward(model: MoEModel, tokens):
     x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
     x = T.reshape(x, (b * l, c.hidden_size))
 
-    h, dh = c.num_heads, c.hidden_size // c.num_heads
     layers = []
     for i in range(c.num_layers):
         pre = f"layers.{i}."
         w = {name[len(pre):]: t for name, t in p.items() if name.startswith(pre)}
         xn = _affine_norm(x, w["ln1.g"], w["ln1.b"])
-        x = T.add(x, _attention(w, xn, b, l, h, dh))
+        attn = [w["attn." + name] for name in ("wq", "wk", "wv", "wo")]
+        x = T.add(x, T.causal_attention(xn, *attn, b, c.num_heads))
         hn = _affine_norm(x, w["ln2.g"], w["ln2.b"])
         moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
         y, probs, selected, _ = moe_forward_batch(moe, hn)

@@ -343,6 +343,53 @@ def cross_entropy_mean(logits, targets) -> Tensor:
     return _make(data, (logits,), vjp)
 
 
+def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
+    """Multi-head causal self-attention over ``batch`` sequences, one graph node.
+
+    ``xn`` is [B*L, d] and ``wq``, ``wk``, ``wv``, ``wo`` are [d, d]; each of
+    ``num_heads`` heads attends with its d / H columns of q, k and v to earlier
+    and equal positions. The [B, H, L, L] scores become the weights in place,
+    so a no-grad call holds one such array; a recorded call saves q, k, v, the
+    weights and the merged heads. Returns [B*L, d].
+    """
+    xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
+    t, d = xn.shape
+    l, dh = t // batch, d // num_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(a):  # [B*L, d] -> [B, H, L, dh]
+        return np.transpose(a.reshape(batch, l, num_heads, dh), (0, 2, 1, 3))
+
+    def merge(a):  # [B, H, L, dh] -> [B*L, d]
+        return np.transpose(a, (0, 2, 1, 3)).reshape(t, d)
+
+    q, k, v = (heads(xn.data @ w.data) for w in (wq, wk, wv))
+    att = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
+    att *= scale
+    att += np.triu(np.full((l, l), -1e30), k=1)
+    if not np.all(np.isfinite(att)):
+        raise ValueError("causal_attention: non-finite attention score")
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    merged = merge(np.matmul(att, v))
+
+    def vjp(g):
+        g_out = heads(g @ wo.data.T)
+        g_s = np.matmul(g_out, np.swapaxes(v, -1, -2))
+        g_s -= (g_s * att).sum(axis=-1, keepdims=True)
+        g_s *= att
+        g_s *= scale
+        g_q = merge(np.matmul(g_s, k))
+        g_k = merge(np.transpose(np.matmul(np.swapaxes(q, -1, -2), g_s), (0, 1, 3, 2)))
+        g_v = merge(np.matmul(np.swapaxes(att, -1, -2), g_out))
+        # the q, k and v terms add up in the order of the generic-op graph's backward
+        g_xn = (g_q @ wq.data.T + g_k @ wk.data.T) + g_v @ wv.data.T
+        return (g_xn, xn.data.T @ g_q, xn.data.T @ g_k, xn.data.T @ g_v, merged.T @ g)
+
+    return _make(merged @ wo.data, parents, vjp)
+
+
 def expert_mixture(x, gates, selected, experts) -> Tensor:
     """Sparse mixture of SiLU-gated MLP experts as one graph node.
 

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("alpha and beta must be nonnegative")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -151,14 +153,8 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
     terms and the per-layer D_total, D_inter and D_intra.
     """
     terms, layers = objective(model, batch, config)
-
-    grad = _flat_gradient(model, T.backward(terms["l_final"]), config.grad_clip)
+    leaf_grads = T.backward(terms["l_final"])
     lr = lr_at(step, config)
-    adamw_update(
-        model.flat, grad, state, lr,
-        config.adam_beta1, config.adam_beta2, config.weight_decay,
-    )
-
     record = {"step": step, "lr": lr, "m_b": len(set(batch.domains))}
     record.update((name, t.item()) for name, t in terms.items())
     seq_len = batch.sequences.shape[1]
@@ -166,6 +162,12 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
     reports = [divergence.decompose(layer.probs.data, token_labels) for layer in layers]
     for key in ("d_total", "d_inter", "d_intra"):
         record[key] = [getattr(rep, key) for rep in reports]
+    del terms, layers  # the graph's saved arrays go before the gradient vector comes
+    grad = _flat_gradient(model, leaf_grads, config.grad_clip)
+    adamw_update(
+        model.flat, grad, state, lr,
+        config.adam_beta1, config.adam_beta2, config.weight_decay,
+    )
     return record
 
 

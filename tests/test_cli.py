@@ -166,6 +166,42 @@ class TestExitCodes:
         assert rc == 1
         assert f"argument {flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["train --seed", "perturb --seed", "config seed"])
+    def test_negative_seed_is_usage_error(self, trained, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        if case == "perturb --seed":
+            argv = ["perturb", "--ckpt", str(trained["ckpt"]), "--layer", "0",
+                    "--data", str(trained["corpus"]), "--seed", "-1"]
+            expected = "argument --seed: expected an integer >= 0, got '-1'"
+        else:
+            argv = ["train", "--data", str(trained["corpus"]), "--out", str(out)]
+            if case == "train --seed":
+                argv += ["--seed", "-1"]
+                expected = "argument --seed: expected an integer >= 0, got '-1'"
+            else:
+                config = tmp_path / "c.ini"
+                config.write_text("seed = -1\n")
+                argv += ["--config", str(config)]
+                expected = f"{config}: seed must be nonnegative, got -1"
+        assert cli.run(argv) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("top_k = 9", "top_k must not exceed num_experts"),
+        ("hidden_size = 65", "hidden_size must be divisible by num_heads"),
+        ("warmup_steps = 2001", "warmup_steps must not exceed total_steps"),
+    ])
+    def test_invalid_config_is_usage_error(self, trained, tmp_path, capsys, line, message):
+        config = tmp_path / "c.ini"
+        config.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(config), "--data", str(trained["corpus"]),
+                      "--out", str(out)])
+        assert rc == 1
+        assert f"error: {config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainOutputs:
     def test_artifacts(self, trained):

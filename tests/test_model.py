@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,23 @@ class TestForward:
         model = MoEModel(SMALL, seed=0)
         with pytest.raises(ValueError, match=r"got shape \(2, 0\)"):
             forward(model, np.zeros((2, 0), dtype=np.intp))
+
+    def test_no_grad_peak_below_three_score_arrays(self):
+        # attention turns its [B, H, L, L] scores into the weights in place,
+        # so a no-grad forward never holds several arrays of that size
+        c = ModelConfig()
+        model = MoEModel(c, seed=0)
+        tokens = np.random.default_rng(0).integers(0, c.vocab_size, size=(16, 128))
+        score_bytes = 16 * c.num_heads * 128 * 128 * 8
+        with T.no_grad():
+            forward(model, tokens)  # warm-up
+            tracemalloc.start()
+            try:
+                forward(model, tokens)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
 
 
 class TestLMLoss:

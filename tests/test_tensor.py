@@ -244,3 +244,66 @@ class TestGatherBackward:
         # a term; it is refused up front
         with pytest.raises(ValueError, match="repeated"):
             T.take_along_last(T.Tensor(np.ones((2, 4))), np.array([[0, 1], [2, 2]]))
+
+
+def composite_attention(xn, wq, wk, wv, wo, batch, num_heads):
+    """The generic-op graph that ``causal_attention`` replaced: projections,
+    head split, scaled and masked scores, ``softmax_rows``, head merge and
+    output projection, each a graph node."""
+    l, dh = xn.shape[0] // batch, xn.shape[1] // num_heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (batch, l, num_heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = (split(T.matmul(xn, w)) for w in (wq, wk, wv))
+    mask = np.triu(np.full((l, l), -1e30), k=1)
+    scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), mask)
+    out = T.matmul(T.softmax_rows(scores), v)
+    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch * l, num_heads * dh))
+    return T.matmul(out, wo)
+
+
+def attention_inputs(seed, batch, length, d=8):
+    """(xn, wq, wk, wv, wo) as requires_grad leaves, and a fixed cotangent."""
+    rng = np.random.default_rng(seed)
+    xn = T.Tensor(rng.normal(size=(batch * length, d)), requires_grad=True)
+    weights = [T.Tensor(0.5 * rng.normal(size=(d, d)), requires_grad=True) for _ in range(4)]
+    return [xn, *weights], rng.normal(size=(batch * length, d))
+
+
+ATTENTION_SHAPES = [(2, 5, 2), (1, 1, 2)]  # (B, L, H)
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("batch, length, heads", ATTENTION_SHAPES)
+    def test_matches_composite_oracle(self, batch, length, heads):
+        inputs, cot = attention_inputs(30, batch, length)
+        outs, grads = [], []
+        for op in (composite_attention, T.causal_attention):
+            y = op(*inputs, batch, heads)
+            outs.append(y.data)
+            grads.append(T.backward(T.tsum(T.mul(y, cot))))
+        assert np.array_equal(outs[0], outs[1])
+        for p in inputs:
+            assert np.array_equal(grads[0][p], grads[1][p])
+
+    @pytest.mark.parametrize("batch, length, heads", ATTENTION_SHAPES)
+    def test_grad_check(self, batch, length, heads):
+        inputs, cot = attention_inputs(31, batch, length)
+        f = lambda: {"y": T.tsum(T.mul(T.causal_attention(*inputs, batch, heads), cot))}
+        assert T.grad_check(f, inputs, h=1e-5)["y"] <= 1e-6
+
+    def test_one_graph_node(self):
+        inputs, _ = attention_inputs(32, 2, 5)
+        y = T.causal_attention(*inputs, 2, 2)
+        assert y._parents == tuple(inputs)
+        assert len(T._toposort(y)) == 6
+        with T.no_grad():
+            y = T.causal_attention(*inputs, 2, 2)
+        assert y._vjp is None and not y.requires_grad
+
+    def test_non_finite_score_rejected(self):
+        inputs, _ = attention_inputs(34, 2, 5)
+        inputs[1].data[0, 0] = np.inf
+        with pytest.raises(ValueError, match="causal_attention: non-finite"):
+            T.causal_attention(*inputs, 2, 2)

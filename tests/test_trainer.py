@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -181,6 +182,23 @@ class TestTrainStep:
         rec = TR.train_step(model, batch, cfg, state, step=0)
         assert rec["m_b"] == 1
         assert rec["l_ed"] == 0.0
+
+    def test_graph_freed_before_update(self, monkeypatch):
+        # the forward's saved arrays are gone before the gradient vector and
+        # the AdamW temporaries are allocated, which lowers the step's peak
+        live_graph_nodes = []
+        flat_gradient = TR._flat_gradient
+
+        def spy(*args):
+            live_graph_nodes.append(sum(isinstance(o, T.Tensor) and o._vjp is not None
+                                        for o in gc.get_objects()))
+            return flat_gradient(*args)
+
+        monkeypatch.setattr(TR, "_flat_gradient", spy)
+        model = MoEModel(SMALL, seed=4)
+        cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
+        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat), step=0)
+        assert live_graph_nodes == [0]
 
     def test_loss_decreases_over_steps(self):
         model = MoEModel(SMALL, seed=3)
