@@ -74,9 +74,15 @@ def parse_config(path=None):
                 else:
                     raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
     try:
-        return ModelConfig(**model_kw), TrainConfig(**train_kw), data_kw
+        model_cfg, train_cfg = ModelConfig(**model_kw), TrainConfig(**train_kw)
+        if data_kw["batch_size"] < 1:
+            raise ValueError(f"batch_size must be at least 1, got {data_kw['batch_size']}")
+        if not 2 <= data_kw["seq_len"] <= model_cfg.max_seq_len:
+            raise ValueError(f"seq_len must be in [2, max_seq_len = {model_cfg.max_seq_len}], "
+                             f"got {data_kw['seq_len']}")
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
+    return model_cfg, train_cfg, data_kw
 
 
 def _int_at_least(lo):

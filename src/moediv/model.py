@@ -34,6 +34,9 @@ class ModelConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
+        for key, value in asdict(self).items():
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
         if self.top_k > self.num_experts:
             raise ValueError("top_k must not exceed num_experts")
         if self.hidden_size % self.num_heads != 0:

@@ -12,6 +12,7 @@ import contextlib
 import numpy as np
 
 _grad_enabled = True
+_TILE = 1 << 15  # values per no-grad tile of the fused ops (256 KB): its temporaries stay in cache
 
 
 @contextlib.contextmanager
@@ -343,14 +344,23 @@ def cross_entropy_mean(logits, targets) -> Tensor:
     return _make(data, (logits,), vjp)
 
 
+def _tiles(lo, hi, size):
+    """[a, b) ranges of ``size`` over [lo, hi); a one-row remainder joins the one
+    before it, as numpy's one-row product (a GEMV) rounds unlike a GEMM's rows."""
+    cuts = list(range(lo + size, hi - 1, size))
+    return zip([lo] + cuts, cuts + [hi])
+
+
 def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     """Multi-head causal self-attention over ``batch`` sequences, one graph node.
 
     ``xn`` is [B*L, d] and ``wq``, ``wk``, ``wv``, ``wo`` are [d, d]; each of
     ``num_heads`` heads attends with its d / H columns of q, k and v to earlier
-    and equal positions. The [B, H, L, L] scores become the weights in place,
-    so a no-grad call holds one such array; a recorded call saves q, k, v, the
-    weights and the merged heads. Returns [B*L, d].
+    and equal positions. A no-grad call runs tiles of a few sequences and 32
+    query rows [r0, r1), each scored only against keys [0, r1), so it holds
+    one tile of the [B, H, L, L] scores; a recorded call runs one tile of
+    everything and saves q, k, v, the weights and the merged heads. The
+    scores become the weights in place. Returns [B*L, d].
     """
     xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
     t, d = xn.shape
@@ -364,15 +374,24 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
         return np.transpose(a, (0, 2, 1, 3)).reshape(t, d)
 
     q, k, v = (heads(xn.data @ w.data) for w in (wq, wk, wv))
-    att = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
-    att *= scale
-    att += np.triu(np.full((l, l), -1e30), k=1)
-    if not np.all(np.isfinite(att)):
-        raise ValueError("causal_attention: non-finite attention score")
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    merged = merge(np.matmul(att, v))
+    # -1e30 above the diagonal; np.triu takes twice as long to build it
+    mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
+    # key prefixes r1 that are multiples of 32 (or L) add only exact zeros
+    # less than whole rows do, to the row sums and to the K loop of att @ v
+    rows, seqs = (l, batch) if _recording(parents) else (32, max(1, _TILE // (32 * num_heads * l)))
+    merged = np.empty((t, d))
+    out = heads(merged)  # att @ v lands in the merged heads' layout
+    for b0, b1 in _tiles(0, batch, seqs):
+        for r0, r1 in _tiles(0, l, rows):
+            att = np.matmul(q[b0:b1, :, r0:r1], np.swapaxes(k[b0:b1, :, :r1], -1, -2))
+            att *= scale
+            att += mask[r0:r1, :r1]
+            if not np.all(np.isfinite(att)):
+                raise ValueError("causal_attention: non-finite attention score")
+            att -= att.max(axis=-1, keepdims=True)
+            np.exp(att, out=att)
+            att /= att.sum(axis=-1, keepdims=True)
+            np.matmul(att, v[b0:b1, :, :r1], out=out[b0:b1, :, r0:r1])
 
     def vjp(g):
         g_out = heads(g @ wo.data.T)
@@ -404,11 +423,13 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
 
     The (token, k) slots are sorted by expert once, stably, so each expert
     runs on one contiguous slice of slots holding its tokens in ascending
-    order (dropless grouped dispatch as in MegaBlocks). A token appears at
-    most once per expert, so each gated expert output is added into its
-    token rows by plain assignment, expert by expert. Selections are
-    constants of the backward pass; the gradient slices of experts that
-    get no token are zero.
+    order (dropless grouped dispatch as in MegaBlocks). A no-grad call walks
+    each slice in tiles of ``_TILE`` // m rows, so its temporaries stay in
+    cache; a recorded call runs each slice as one tile and saves it for the
+    backward. A token appears at most once per expert, so each gated expert
+    output is added into its token rows by plain assignment, expert by
+    expert. Selections are constants of the backward pass; the gradient
+    slices of experts that get no token are zero.
     """
     x, gates, experts = as_tensor(x), as_tensor(gates), as_tensor(experts)
     parents = (x, gates, experts)
@@ -419,11 +440,12 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     counts = np.bincount(selected.reshape(-1), minlength=n)
     if counts.size != n:
         raise ValueError("expert_mixture: expert index out of range")
-    bounds = np.concatenate(([0], np.cumsum(counts)))
+    bounds = [0, *np.cumsum(counts).tolist()]
     order = np.argsort(selected.reshape(-1), kind="stable")  # slot t * K + k
     slot_tokens = order // k
     slot_gates = gates.data.reshape(-1)[order][:, None]
     record = _recording(parents)
+    rows = max(1, t * k if record else _TILE // m)
 
     def weights(w, i):  # expert i's (w_gate, w_up, w_down), as views of w
         return w[i, 0], w[i, 1], w[i, 2].reshape(m, d)
@@ -432,36 +454,34 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     saved = []
     for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
         w_gate, w_up, w_down = weights(experts.data, i)
-        rows = slot_tokens[lo:hi]
-        xi = x.data[rows]
-        pre = xi @ w_gate
-        sig = 1.0 / (1.0 + np.exp(-pre))
-        act = pre * sig
-        up = xi @ w_up
-        h = act * up
-        expert_out = h @ w_down
-        data[rows] += expert_out * slot_gates[lo:hi]
-        if record:
-            saved.append((xi, pre, sig, act, up, h, expert_out))
+        for a, b in _tiles(lo, hi, rows):
+            tokens = slot_tokens[a:b]
+            xi = x.data[tokens]
+            pre = xi @ w_gate
+            sig = 1.0 / (1.0 + np.exp(-pre))
+            act = pre * sig
+            up = xi @ w_up
+            h = act * up
+            expert_out = h @ w_down
+            data[tokens] += expert_out * slot_gates[a:b]
+            if record:
+                saved.append((i, a, b, xi, pre, sig, act, up, h, expert_out))
 
     def vjp(g):
         g_x = np.zeros_like(x.data)
         g_gates = np.empty(t * k)
         g_experts = np.zeros(experts.shape)
-        for i, lo, hi, (xi, pre, sig, act, up, h, expert_out) in zip(
-                range(n), bounds[:-1], bounds[1:], saved):
-            if lo == hi:
-                continue
+        for i, lo, hi, xi, pre, sig, act, up, h, expert_out in saved:
             w_gate, w_up, w_down = weights(experts.data, i)
             g_w_gate, g_w_up, g_w_down = weights(g_experts, i)
-            rows = slot_tokens[lo:hi]
-            g_rows = g[rows]
+            tokens = slot_tokens[lo:hi]
+            g_rows = g[tokens]
             g_gates[order[lo:hi]] = (expert_out * g_rows).sum(axis=1)
             go = g_rows * slot_gates[lo:hi]
             gh = go @ w_down.T
             g_pre = gh * up * (sig * (1.0 + pre * (1.0 - sig)))
             g_up = gh * act
-            g_x[rows] += g_pre @ w_gate.T + g_up @ w_up.T
+            g_x[tokens] += g_pre @ w_gate.T + g_up @ w_up.T
             g_w_gate[...] = xi.T @ g_pre
             g_w_up[...] = xi.T @ g_up
             g_w_down[...] = h.T @ go

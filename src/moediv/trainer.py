@@ -45,6 +45,9 @@ class TrainConfig:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.checkpoint_interval < 1:
+            raise ValueError(
+                f"checkpoint_interval must be at least 1, got {self.checkpoint_interval}")
 
 
 @dataclass

@@ -275,3 +275,24 @@ class TestForwardCounts:
             A.inverse_heatmap(traces, layer)
         A.divergence_report(traces)
         assert len(calls) == len(valsets)
+
+
+class TestTiledForward:
+    """The verbs' no-grad forwards run the fused ops in tiles; they give the
+    values of a recorded forward of the same tokens."""
+
+    def test_traces_and_perplexity_match_recorded_forward(self):
+        c = ModelConfig()
+        model = MoEModel(c, seed=0)
+        # 9 sequences of 128: attention runs four groups of two and a partial one
+        tokens = np.random.default_rng(2).integers(0, c.vocab_size, size=(9, c.max_seq_len))
+        logits, layers = forward(model, tokens)
+        assert logits.requires_grad
+        # some expert gets more than one 256-row tile
+        assert max(np.bincount(t.selected.reshape(-1)).max() for t in layers) > 256
+        traces = A.collect_traces(model, {"d": tokens})["d"]
+        for got, want in zip(traces, layers):
+            assert np.array_equal(got.probs.data, want.probs.data)
+            assert np.array_equal(got.selected, want.selected)
+        recorded_ppl = float(np.exp(model_mod.lm_loss(logits, tokens).item()))
+        assert perplexity(model, tokens) == recorded_ppl

@@ -191,6 +191,13 @@ class TestExitCodes:
         ("top_k = 9", "top_k must not exceed num_experts"),
         ("hidden_size = 65", "hidden_size must be divisible by num_heads"),
         ("warmup_steps = 2001", "warmup_steps must not exceed total_steps"),
+        ("seq_len = 0", "seq_len must be in [2, max_seq_len = 128], got 0"),
+        ("seq_len = 200", "seq_len must be in [2, max_seq_len = 128], got 200"),
+        ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("num_heads = 0", "num_heads must be at least 1, got 0"),
+        ("num_layers = 0", "num_layers must be at least 1, got 0"),
+        ("top_k = 0", "top_k must be at least 1, got 0"),
+        ("checkpoint_interval = 0", "checkpoint_interval must be at least 1, got 0"),
     ])
     def test_invalid_config_is_usage_error(self, trained, tmp_path, capsys, line, message):
         config = tmp_path / "c.ini"

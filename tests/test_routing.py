@@ -308,3 +308,36 @@ class TestExpertMixture:
         with pytest.raises(ValueError, match="out of range"):
             T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 1))),
                              np.array([[0], [2]]), layer.experts)
+
+    def test_no_grad_tiles_match_recorded_call(self):
+        # at m = 128 a no-grad tile is 256 rows; expert 0 is in all 900 rows
+        # (three tiles and a part), expert 1 in the first 257 (a tile and one
+        # row, which joins it), expert 2 in the other 643, and expert 3 is idle
+        rng = np.random.default_rng(64)
+        t = 900
+        x = T.Tensor(rng.normal(size=(t, 64)), requires_grad=True)
+        gates = T.Tensor(rng.random((t, 2)) + 0.1, requires_grad=True)
+        experts = T.Tensor(0.1 * rng.normal(size=(4, 3, 64, 128)), requires_grad=True)
+        selected = np.zeros((t, 2), dtype=np.intp)
+        selected[:257, 1] = 1
+        selected[257:, 1] = 2
+        selected[::3] = selected[::3, ::-1]  # not every slot k = 0 goes first
+        assert np.array_equal(np.bincount(selected.reshape(-1), minlength=4), [900, 257, 643, 0])
+        recorded = T.expert_mixture(x, gates, selected, experts)
+        assert recorded.requires_grad
+        with T.no_grad():
+            tiled = T.expert_mixture(x, gates, selected, experts)
+        assert np.array_equal(tiled.data, recorded.data)
+
+    def test_no_grad_peak_below_two_outputs(self, no_grad_peak):
+        # analysis size: 100 sequences of 128 tokens, top-2 of 8 experts;
+        # each expert's ~3,200 rows run in tiles, not as whole-slice temporaries
+        rng = np.random.default_rng(65)
+        t, d = 12_800, 64
+        x = rng.normal(size=(t, d))
+        selected = np.argsort(rng.random((t, 8)), axis=1)[:, :2]
+        gates = rng.random((t, 2))
+        experts = 0.1 * rng.normal(size=(8, 3, d, 128))
+        peak = no_grad_peak(lambda: T.expert_mixture(x, gates, selected, experts))
+        out_bytes = t * d * 8
+        assert peak < 2 * out_bytes, f"peak {peak / out_bytes:.2f} outputs"

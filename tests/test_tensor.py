@@ -307,3 +307,35 @@ class TestCausalAttention:
         inputs[1].data[0, 0] = np.inf
         with pytest.raises(ValueError, match="causal_attention: non-finite"):
             T.causal_attention(*inputs, 2, 2)
+
+    # (B, L, d, H): partial last sequence groups, L not a multiple of the
+    # 32-row query block (L = 33 is one block: a one-row remainder joins the
+    # block before it), and the analysis length L = 128
+    @pytest.mark.parametrize("batch, length, d, heads", [
+        (7, 40, 64, 4), (3, 33, 64, 4), (9, 65, 32, 2), (3, 128, 64, 4),
+    ])
+    def test_no_grad_tiles_match_recorded_call(self, batch, length, d, heads):
+        inputs, _ = attention_inputs(35, batch, length, d)
+        recorded = T.causal_attention(*inputs, batch, heads)
+        assert recorded.requires_grad
+        with T.no_grad():
+            tiled = T.causal_attention(*inputs, batch, heads)
+        assert np.array_equal(tiled.data, recorded.data)
+
+    @pytest.mark.parametrize("where", ["weight", "last token"])
+    def test_non_finite_score_rejected_under_no_grad(self, where):
+        inputs, _ = attention_inputs(36, 7, 40, 64)
+        if where == "weight":
+            inputs[1].data[0, 0] = np.inf
+        else:  # only the last query block of the last sequence group sees it
+            inputs[0].data[-1] = np.inf
+        with T.no_grad(), pytest.raises(ValueError, match="causal_attention: non-finite"):
+            T.causal_attention(*inputs, 7, 4)
+
+    def test_no_grad_peak_below_one_score_array(self, no_grad_peak):
+        # tiles of a few sequences and 32 query rows: no [B, H, L, L] array
+        batch, length, heads = 16, 128, 4
+        inputs, _ = attention_inputs(37, batch, length, 64)
+        peak = no_grad_peak(lambda: T.causal_attention(*inputs, batch, heads))
+        score_bytes = batch * heads * length * length * 8
+        assert peak < score_bytes, f"peak {peak / score_bytes:.2f} score arrays"

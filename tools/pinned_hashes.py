@@ -1,0 +1,83 @@
+"""Print the sha256 of each pinned moediv output, one ``name sha256`` line each.
+
+The outputs are byte-reproducible at a fixed BLAS thread count, so OpenBLAS
+is set to one thread before numpy loads. The recipe:
+
+- corpus: ``synth_corpus(three_domain_demo_specs(), seed=3)``; training
+  batches: ``pack_batches`` of the training documents of
+  ``split_validation(docs, 64, 100)``, at seq_len 64, batch size 8, seed 0;
+- ``train-N``: ``MoEModel(ModelConfig(), seed=0)`` trained with
+  ``TrainConfig(total_steps=N, warmup_steps=5, checkpoint_interval=10)``
+  for N = 30 and N = 200, giving ``metrics.jsonl`` and ``final.moediv``;
+- the stdout of decompose, perturb ``--layer 0``, heatmap, heatmap
+  ``--inverse`` and ternary on the N = 200 checkpoint, reading the whole
+  corpus as JSONL with ``--limit 20``;
+- the stdout of ``moediv check``.
+
+Usage, from anywhere: python tools/pinned_hashes.py
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from moediv import cli, data, trainer  # noqa: E402
+from moediv.model import ModelConfig, MoEModel  # noqa: E402
+
+VERBS = {
+    "decompose": ["decompose"],
+    "perturb-layer0": ["perturb", "--layer", "0"],
+    "heatmap": ["heatmap"],
+    "heatmap-inverse": ["heatmap", "--inverse"],
+    "ternary": ["ternary"],
+}
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def stdout_of(argv) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.run(argv)
+    if rc != 0:
+        raise SystemExit(f"moediv {' '.join(argv)} exited {rc}")
+    return buf.getvalue().encode("utf-8")
+
+
+def main():
+    docs, _ = data.synth_corpus(data.three_domain_demo_specs(), seed=3)
+    train_docs, _ = data.split_validation(docs, 64, 100)
+    batches = data.pack_batches(train_docs, 64, 8, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for steps in (30, 200):
+            config = trainer.TrainConfig(total_steps=steps, warmup_steps=5, checkpoint_interval=10)
+            final, metrics = trainer.run_training(
+                MoEModel(ModelConfig(), seed=0), batches, config, tmp / f"train-{steps}")
+            print(f"train-{steps}/metrics.jsonl {sha256(pathlib.Path(metrics).read_bytes())}")
+            print(f"train-{steps}/final.moediv {sha256(pathlib.Path(final).read_bytes())}")
+        corpus = tmp / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as f:
+            for doc in docs:
+                f.write(json.dumps({"text": doc.tokens.tobytes().decode("utf-8"),
+                                    "domain": doc.domain}) + "\n")
+        for name, verb in VERBS.items():
+            argv = verb + ["--ckpt", str(final), "--data", str(corpus), "--limit", "20"]
+            print(f"{name} {sha256(stdout_of(argv))}")
+    print(f"check {sha256(stdout_of(['check']))}")
+
+
+if __name__ == "__main__":
+    main()
