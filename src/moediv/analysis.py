@@ -108,8 +108,6 @@ def collect_traces(model: MoEModel, valsets: dict) -> dict:
     out = {}
     with T.no_grad():
         for dom in sorted(valsets):
-            # index, not unpack: a ``_`` would hold this domain's [T, V]
-            # logits through the next domain's forward
             out[dom] = forward(model, valsets[dom])[1]
     return out
 

@@ -105,6 +105,10 @@ def _load_valsets(path, seq_len, limit):
     valsets: dict[str, list] = {}
     for s, d in zip(sequences, labels):
         valsets.setdefault(d, []).append(s)
+    short = sorted({doc.domain for doc in docs} - valsets.keys())
+    if short:
+        raise UsageError(f"--data: shorter than one sequence of {seq_len} tokens: "
+                         f"domain {', '.join(short)}")
     return {
         d: np.stack(seqs[:limit]).astype(np.intp) for d, seqs in valsets.items()
     }

@@ -114,9 +114,11 @@ def _affine_norm(x, g, b):
 def forward(model: MoEModel, tokens):
     """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
-    Returns (logits Tensor [B*L, V], [LayerTrace per MoE layer]). Each
-    trace's ``probs`` is the router output itself, so the auxiliary losses
-    differentiate through it; under ``no_grad`` it is a plain Tensor.
+    Returns (hidden Tensor [B*L, d], [LayerTrace per MoE layer]): ``hidden``
+    is the final normalised rows, which ``lm_loss`` takes through the LM
+    head. Each trace's ``probs`` is the router output itself, so the
+    auxiliary losses differentiate through it; under ``no_grad`` it is a
+    plain Tensor.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -146,30 +148,25 @@ def forward(model: MoEModel, tokens):
         x = T.add(x, y)
         layers.append(LayerTrace(probs=probs, selected=selected))
 
-    xf = _affine_norm(x, p["ln_f.g"], p["ln_f.b"])
-    return T.matmul(xf, p["lm_head"]), layers
+    return _affine_norm(x, p["ln_f.g"], p["ln_f.b"]), layers
 
 
-def lm_loss(logits, tokens):
-    """Next-token cross entropy over a [B, L] batch (nats).
+def lm_loss(model: MoEModel, hidden, tokens):
+    """Next-token cross entropy (nats) of ``forward``'s ``hidden`` rows of a
+    [B, L] batch, through ``model``'s LM head in one ``T.next_token_nll``.
 
     Position t predicts token t+1 within its own sequence; final positions
     have no target and are excluded.
     """
-    tokens = np.asarray(tokens, dtype=np.intp)
-    b, l = tokens.shape
-    if l < 2:
-        raise ValueError("lm_loss needs sequences of length >= 2")
-    keep = np.concatenate([np.arange(l - 1) + i * l for i in range(b)])
-    targets = tokens[:, 1:].reshape(-1)
-    return T.cross_entropy_mean(T.take_rows(logits, keep), targets)
+    return T.next_token_nll(hidden, model.params["lm_head"], tokens)
 
 
 def perplexity(model: MoEModel, tokens) -> float:
-    """exp(mean next-token NLL) of ``model`` on one [B, L] token array."""
+    """exp(mean next-token NLL) of ``model`` on one [B, L] token array; under
+    ``no_grad`` the head runs in row tiles, so no [B*L, V] logits exist."""
     with T.no_grad():
-        logits, _ = forward(model, tokens)
-        return float(np.exp(lm_loss(logits, tokens).item()))
+        hidden, _ = forward(model, tokens)
+        return float(np.exp(lm_loss(model, hidden, tokens).item()))
 
 
 # ---------------------------------------------------------------------------

@@ -318,30 +318,16 @@ def layernorm(a, eps=1e-5) -> Tensor:
     return _make(xhat, (a,), vjp)
 
 
-def cross_entropy_mean(logits, targets) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` under row-softmax of ``logits``.
+def _tile(parents, whole, part, *widths):
+    """Tile size of a fused op: ``part`` for a no-grad call, else ``whole``.
 
-    ``logits`` is [T, V]; ``targets`` is an int array of length T with values
-    in [0, V). Natural log.
+    A recorded call runs one tile and saves it for its VJP. So does any call
+    with an output width in ``widths`` that is not a multiple of 8: there
+    OpenBLAS's kernel for small products rounds unlike its kernel for large
+    ones, so a tile's rows would differ in the last bits from the same rows
+    of the whole product.
     """
-    logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.intp)
-    t, v = logits.shape
-    if targets.shape != (t,):
-        raise ValueError(f"cross_entropy_mean: expected {t} targets, got {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise ValueError("cross_entropy_mean: target id out of range")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    logp = shifted[np.arange(t), targets] - lse
-    data = -logp.mean()
-
-    def vjp(g):
-        probs = np.exp(shifted - lse[:, None])
-        probs[np.arange(t), targets] -= 1.0
-        return (probs * (float(g) / t),)
-
-    return _make(data, (logits,), vjp)
+    return whole if _recording(parents) or any(w % 8 for w in widths) else part
 
 
 def _tiles(lo, hi, size):
@@ -349,6 +335,50 @@ def _tiles(lo, hi, size):
     before it, as numpy's one-row product (a GEMV) rounds unlike a GEMM's rows."""
     cuts = list(range(lo + size, hi - 1, size))
     return zip([lo] + cuts, cuts + [hi])
+
+
+def next_token_nll(hidden, lm_head, tokens) -> Tensor:
+    """Mean next-token negative log-likelihood of a [B, L] batch, one graph node.
+
+    ``hidden`` is [B*L, d], one row per position of ``tokens``, and
+    ``lm_head`` is [d, V]. Row s*L + p predicts tokens[s, p + 1] by the
+    row-softmax of its logits ``hidden @ lm_head``; a sequence's last row has
+    no target. Natural log. A no-grad call walks tiles of ``_TILE`` // V
+    rows, so no [B*L, V] logits array exists; a recorded call (or one at V
+    not a multiple of 8, see ``_tile``) runs one tile and saves its shifted
+    logits. The VJP leaves zero logit gradients at the last rows, and the
+    head's weight gradient spans all B*L rows.
+    """
+    hidden, lm_head = parents = as_tensor(hidden), as_tensor(lm_head)
+    tokens = np.asarray(tokens, dtype=np.intp)
+    b, l = tokens.shape
+    t, v = b * l, lm_head.shape[1]
+    if l < 2:
+        raise ValueError("next_token_nll: needs sequences of length >= 2")
+    if hidden.shape[0] != t:
+        raise ValueError(f"next_token_nll: expected {t} rows, got {hidden.shape[0]}")
+    if tokens[:, 1:].min() < 0 or tokens[:, 1:].max() >= v:
+        raise ValueError("next_token_nll: target id out of range")
+    flat = tokens.reshape(-1)
+    targets = np.concatenate((flat[1:], flat[:1]))  # a last row's target is unused
+    logp = np.empty((b, l))
+    for a, c in _tiles(0, t, max(1, _tile(parents, t, _TILE // v, v))):
+        z = hidden.data[a:c] @ lm_head.data
+        z -= z.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1))
+        logp.reshape(-1)[a:c] = z[np.arange(c - a), targets[a:c]] - lse
+
+    def vjp(g):
+        probs = z - lse[:, None]
+        np.exp(probs, out=probs)
+        probs[np.arange(t), targets] -= 1.0
+        probs *= float(g) / (t - b)
+        probs.reshape(b, l, v)[:, -1] = 0.0
+        return probs @ lm_head.data.T, hidden.data.T @ probs
+
+    # a contiguous copy of the kept rows' NLL, so the mean adds them as one
+    # [B*(L-1)] vector
+    return _make(-logp[:, :-1].reshape(-1).mean(), parents, vjp)
 
 
 def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
@@ -359,8 +389,9 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     and equal positions. A no-grad call runs tiles of a few sequences and 32
     query rows [r0, r1), each scored only against keys [0, r1), so it holds
     one tile of the [B, H, L, L] scores; a recorded call runs one tile of
-    everything and saves q, k, v, the weights and the merged heads. The
-    scores become the weights in place. Returns [B*L, d].
+    everything and saves q, k, v, the weights and the merged heads (a
+    no-grad call at d / H not a multiple of 8 also runs one tile, see
+    ``_tile``). The scores become the weights in place. Returns [B*L, d].
     """
     xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
     t, d = xn.shape
@@ -378,7 +409,7 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
     # key prefixes r1 that are multiples of 32 (or L) add only exact zeros
     # less than whole rows do, to the row sums and to the K loop of att @ v
-    rows, seqs = (l, batch) if _recording(parents) else (32, max(1, _TILE // (32 * num_heads * l)))
+    rows, seqs = _tile(parents, (l, batch), (32, max(1, _TILE // (32 * num_heads * l))), dh)
     merged = np.empty((t, d))
     out = heads(merged)  # att @ v lands in the merged heads' layout
     for b0, b1 in _tiles(0, batch, seqs):
@@ -426,7 +457,8 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     order (dropless grouped dispatch as in MegaBlocks). A no-grad call walks
     each slice in tiles of ``_TILE`` // m rows, so its temporaries stay in
     cache; a recorded call runs each slice as one tile and saves it for the
-    backward. A token appears at most once per expert, so each gated expert
+    backward (a no-grad call at m or d not a multiple of 8 also runs one
+    tile, see ``_tile``). A token appears at most once per expert, so each gated expert
     output is added into its token rows by plain assignment, expert by
     expert. Selections are constants of the backward pass; the gradient
     slices of experts that get no token are zero.
@@ -445,7 +477,7 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     slot_tokens = order // k
     slot_gates = gates.data.reshape(-1)[order][:, None]
     record = _recording(parents)
-    rows = max(1, t * k if record else _TILE // m)
+    rows = max(1, _tile(parents, t * k, _TILE // m, m, d))
 
     def weights(w, i):  # expert i's (w_gate, w_up, w_down), as views of w
         return w[i, 0], w[i, 1], w[i, 2].reshape(m, d)

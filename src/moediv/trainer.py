@@ -133,8 +133,8 @@ def objective(model: MoEModel, batch, config: TrainConfig):
     ``layers`` is the forward's LayerTrace list (``probs`` are graph nodes).
     """
     tokens = batch.sequences
-    logits, layers = forward(model, tokens)
-    l_lm = lm_loss(logits, tokens)
+    hidden, layers = forward(model, tokens)
+    l_lm = lm_loss(model, hidden, tokens)
     lb_terms, ed_terms = [], []
     for layer in layers:
         lb_terms.append(losses.load_balance_loss_t(layer.probs, layer.selected))

@@ -286,13 +286,14 @@ class TestTiledForward:
         model = MoEModel(c, seed=0)
         # 9 sequences of 128: attention runs four groups of two and a partial one
         tokens = np.random.default_rng(2).integers(0, c.vocab_size, size=(9, c.max_seq_len))
-        logits, layers = forward(model, tokens)
-        assert logits.requires_grad
+        hidden, layers = forward(model, tokens)
+        assert hidden.requires_grad
         # some expert gets more than one 256-row tile
         assert max(np.bincount(t.selected.reshape(-1)).max() for t in layers) > 256
         traces = A.collect_traces(model, {"d": tokens})["d"]
         for got, want in zip(traces, layers):
             assert np.array_equal(got.probs.data, want.probs.data)
             assert np.array_equal(got.selected, want.selected)
-        recorded_ppl = float(np.exp(model_mod.lm_loss(logits, tokens).item()))
+        # perplexity's head runs nine 128-row tiles
+        recorded_ppl = float(np.exp(model_mod.lm_loss(model, hidden, tokens).item()))
         assert perplexity(model, tokens) == recorded_ppl

@@ -138,6 +138,23 @@ class TestExitCodes:
         assert rc == 1
         assert "--layer 9 out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["decompose", "perturb", "heatmap"])
+    def test_domain_shorter_than_a_sequence_is_usage_error(self, trained, tmp_path, capsys,
+                                                           verb):
+        # two 10-byte domains: neither fills one sequence of max_seq_len = 16
+        corpus = tmp_path / "corpus.jsonl"
+        text = trained["corpus"].read_text()
+        for dom in ("e", "d"):
+            text += json.dumps({"text": "abcdefghab", "domain": dom}) + "\n"
+        corpus.write_text(text)
+        extra = ["--layer", "0"] if verb == "perturb" else []
+        rc = cli.run([verb, "--ckpt", str(trained["ckpt"]), "--data", str(corpus), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert ("error: --data: shorter than one sequence of 16 tokens: domain d, e"
+                in captured.err)
+
     def test_refuses_nonempty_out(self, trained, tmp_path):
         out = tmp_path / "occupied"
         out.mkdir()

@@ -40,22 +40,22 @@ class TestForward:
     def test_shapes(self):
         model = MoEModel(SMALL, seed=0)
         tokens = np.arange(12).reshape(3, 4) % SMALL.vocab_size
-        logits, layers = forward(model, tokens)
-        assert logits.shape == (12, SMALL.vocab_size)
+        hidden, layers = forward(model, tokens)
+        assert hidden.shape == (12, SMALL.hidden_size)
         assert len(layers) == 2
         assert layers[0].probs.shape == (12, 4)
         assert layers[0].selected.shape == (12, 2)
 
     def test_causality(self):
-        # changing a future token must not change earlier logits
+        # changing a future token must not change earlier hidden rows
         model = MoEModel(SMALL, seed=1)
         tokens = np.array([[1, 2, 3, 4, 5]])
-        logits1, _ = forward(model, tokens)
+        hidden1, _ = forward(model, tokens)
         tokens2 = tokens.copy()
         tokens2[0, 4] = 9
-        logits2, _ = forward(model, tokens2)
-        np.testing.assert_array_equal(logits1.data[:4], logits2.data[:4])
-        assert np.any(logits1.data[4] != logits2.data[4])
+        hidden2, _ = forward(model, tokens2)
+        np.testing.assert_array_equal(hidden1.data[:4], hidden2.data[:4])
+        assert np.any(hidden1.data[4] != hidden2.data[4])
 
     def test_sequences_independent(self):
         # batched forward must equal per-sequence forward
@@ -112,12 +112,12 @@ class TestLMLoss:
     def test_matches_shifted_oracle(self):
         model = MoEModel(SMALL, seed=4)
         tokens = np.array([[2, 5, 7, 1], [3, 3, 0, 8]])
-        logits, _ = forward(model, tokens)
-        loss = lm_loss(logits, tokens)
+        hidden, _ = forward(model, tokens)
+        loss = lm_loss(model, hidden, tokens)
         # oracle: average -log softmax(logits[t])[tokens[t+1]] over the
         # 3 predicting positions of each sequence
         total = 0.0
-        data = logits.data
+        data = hidden.data @ model.params["lm_head"].data
         for s in range(2):
             for t in range(3):
                 row = data[s * 4 + t]
@@ -128,9 +128,9 @@ class TestLMLoss:
 
     def test_too_short(self):
         model = MoEModel(SMALL, seed=0)
-        logits, _ = forward(model, np.array([[1]]))
+        hidden, _ = forward(model, np.array([[1]]))
         with pytest.raises(ValueError):
-            lm_loss(logits, np.array([[1]]))
+            lm_loss(model, hidden, np.array([[1]]))
 
     def test_uniform_model_near_log_vocab(self):
         # zeroed head gives uniform next-token predictions
@@ -138,8 +138,8 @@ class TestLMLoss:
         model.params["lm_head"].data[:] = 0.0
         model.params["ln_f.b"].data[:] = 0.0
         tokens = np.array([[1, 2, 3, 4]])
-        logits, _ = forward(model, tokens)
-        assert lm_loss(logits, tokens).item() == pytest.approx(
+        hidden, _ = forward(model, tokens)
+        assert lm_loss(model, hidden, tokens).item() == pytest.approx(
             np.log(SMALL.vocab_size), abs=1e-10
         )
 

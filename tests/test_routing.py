@@ -329,6 +329,21 @@ class TestExpertMixture:
             tiled = T.expert_mixture(x, gates, selected, experts)
         assert np.array_equal(tiled.data, recorded.data)
 
+    @pytest.mark.parametrize("m", [100, 132])
+    def test_no_grad_matches_recorded_call_at_width_not_multiple_of_8(self, m):
+        # row tiles of such a width would round unlike the whole slice, so
+        # the no-grad call runs each slice as one tile
+        rng = np.random.default_rng(66)
+        t = 2_000
+        x = T.Tensor(rng.normal(size=(t, 64)), requires_grad=True)
+        gates = T.Tensor(rng.random((t, 2)) + 0.1, requires_grad=True)
+        experts = T.Tensor(0.1 * rng.normal(size=(4, 3, 64, m)), requires_grad=True)
+        selected = np.argsort(rng.random((t, 4)), axis=1)[:, :2]
+        recorded = T.expert_mixture(x, gates, selected, experts)
+        with T.no_grad():
+            tiled = T.expert_mixture(x, gates, selected, experts)
+        assert np.array_equal(tiled.data, recorded.data)
+
     def test_no_grad_peak_below_two_outputs(self, no_grad_peak):
         # analysis size: 100 sequences of 128 tokens, top-2 of 8 experts;
         # each expert's ~3,200 rows run in tiles, not as whole-slice temporaries

@@ -49,10 +49,39 @@ class TestSoftmax:
         assert np.all(out.data >= 0)
 
 
+def cross_entropy_mean(logits, targets):
+    """The generic op ``next_token_nll`` replaced: mean NLL of ``targets``
+    under the row-softmax of [T, V] ``logits``, one graph node."""
+    logits = T.as_tensor(logits)
+    targets = np.asarray(targets, dtype=np.intp)
+    t, v = logits.shape
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise ValueError("cross_entropy_mean: target id out of range")
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    logp = shifted[np.arange(t), targets] - lse
+
+    def vjp(g):
+        probs = np.exp(shifted - lse[:, None])
+        probs[np.arange(t), targets] -= 1.0
+        return (probs * (float(g) / t),)
+
+    return T._make(-logp.mean(), (logits,), vjp)
+
+
+def composite_nll(hidden, lm_head, tokens):
+    """The graph that ``next_token_nll`` replaced: the head's ``matmul``, a
+    ``take_rows`` of every row but each sequence's last, ``cross_entropy_mean``."""
+    b, l = tokens.shape
+    keep = np.concatenate([np.arange(l - 1) + i * l for i in range(b)])
+    rows = T.take_rows(T.matmul(hidden, lm_head), keep)
+    return cross_entropy_mean(rows, tokens[:, 1:].reshape(-1))
+
+
 class TestCrossEntropy:
     def test_uniform(self):
         logits = T.Tensor(np.zeros((3, 4)))
-        loss = T.cross_entropy_mean(logits, [0, 2, 3])
+        loss = cross_entropy_mean(logits, [0, 2, 3])
         assert loss.item() == pytest.approx(np.log(4.0), abs=1e-14)
 
     def test_confident_limit(self):
@@ -60,7 +89,7 @@ class TestCrossEntropy:
         logits = np.zeros((2, 5))
         logits[0, 1] = 50.0
         logits[1, 4] = 50.0
-        loss = T.cross_entropy_mean(T.Tensor(logits), [1, 4])
+        loss = cross_entropy_mean(T.Tensor(logits), [1, 4])
         assert abs(loss.item()) <= 1e-10
 
     def test_matches_scalar_loop(self):
@@ -73,14 +102,14 @@ class TestCrossEntropy:
             probs = scalar_softmax(list(logits[t]))
             total += -np.log(probs[targets[t]])
         expected = total / 3
-        loss = T.cross_entropy_mean(T.Tensor(logits), targets)
+        loss = cross_entropy_mean(T.Tensor(logits), targets)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_range_target(self):
         with pytest.raises(ValueError):
-            T.cross_entropy_mean(T.Tensor(np.zeros((2, 4))), [0, 4])
+            cross_entropy_mean(T.Tensor(np.zeros((2, 4))), [0, 4])
         with pytest.raises(ValueError):
-            T.cross_entropy_mean(T.Tensor(np.zeros((2, 4))), [-1, 0])
+            cross_entropy_mean(T.Tensor(np.zeros((2, 4))), [-1, 0])
 
 
 class TestBackward:
@@ -339,3 +368,67 @@ class TestCausalAttention:
         peak = no_grad_peak(lambda: T.causal_attention(*inputs, batch, heads))
         score_bytes = batch * heads * length * length * 8
         assert peak < score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+
+
+def nll_inputs(seed, batch, length, d, v):
+    """(hidden, lm_head) as requires_grad leaves and [B, L] tokens in [0, V)."""
+    rng = np.random.default_rng(seed)
+    hidden = T.Tensor(rng.normal(size=(batch * length, d)), requires_grad=True)
+    lm_head = T.Tensor(0.5 * rng.normal(size=(d, v)), requires_grad=True)
+    return hidden, lm_head, rng.integers(0, v, size=(batch, length))
+
+
+class TestNextTokenNLL:
+    @pytest.mark.parametrize("batch, length, v", [(3, 5, 7), (2, 2, 16), (1, 9, 256)])
+    def test_matches_composite_oracle(self, batch, length, v):
+        hidden, lm_head, tokens = nll_inputs(70, batch, length, 8, v)
+        outs, grads = [], []
+        for op in (composite_nll, T.next_token_nll):
+            y = op(hidden, lm_head, tokens)
+            outs.append(y.data)
+            grads.append(T.backward(y))
+        assert np.array_equal(outs[0], outs[1])
+        for p in (hidden, lm_head):
+            assert np.array_equal(grads[0][p], grads[1][p])
+
+    def test_one_graph_node(self):
+        hidden, lm_head, tokens = nll_inputs(71, 2, 5, 8, 7)
+        y = T.next_token_nll(hidden, lm_head, tokens)
+        assert y._parents == (hidden, lm_head)
+        assert len(T._toposort(y)) == 3
+        with T.no_grad():
+            y = T.next_token_nll(hidden, lm_head, tokens)
+        assert y._vjp is None and not y.requires_grad
+
+    # (B, L, V): at V = 256 a no-grad tile is 128 rows; L = 33 cuts sequences
+    # across tiles, 3 x 43 = 129 rows leave a one-row remainder (always a
+    # sequence's last row, which has no target) that joins the tile before
+    # it, and V = 100 (not a multiple of 8) runs one tile
+    @pytest.mark.parametrize("batch, length, v", [(8, 33, 256), (3, 43, 256), (100, 128, 100)])
+    def test_no_grad_tiles_match_recorded_call(self, batch, length, v):
+        hidden, lm_head, tokens = nll_inputs(72, batch, length, 64, v)
+        recorded = T.next_token_nll(hidden, lm_head, tokens)
+        assert recorded.requires_grad
+        with T.no_grad():
+            tiled = T.next_token_nll(hidden, lm_head, tokens)
+        assert np.array_equal(tiled.data, recorded.data)
+
+    def test_grad_check(self):
+        hidden, lm_head, tokens = nll_inputs(73, 2, 5, 4, 7)
+        f = lambda: {"y": T.next_token_nll(hidden, lm_head, tokens)}
+        assert T.grad_check(f, [hidden, lm_head], h=1e-5)["y"] <= 1e-6
+
+    def test_out_of_range_target(self):
+        hidden, lm_head, _ = nll_inputs(74, 2, 3, 4, 4)
+        for tokens in ([[0, 1, 4], [0, 1, 2]], [[0, 1, 2], [0, -1, 2]]):
+            with pytest.raises(ValueError, match="target id out of range"):
+                T.next_token_nll(hidden, lm_head, np.array(tokens))
+
+    def test_no_grad_peak_below_half_a_logits_array(self, no_grad_peak):
+        # analysis size: 100 sequences of 128 tokens through a 64 x 256 head;
+        # row tiles of 128, never the [T, V] logits
+        batch, length, v = 100, 128, 256
+        hidden, lm_head, tokens = nll_inputs(75, batch, length, 64, v)
+        peak = no_grad_peak(lambda: T.next_token_nll(hidden, lm_head, tokens))
+        logits_bytes = batch * length * v * 8
+        assert peak < logits_bytes / 2, f"peak {peak / logits_bytes:.2f} logits arrays"

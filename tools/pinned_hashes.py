@@ -14,7 +14,11 @@ is set to one thread before numpy loads. The recipe:
   corpus as JSONL with ``--limit 20``;
 - the stdout of ``moediv check``.
 
+The lines are then compared with ``pinned_hashes.txt`` next to this script;
+the script exits 1, naming each output whose line differs, if any does.
 Usage, from anywhere: python tools/pinned_hashes.py
+To pin new hashes, redirect stdout into that file; that run compares with
+the emptied file and exits 1.
 """
 
 import os
@@ -43,6 +47,9 @@ VERBS = {
 }
 
 
+PINNED = pathlib.Path(__file__).with_name("pinned_hashes.txt")
+
+
 def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
@@ -57,6 +64,12 @@ def stdout_of(argv) -> bytes:
 
 
 def main():
+    lines = []
+
+    def emit(name, blob):
+        lines.append(f"{name} {sha256(blob)}")
+        print(lines[-1], flush=True)
+
     docs, _ = data.synth_corpus(data.three_domain_demo_specs(), seed=3)
     train_docs, _ = data.split_validation(docs, 64, 100)
     batches = data.pack_batches(train_docs, 64, 8, 0)
@@ -66,8 +79,8 @@ def main():
             config = trainer.TrainConfig(total_steps=steps, warmup_steps=5, checkpoint_interval=10)
             final, metrics = trainer.run_training(
                 MoEModel(ModelConfig(), seed=0), batches, config, tmp / f"train-{steps}")
-            print(f"train-{steps}/metrics.jsonl {sha256(pathlib.Path(metrics).read_bytes())}")
-            print(f"train-{steps}/final.moediv {sha256(pathlib.Path(final).read_bytes())}")
+            emit(f"train-{steps}/metrics.jsonl", pathlib.Path(metrics).read_bytes())
+            emit(f"train-{steps}/final.moediv", pathlib.Path(final).read_bytes())
         corpus = tmp / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as f:
             for doc in docs:
@@ -75,8 +88,12 @@ def main():
                                     "domain": doc.domain}) + "\n")
         for name, verb in VERBS.items():
             argv = verb + ["--ckpt", str(final), "--data", str(corpus), "--limit", "20"]
-            print(f"{name} {sha256(stdout_of(argv))}")
-    print(f"check {sha256(stdout_of(['check']))}")
+            emit(name, stdout_of(argv))
+    emit("check", stdout_of(["check"]))
+    pinned = PINNED.read_text(encoding="utf-8").splitlines()
+    differ = [line.split()[0] for line in lines if line not in pinned]
+    if differ:
+        raise SystemExit(f"differs from {PINNED.name}: {', '.join(differ)}")
 
 
 if __name__ == "__main__":
