@@ -196,7 +196,7 @@ def cmd_heatmap(args):
 def cmd_ternary(args):
     model, valsets = _model_and_valsets(args)
     if len(valsets) != 3:
-        raise ValueError(f"ternary requires exactly 3 domains, data has {len(valsets)}")
+        raise UsageError(f"--data: ternary needs exactly 3 domains, got {len(valsets)}")
     traces = analysis.collect_traces(model, valsets)
     for layer in range(model.config.num_layers):
         inv = analysis.inverse_heatmap(traces, layer)

@@ -1,9 +1,11 @@
 """Auxiliary losses and composition of the final training objective.
 
-Every loss here builds autodiff graph nodes (suffix ``_t``); plain-float
-values come from ``.item()`` on the result. The hard selection frequencies
-f_i are always treated as non-differentiable constants; gradient reaches the
-router only through the soft probabilities.
+Every loss here returns an autodiff Tensor (suffix ``_t``): L_LB and L_ED
+are one graph node each, with a closed-form VJP into the router
+probabilities, and ``compose_t`` adds the terms with generic ops.
+Plain-float values come from ``.item()`` on the result. The hard selection
+frequencies f_i are always treated as non-differentiable constants;
+gradient reaches the router only through the soft probabilities.
 """
 
 from __future__ import annotations
@@ -28,28 +30,50 @@ def _selection_fractions(selections, num_experts: int) -> np.ndarray:
 
 
 def load_balance_loss_t(probs: Tensor, selections) -> Tensor:
-    """L_LB = N * sum_i f_i * P_i over a [T, N] batch; f_i enters as a constant."""
-    n = probs.shape[1]
+    """L_LB = N * sum_i f_i * P_i over a [T, N] batch, one graph node.
+
+    P_i is the batch-mean probability of expert i and f_i enters as a
+    constant, so d L_LB / d probs[t, i] = N * f_i / T (Switch Transformer).
+    """
+    t, n = probs.shape
     f = _selection_fractions(selections, n)
-    p_mean = T.tmean(probs, axis=0)
-    return T.mul(T.tsum(T.mul(p_mean, f)), float(n))
+    value = (probs.data.mean(axis=0) * f).sum() * n
+
+    def vjp(g):
+        return (np.broadcast_to(g * n * f / t, probs.shape).copy(),)
+
+    return T.node(value, (probs,), vjp)
 
 
-def _entropy_t(p: Tensor) -> Tensor:
-    # softmax means are strictly positive, but closed-form probes may pass
-    # exact one-hots; the 1e-300 floor keeps 0*log(0) at 0 without moving
-    # any representable positive probability
-    return T.mul(T.tsum(T.mul(p, T.tlog(T.add(p, 1e-300))), axis=-1), -1.0)
+def _entropy(p: np.ndarray):
+    """(H of each row of ``p`` in nats, its VJP).
+
+    Softmax means are strictly positive, but closed-form probes may pass
+    exact one-hots; the 1e-300 floor keeps 0*log(0) at 0 without moving any
+    representable positive probability. The VJP differentiates the floored
+    form, -g * (log(p + 1e-300) + p / (p + 1e-300)), and adds it to the
+    gradient ``acc`` that ``p`` already has.
+    """
+    floored = p + 1e-300
+    log_p = np.log(floored)
+
+    def vjp(g, acc=0.0):
+        g = (g * -1.0)[:, None]
+        return (acc + g * log_p) + g * p / floored
+
+    return (p * log_p).sum(axis=-1) * -1.0, vjp
 
 
 def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -> Tensor:
-    """Differentiable L_ED for one MoE layer.
+    """Differentiable L_ED for one MoE layer, one graph node.
 
     ``probs`` is the [B, L, N] router output and ``domains`` gives one
     label per sequence. Token distributions are averaged to sequence means,
     sequence means to unweighted domain means, and the loss is the mean of
     -ln(JSD + eps) over unique domain pairs. With fewer than two domains the
-    loss is a constant zero (divergence-skipped).
+    loss is a constant zero (divergence-skipped). The VJP differentiates the
+    JSD through the entropy (Lin 1991) and spreads each domain mean's
+    gradient evenly over its sequences and their tokens.
     """
     domains = list(domains)
     if len(domains) != probs.shape[0]:
@@ -61,18 +85,29 @@ def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -
     if len(unique) < 2:
         return Tensor(0.0)
 
-    seq_means = T.tmean(probs, axis=1)  # [B, N]
+    b, l, n = probs.shape
     darr = np.asarray(domains)
-    means = T.concat(
-        [T.tmean(T.take_rows(seq_means, np.nonzero(darr == d)[0]), axis=0, keepdims=True)
-         for d in unique],
-        axis=0,
-    )  # [M_B, N]
+    members = [np.nonzero(darr == d)[0] for d in unique]
+    seq_means = probs.data.mean(axis=1)  # [B, N]
+    means = np.stack([seq_means[rows].mean(axis=0) for rows in members])  # [M_B, N]
     j, k = np.triu_indices(len(unique), 1)
-    pj, pk = T.take_rows(means, j), T.take_rows(means, k)  # [P, N]
-    m = T.mul(T.add(pj, pk), 0.5)
-    jsd = T.sub(_entropy_t(m), T.mul(T.add(_entropy_t(pj), _entropy_t(pk)), 0.5))
-    return T.tmean(T.mul(T.tlog(T.add(jsd, eps)), -1.0))
+    pj, pk = means[j], means[k]  # [P, N], one row per domain pair
+    (h_m, vjp_m), (h_j, vjp_j), (h_k, vjp_k) = map(_entropy, ((pj + pk) * 0.5, pj, pk))
+    jsd_eps = (h_m - (h_j + h_k) * 0.5) + eps
+    value = (np.log(jsd_eps) * -1.0).mean()
+
+    def vjp(g):
+        g_jsd = g / len(j) * -1.0 / jsd_eps
+        g_mix = vjp_m(g_jsd) * 0.5  # each of pj and pk is half of the mixture
+        g_half = -g_jsd * 0.5
+        g_means = (T._sum_rows(vjp_j(g_half, g_mix), j, len(unique))
+                   + T._sum_rows(vjp_k(g_half, g_mix), k, len(unique)))
+        g_seq = np.empty((b, n))
+        for rows, g_mean in zip(members, g_means):
+            g_seq[rows] = g_mean / len(rows)
+        return (np.broadcast_to((g_seq / l)[:, None], probs.shape).copy(),)
+
+    return T.node(value, (probs,), vjp)
 
 
 def compose_t(l_lm: Tensor, l_lb: Tensor, l_ed: Tensor, alpha: float, beta: float) -> Tensor:

@@ -115,8 +115,9 @@ def forward(model: MoEModel, tokens):
     """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
     Returns (hidden Tensor [B*L, d], [LayerTrace per MoE layer]): ``hidden``
-    is the final normalised rows, which ``lm_loss`` takes through the LM
-    head. Each trace's ``probs`` is the router output itself, so the
+    is the last block's residual rows, before the final norm, which
+    ``lm_loss`` applies with the LM head; the routing analyses read only the
+    traces. Each trace's ``probs`` is the router output itself, so the
     auxiliary losses differentiate through it; under ``no_grad`` it is a
     plain Tensor.
     """
@@ -144,21 +145,23 @@ def forward(model: MoEModel, tokens):
         x = T.add(x, T.causal_attention(xn, *attn, b, c.num_heads))
         hn = _affine_norm(x, w["ln2.g"], w["ln2.b"])
         moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
-        y, probs, selected, _ = moe_forward_batch(moe, hn)
+        y, probs, selected = moe_forward_batch(moe, hn)
         x = T.add(x, y)
         layers.append(LayerTrace(probs=probs, selected=selected))
 
-    return _affine_norm(x, p["ln_f.g"], p["ln_f.b"]), layers
+    return x, layers
 
 
 def lm_loss(model: MoEModel, hidden, tokens):
     """Next-token cross entropy (nats) of ``forward``'s ``hidden`` rows of a
-    [B, L] batch, through ``model``'s LM head in one ``T.next_token_nll``.
+    [B, L] batch: the final norm, then ``model``'s LM head and the NLL in
+    one ``T.next_token_nll``.
 
     Position t predicts token t+1 within its own sequence; final positions
     have no target and are excluded.
     """
-    return T.next_token_nll(hidden, model.params["lm_head"], tokens)
+    p = model.params
+    return T.next_token_nll(_affine_norm(hidden, p["ln_f.g"], p["ln_f.b"]), p["lm_head"], tokens)
 
 
 def perplexity(model: MoEModel, tokens) -> float:

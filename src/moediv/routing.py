@@ -1,10 +1,11 @@
 """Router and sparse mixture-of-experts layer.
 
-The router is a linear map to expert logits followed by a softmax; top-K
-gating selects the K most probable experts and renormalizes their
-probabilities into mixture weights. The full pre-selection distribution is
-always kept, because the divergence losses and all routing analyses operate
-on it, not on the sparse gates.
+The router is a linear map to expert logits followed by a softmax, one
+graph node; top-K gating selects the K most probable experts, and
+``tensor.expert_mixture`` renormalizes their probabilities into mixture
+weights. The full pre-selection distribution is always kept, because the
+divergence losses and all routing analyses operate on it, not on the sparse
+gates.
 """
 
 from __future__ import annotations
@@ -31,46 +32,51 @@ class MoELayer:
 
 
 def route(w_r, x) -> Tensor:
-    """Softmax of router logits W_r x; accepts a [d] vector or [T, d] batch."""
-    w_r = T.as_tensor(w_r)
-    x = T.as_tensor(x)
-    if x.shape[-1] != w_r.shape[1]:
-        raise ValueError(
-            f"route: hidden size {x.shape[-1]} does not match router {w_r.shape}"
-        )
-    logits = T.matmul(x, T.transpose(w_r, (1, 0)))
-    return T.softmax_rows(logits)
+    """Router probabilities of a [T, d] token batch as one graph node.
+
+    The max-shifted softmax of the logits ``x @ w_r.T``, one [N] row per
+    token; ``w_r`` is [N, d]. Raises ValueError on a non-finite logit.
+    """
+    w_r, x = T.as_tensor(w_r), T.as_tensor(x)
+    if len(x.shape) != 2 or x.shape[1] != w_r.shape[1]:
+        raise ValueError(f"route: tokens of shape {x.shape} do not match router {w_r.shape}")
+    logits = x.data @ w_r.data.T
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("route: non-finite router logit")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        g = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        # (x.T @ g).T, not g.T @ x: the product of a matmul-and-transpose
+        # graph, whose rounding the training bits were pinned with
+        return g @ w_r.data, (x.data.T @ g).T
+
+    return T.node(probs, (x, w_r), vjp)
 
 
-def topk_select(probs: np.ndarray, k: int):
-    """Vectorized top-K for a [T, N] probability array.
-
-    Returns (selected [T, K] indices in descending-probability order, gates
-    [T, K] renormalized to sum 1). Ties break toward the lowest expert index
+def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
+    """The [T, K] indices of each row's K largest probabilities of a [T, N]
+    array, in descending order. Ties break toward the lowest expert index
     (stable sort on negated probabilities).
     """
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"topk: K={k} out of range for {n} experts")
-    selected = np.argsort(-probs, axis=-1, kind="stable")[..., :k]
-    chosen = np.take_along_axis(probs, selected, axis=-1)
-    gates = chosen / chosen.sum(axis=-1, keepdims=True)
-    return selected, gates
+    return np.argsort(-probs, axis=-1, kind="stable")[..., :k]
 
 
 def moe_forward_batch(layer: MoELayer, x: Tensor):
     """Sparse MoE forward for a [T, d] token batch.
 
-    Returns (y [T, d], probs Tensor [T, N], selected [T, K], gates Tensor
-    [T, K]). Only selected experts run, all of a layer's experts in one
-    ``expert_mixture`` node; selection indices are constants for the
-    backward pass, so gradients reach the router solely through the
-    renormalized gate values and the auxiliary losses.
+    Returns (y [T, d], probs Tensor [T, N], selected [T, K]). Only selected
+    experts run, all of a layer's experts in one ``expert_mixture`` node,
+    which also renormalises the selected probabilities into gates;
+    selection indices are constants for the backward pass, so gradients
+    reach the router solely through the gate values and the auxiliary
+    losses.
     """
     probs = route(layer.router, x)
-    selected, _ = topk_select(probs.data, layer.top_k)
-    chosen = T.take_along_last(probs, selected)
-    gates = T.div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
-    y = T.expert_mixture(x, gates, selected, layer.experts)
-    return y, probs, selected, gates
+    selected = topk_select(probs.data, layer.top_k)
+    return T.expert_mixture(x, probs, selected, layer.experts), probs, selected

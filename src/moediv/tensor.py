@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: exactly the operations the toy MoE transformer and its
-losses need. Everything runs in 64-bit floats so gradient checks can use
-tight tolerances. Natural logarithms throughout.
+Deliberately small: exactly the operations the toy MoE transformer needs,
+with its heavy steps as fused ops that each make one graph node with a
+hand-written VJP. ``node`` builds such a node, so the router and the
+auxiliary losses make their own. Everything runs in 64-bit floats so
+gradient checks can use tight tolerances. Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -62,7 +64,12 @@ def _recording(parents) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _make(data, parents, vjp) -> Tensor:
+def node(data, parents, vjp) -> Tensor:
+    """A Tensor of ``data``; a graph node over ``parents`` when recording.
+
+    ``vjp(g)`` maps the gradient of the output to one gradient per parent,
+    in order; a None entry gives that parent nothing.
+    """
     out = Tensor(data)
     if _recording(parents):
         out.requires_grad = True
@@ -92,17 +99,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make(data, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make(data, (a, b), vjp)
+    return node(data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -112,7 +109,7 @@ def mul(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _make(data, (a, b), vjp)
+    return node(data, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -124,37 +121,11 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
 
-    return _make(data, (a, b), vjp)
-
-
-def tlog(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _make(data, (a,), vjp)
+    return node(data, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and shape
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = np.matmul(a.data, b.data)
-
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if ga.shape != a.shape:
-            ga = _unbroadcast(ga, a.shape)
-        if gb.shape != b.shape:
-            gb = _unbroadcast(gb, b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), vjp)
+# shape and reduction
 
 
 def reshape(a, shape) -> Tensor:
@@ -164,30 +135,7 @@ def reshape(a, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(a.shape),)
 
-    return _make(data, (a,), vjp)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
-
-    return _make(data, (a,), vjp)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(data, tuple(tensors), vjp)
+    return node(data, (a,), vjp)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
@@ -200,21 +148,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(data, (a,), vjp)
-
-
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def vjp(g):
-        g = np.asarray(g) / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(data, (a,), vjp)
+    return node(data, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +185,7 @@ def take_rows(a, idx) -> Tensor:
     def vjp(g):
         return (_sum_rows(g, idx, a.shape[0]),)
 
-    return _make(data, (a,), vjp)
+    return node(data, (a,), vjp)
 
 
 def _require_distinct_in_rows(idx, op):
@@ -260,46 +194,8 @@ def _require_distinct_in_rows(idx, op):
         raise ValueError(f"{op}: repeated index within a row")
 
 
-def take_along_last(a, idx) -> Tensor:
-    """Gather along the last axis; indices must be distinct within a row.
-
-    Distinct indices (a top-K selection) make the backward a plain
-    assignment into a zero base.
-    """
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    _require_distinct_in_rows(idx, "take_along_last")
-    data = np.take_along_axis(a.data, idx, axis=-1)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.put_along_axis(out, idx, g, axis=-1)
-        return (out,)
-
-    return _make(data, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # neural-net primitives
-
-
-def softmax_rows(a) -> Tensor:
-    """Softmax along the last axis, computed with max-subtraction.
-
-    Raises on non-finite input; output rows sum to 1.
-    """
-    a = as_tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise ValueError("softmax_rows: non-finite input")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
-
-    return _make(data, (a,), vjp)
 
 
 def layernorm(a, eps=1e-5) -> Tensor:
@@ -315,7 +211,7 @@ def layernorm(a, eps=1e-5) -> Tensor:
         gx = (g * xhat).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - xhat * gx),)
 
-    return _make(xhat, (a,), vjp)
+    return node(xhat, (a,), vjp)
 
 
 def _tile(parents, whole, part, *widths):
@@ -378,7 +274,7 @@ def next_token_nll(hidden, lm_head, tokens) -> Tensor:
 
     # a contiguous copy of the kept rows' NLL, so the mean adds them as one
     # [B*(L-1)] vector
-    return _make(-logp[:, :-1].reshape(-1).mean(), parents, vjp)
+    return node(-logp[:, :-1].reshape(-1).mean(), parents, vjp)
 
 
 def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
@@ -437,19 +333,20 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
         g_xn = (g_q @ wq.data.T + g_k @ wk.data.T) + g_v @ wv.data.T
         return (g_xn, xn.data.T @ g_q, xn.data.T @ g_k, xn.data.T @ g_v, merged.T @ g)
 
-    return _make(merged @ wo.data, parents, vjp)
+    return node(merged @ wo.data, parents, vjp)
 
 
-def expert_mixture(x, gates, selected, experts) -> Tensor:
+def expert_mixture(x, probs, selected, experts) -> Tensor:
     """Sparse mixture of SiLU-gated MLP experts as one graph node.
 
-    ``x`` is [T, d], ``gates`` [T, K] and ``selected`` an int array [T, K]
-    of expert indices, distinct within a row. ``experts`` [N, 3, d, m]
-    holds expert i's w_gate [d, m] at ``experts[i, 0]``, its w_up [d, m] at
-    ``experts[i, 1]`` and its w_down [m, d] as the same m*d values as
-    ``experts[i, 2]``. Returns y [T, d] with
+    ``x`` is [T, d], ``probs`` the [T, N] router output and ``selected`` an
+    int array [T, K] of expert indices, distinct within a row. ``experts``
+    [N, 3, d, m] holds expert i's w_gate [d, m] at ``experts[i, 0]``, its
+    w_up [d, m] at ``experts[i, 1]`` and its w_down [m, d] as the same m*d
+    values as ``experts[i, 2]``. Returns y [T, d] with
 
         y[t] = sum_k gates[t, k] * E_{selected[t, k]}(x[t]),
+        gates[t, k] = probs[t, selected[t, k]] / sum_j probs[t, selected[t, j]],
         E(x) = (silu(x w_gate) * (x w_up)) w_down.
 
     The (token, k) slots are sorted by expert once, stably, so each expert
@@ -460,11 +357,12 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     backward (a no-grad call at m or d not a multiple of 8 also runs one
     tile, see ``_tile``). A token appears at most once per expert, so each gated expert
     output is added into its token rows by plain assignment, expert by
-    expert. Selections are constants of the backward pass; the gradient
-    slices of experts that get no token are zero.
+    expert. Selections are constants of the backward pass: ``probs`` gets
+    gradient only at its selected entries, through the renormalised gates,
+    and the gradient slices of experts that get no token are zero.
     """
-    x, gates, experts = as_tensor(x), as_tensor(gates), as_tensor(experts)
-    parents = (x, gates, experts)
+    x, probs, experts = as_tensor(x), as_tensor(probs), as_tensor(experts)
+    parents = (x, probs, experts)
     selected = np.asarray(selected, dtype=np.intp)
     _require_distinct_in_rows(selected, "expert_mixture")
     t, k = selected.shape
@@ -472,10 +370,13 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
     counts = np.bincount(selected.reshape(-1), minlength=n)
     if counts.size != n:
         raise ValueError("expert_mixture: expert index out of range")
+    chosen = np.take_along_axis(probs.data, selected, axis=-1)
+    norm = chosen.sum(axis=-1, keepdims=True)
+    gates = chosen / norm
     bounds = [0, *np.cumsum(counts).tolist()]
     order = np.argsort(selected.reshape(-1), kind="stable")  # slot t * K + k
     slot_tokens = order // k
-    slot_gates = gates.data.reshape(-1)[order][:, None]
+    slot_gates = gates.reshape(-1)[order][:, None]
     record = _recording(parents)
     rows = max(1, _tile(parents, t * k, _TILE // m, m, d))
 
@@ -517,9 +418,15 @@ def expert_mixture(x, gates, selected, experts) -> Tensor:
             g_w_gate[...] = xi.T @ g_pre
             g_w_up[...] = xi.T @ g_up
             g_w_down[...] = h.T @ go
-        return g_x, g_gates.reshape(t, k), g_experts
+        # d gates / d chosen: the quotient rule, with the norm's term summed
+        # over the row, in the order of a gather, sum and divide graph
+        g_gates = g_gates.reshape(t, k)
+        g_norm = (-g_gates * chosen / (norm * norm)).sum(axis=1, keepdims=True)
+        g_probs = np.zeros_like(probs.data)
+        np.put_along_axis(g_probs, selected, g_gates / norm + g_norm, axis=-1)
+        return g_x, g_probs, g_experts
 
-    return _make(data, parents, vjp)
+    return node(data, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -334,11 +334,12 @@ class TestAnalysisCommands:
         assert 0.0 - 1e-9 <= x <= 1.0 + 1e-9
         assert -1e-9 <= y <= np.sqrt(3) / 2 + 1e-9
 
-    def test_ternary_needs_three_domains(self, trained, tmp_path):
+    def test_ternary_needs_three_domains(self, trained, tmp_path, capsys):
         corpus2 = write_corpus(tmp_path / "two.jsonl", domains=("a", "b"))
         rc = cli.run(["ternary", "--ckpt", str(trained["ckpt"]),
                       "--data", str(corpus2)])
-        assert rc == 2
+        assert rc == 1
+        assert "error: --data: ternary needs exactly 3 domains, got 2" in capsys.readouterr().err
 
     def test_resume_from_checkpoint(self, trained, tmp_path):
         # a 3-step run leaves its checkpoint at step 3; resuming it under

@@ -8,6 +8,23 @@ from moediv import tensor as T
 from moediv.divergence import jsd_pair
 from moediv.trainer import TrainConfig
 
+import graph_ops as G
+
+
+def oracle_pair(composite, fused, probs, *args):
+    """(values, gradients into ``probs``) of the composite graph and the
+    fused node, each scaled by the same cotangent."""
+    outs, grads = [], []
+    for op in (composite, fused):
+        y = op(probs, *args)
+        outs.append(y.data)
+        grads.append(T.backward(T.mul(y, 0.37)).get(probs))
+    return outs, grads
+
+
+def assert_same(new, old):
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
+
 
 def load_balance(probs, sel):
     return losses.load_balance_loss_t(T.Tensor(probs), sel).item()
@@ -81,6 +98,22 @@ class TestLoadBalance:
         f = losses._selection_fractions(sel, 4)
         expected = np.tile(4 * f / 6, (6, 1))
         np.testing.assert_allclose(grads[probs], expected, atol=1e-12)
+
+
+    @pytest.mark.parametrize("t, n, k", [(9, 6, 2), (12, 4, 4), (1, 3, 1)])  # K = N at n = 4
+    def test_matches_composite_oracle(self, t, n, k):
+        rng = np.random.default_rng(t)
+        probs = T.Tensor(rng.dirichlet(np.ones(n), size=t), requires_grad=True)
+        sel = np.argsort(rng.random((t, n)), axis=1)[:, :k]
+        (old, new), (g_old, g_new) = oracle_pair(
+            G.composite_load_balance, losses.load_balance_loss_t, probs, sel)
+        assert_same(new, old)
+        assert_same(g_new, g_old)
+
+    def test_one_graph_node(self):
+        probs = T.Tensor(np.full((3, 4), 0.25), requires_grad=True)
+        out = losses.load_balance_loss_t(probs, np.array([[0], [1], [1]]))
+        assert out._parents == (probs,)
 
 
 class TestExpertDivergenceT:
@@ -170,6 +203,35 @@ class TestExpertDivergenceT:
         out = ed_loss(probs, 2, ["a", "a", "b", "b"])
         # both domain means are (0.5, 0.5): identical means closed form
         assert out.item() == pytest.approx(-np.log(1e-8), abs=1e-9)
+
+    @pytest.mark.parametrize("domains, one_hot", [
+        (["a", "b", "a", "a"], False),            # 2 domains: 3 and 1 sequences
+        (["x", "y", "z", "x", "y", "x"], False),  # 3 domains: 3, 2 and 1 sequences
+        (["a", "b", "c", "b"], True),             # domain a's mean is an exact one-hot
+    ])
+    def test_matches_composite_oracle(self, domains, one_hot):
+        rng = np.random.default_rng(len(domains))
+        probs = rng.dirichlet(np.ones(4), size=(len(domains), 3))
+        if one_hot:
+            probs[0] = [0.0, 0.0, 1.0, 0.0]  # zeros meet the 1e-300 floor
+        probs = T.Tensor(probs, requires_grad=True)
+        (old, new), (g_old, g_new) = oracle_pair(
+            G.composite_expert_divergence, losses.expert_divergence_loss_t, probs, domains)
+        assert_same(new, old)
+        assert_same(g_new, g_old)
+        assert np.all(np.isfinite(g_new))
+
+    def test_single_domain_has_no_gradient(self):
+        probs = T.Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
+        (old, new), (g_old, g_new) = oracle_pair(
+            G.composite_expert_divergence, losses.expert_divergence_loss_t, probs, ["a", "a"])
+        assert new == old == 0.0
+        assert g_new is None and g_old is None
+
+    def test_one_graph_node(self):
+        probs = T.Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
+        out = losses.expert_divergence_loss_t(probs, ["a", "b"])
+        assert out._parents == (probs,)
 
     def test_gradient_flows_to_probs(self):
         rng = np.random.default_rng(4)

@@ -114,10 +114,14 @@ class TestLMLoss:
         tokens = np.array([[2, 5, 7, 1], [3, 3, 0, 8]])
         hidden, _ = forward(model, tokens)
         loss = lm_loss(model, hidden, tokens)
-        # oracle: average -log softmax(logits[t])[tokens[t+1]] over the
-        # 3 predicting positions of each sequence
+        # oracle: the final norm of the residual rows, then the average
+        # -log softmax(logits[t])[tokens[t+1]] over the 3 predicting
+        # positions of each sequence
+        h = hidden.data
+        h = (h - h.mean(axis=1, keepdims=True)) / np.sqrt(h.var(axis=1, keepdims=True) + 1e-5)
+        h = h * model.params["ln_f.g"].data + model.params["ln_f.b"].data
         total = 0.0
-        data = hidden.data @ model.params["lm_head"].data
+        data = h @ model.params["lm_head"].data
         for s in range(2):
             for t in range(3):
                 row = data[s * 4 + t]

@@ -6,11 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from moediv import tensor as T
 
-
-def silu(a):
-    """SiLU as one graph op, the formula ``expert_mixture`` inlines."""
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    return T._make(a.data * sig, (a,), lambda g: (g * (sig * (1.0 + a.data * (1.0 - sig))),))
+import graph_ops as G
 
 
 def scalar_softmax(row):
@@ -23,28 +19,28 @@ def scalar_softmax(row):
 
 class TestSoftmax:
     def test_symmetric(self):
-        out = T.softmax_rows(T.Tensor([0.0, 0.0, 0.0, 0.0]))
+        out = G.softmax_rows(T.Tensor([0.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-15)
 
     def test_analytic(self):
-        out = T.softmax_rows(T.Tensor([0.0, np.log(3.0)]))
+        out = G.softmax_rows(T.Tensor([0.0, np.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-15)
 
     def test_no_overflow(self):
-        out = T.softmax_rows(T.Tensor([1000.0, 0.0]))
+        out = G.softmax_rows(T.Tensor([1000.0, 0.0]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, scalar_softmax([1000.0, 0.0]), atol=1e-15)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            T.softmax_rows(T.Tensor([np.inf, 0.0]))
+            G.softmax_rows(T.Tensor([np.inf, 0.0]))
         with pytest.raises(ValueError):
-            T.softmax_rows(T.Tensor([np.nan, 0.0]))
+            G.softmax_rows(T.Tensor([np.nan, 0.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, (3, 7), elements=st.floats(-50, 50)))
     def test_rows_sum_to_one(self, logits):
-        out = T.softmax_rows(T.Tensor(logits))
+        out = G.softmax_rows(T.Tensor(logits))
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(out.data >= 0)
 
@@ -66,7 +62,7 @@ def cross_entropy_mean(logits, targets):
         probs[np.arange(t), targets] -= 1.0
         return (probs * (float(g) / t),)
 
-    return T._make(-logp.mean(), (logits,), vjp)
+    return T.node(-logp.mean(), (logits,), vjp)
 
 
 def composite_nll(hidden, lm_head, tokens):
@@ -74,7 +70,7 @@ def composite_nll(hidden, lm_head, tokens):
     ``take_rows`` of every row but each sequence's last, ``cross_entropy_mean``."""
     b, l = tokens.shape
     keep = np.concatenate([np.arange(l - 1) + i * l for i in range(b)])
-    rows = T.take_rows(T.matmul(hidden, lm_head), keep)
+    rows = T.take_rows(G.matmul(hidden, lm_head), keep)
     return cross_entropy_mean(rows, tokens[:, 1:].reshape(-1))
 
 
@@ -141,9 +137,9 @@ class TestBackward:
         v = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
 
         def build():
-            h = silu(T.matmul(w, v))
-            p = T.softmax_rows(T.layernorm(h))
-            return T.tsum(T.mul(p, T.tlog(p)))
+            h = G.silu(G.matmul(w, v))
+            p = G.softmax_rows(T.layernorm(h))
+            return T.tsum(T.mul(p, G.tlog(p)))
 
         g1 = T.backward(build())
         g2 = T.backward(build())
@@ -170,9 +166,9 @@ class TestGradCheck:
         x = rng.normal(size=(5, 4))
 
         def f():
-            h = silu(T.add(T.matmul(x, w), b))
-            p = T.softmax_rows(h)
-            return T.tmean(T.mul(p, p))
+            h = G.silu(T.add(G.matmul(x, w), b))
+            p = G.softmax_rows(h)
+            return G.tmean(T.mul(p, p))
 
         assert T.grad_check(lambda: {"y": f()}, [w, b], h=1e-5)["y"] <= 1e-4
 
@@ -183,8 +179,8 @@ class TestGradCheck:
 
         def f():
             rows = T.take_rows(x, idx)
-            back = T.matmul(one_hot(idx, 6).T, rows)
-            picked = T.take_along_last(back, np.tile([1, 2], (6, 1)))
+            back = G.matmul(one_hot(idx, 6).T, rows)
+            picked = G.take_along_last(back, np.tile([1, 2], (6, 1)))
             return T.tsum(T.mul(picked, picked))
 
         assert T.grad_check(lambda: {"y": f()}, [x], h=1e-5)["y"] <= 1e-6
@@ -261,7 +257,7 @@ class TestGatherBackward:
         a = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         idx = np.array([[5, 0], [2, 3], [0, 1], [4, 2]])
         weights = rng.normal(size=(4, 2))
-        out = T.take_along_last(a, idx)
+        out = G.take_along_last(a, idx)
         grads = T.backward(T.tsum(T.mul(out, weights)))
         for r in range(4):
             np.testing.assert_array_equal(out.data[r], one_hot(idx[r], 6) @ a.data[r])
@@ -272,7 +268,7 @@ class TestGatherBackward:
         # the backward assigns, so a repeated index within a row would lose
         # a term; it is refused up front
         with pytest.raises(ValueError, match="repeated"):
-            T.take_along_last(T.Tensor(np.ones((2, 4))), np.array([[0, 1], [2, 2]]))
+            G.take_along_last(T.Tensor(np.ones((2, 4))), np.array([[0, 1], [2, 2]]))
 
 
 def composite_attention(xn, wq, wk, wv, wo, batch, num_heads):
@@ -282,14 +278,14 @@ def composite_attention(xn, wq, wk, wv, wo, batch, num_heads):
     l, dh = xn.shape[0] // batch, xn.shape[1] // num_heads
 
     def split(t):
-        return T.transpose(T.reshape(t, (batch, l, num_heads, dh)), (0, 2, 1, 3))
+        return G.transpose(T.reshape(t, (batch, l, num_heads, dh)), (0, 2, 1, 3))
 
-    q, k, v = (split(T.matmul(xn, w)) for w in (wq, wk, wv))
+    q, k, v = (split(G.matmul(xn, w)) for w in (wq, wk, wv))
     mask = np.triu(np.full((l, l), -1e30), k=1)
-    scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), mask)
-    out = T.matmul(T.softmax_rows(scores), v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch * l, num_heads * dh))
-    return T.matmul(out, wo)
+    scores = T.add(T.mul(G.matmul(q, G.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)), mask)
+    out = G.matmul(G.softmax_rows(scores), v)
+    out = T.reshape(G.transpose(out, (0, 2, 1, 3)), (batch * l, num_heads * dh))
+    return G.matmul(out, wo)
 
 
 def attention_inputs(seed, batch, length, d=8):

@@ -279,6 +279,17 @@ class TestObjective:
         traces = analysis.collect_traces(model, {"a": tiny_batches()[0].sequences})
         assert not traces["a"][0].probs.requires_grad
 
+    def test_graph_node_count(self):
+        # a default-config step on a three-domain demo batch: per block two
+        # affine norms, attention, router, experts and two residual adds;
+        # per layer one L_LB node and one L_ED node (behind a reshape)
+        docs, _ = D.synth_corpus(D.three_domain_demo_specs(), seed=3)
+        train_docs, _ = D.split_validation(docs, 64, 100)
+        batch = D.pack_batches(train_docs, 64, 8, 0)[0]
+        assert len(set(batch.domains)) == 3
+        terms, _ = TR.objective(MoEModel(ModelConfig(), seed=0), batch, TR.TrainConfig())
+        assert len(T._toposort(terms["l_final"])) == 73
+
 
 class TestRunTraining:
     def test_outputs_and_metrics_lines(self, tmp_path):
