@@ -8,7 +8,7 @@ distinct routing policies per data domain, plus the analysis tooling
 heatmaps, ternary projections) to measure the resulting specialization.
 """
 
-from .data import DomainBatch, SynthDomainSpec, load_corpus, pack_batches, synth_corpus
+from .data import DataConfig, DomainBatch, SynthDomainSpec, load_corpus, pack_batches, synth_corpus
 from .divergence import (
     DivergenceReport,
     decompose,

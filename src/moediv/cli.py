@@ -14,9 +14,8 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, checks, data as data_mod, trainer as trainer_mod
+from .data import DataConfig
 from .model import ModelConfig, MoEModel, load_checkpoint
 from .trainer import TrainConfig
 
@@ -33,22 +32,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# keys accepted in the plain-text config file, with their defaults; a
-# key's value is parsed with the type of its default
-_MODEL_DEFAULTS = dataclasses.asdict(ModelConfig())
-_TRAIN_DEFAULTS = dataclasses.asdict(TrainConfig())
-_DATA_DEFAULTS = {"seq_len": 64, "batch_size": 8, "val_sequences": 100}
+# the config file's keys: the fields of these classes, typed by their defaults
+_CONFIGS = (ModelConfig, TrainConfig, DataConfig)
 
 
 def parse_config(path=None):
-    """Read key = value lines into (ModelConfig, TrainConfig, data options).
+    """Read key = value lines into (ModelConfig, TrainConfig, DataConfig).
 
-    Every key has a default, so an empty or missing config is valid.
+    Every key has a default, so an empty or missing config is valid. The
+    classes refuse their own bad values; ``seq_len`` is checked here
+    because its bound is the model's ``max_seq_len``.
     """
-    model_kw, train_kw = {}, {}
-    data_kw = dict(_DATA_DEFAULTS)
+    kws = {cls: {} for cls in _CONFIGS}
+    defaults = {cls: dataclasses.asdict(cls()) for cls in _CONFIGS}
     if path is not None:
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise UsageError(f"--config: no such file: {path}")
         with open(path, "r", encoding="utf-8") as f:
             for lineno, raw in enumerate(f, start=1):
@@ -58,11 +56,9 @@ def parse_config(path=None):
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (s.strip() for s in line.split("=", 1))
-                for kw, defaults in ((model_kw, _MODEL_DEFAULTS),
-                                     (train_kw, _TRAIN_DEFAULTS),
-                                     (data_kw, _DATA_DEFAULTS)):
-                    if key in defaults:
-                        kind = type(defaults[key])
+                for cls, kw in kws.items():
+                    if key in defaults[cls]:
+                        kind = type(defaults[cls][key])
                         try:
                             kw[key] = kind(value)
                         except ValueError:
@@ -74,15 +70,13 @@ def parse_config(path=None):
                 else:
                     raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
     try:
-        model_cfg, train_cfg = ModelConfig(**model_kw), TrainConfig(**train_kw)
-        if data_kw["batch_size"] < 1:
-            raise ValueError(f"batch_size must be at least 1, got {data_kw['batch_size']}")
-        if not 2 <= data_kw["seq_len"] <= model_cfg.max_seq_len:
+        model_cfg, train_cfg, data_cfg = (cls(**kw) for cls, kw in kws.items())
+        if not 2 <= data_cfg.seq_len <= model_cfg.max_seq_len:
             raise ValueError(f"seq_len must be in [2, max_seq_len = {model_cfg.max_seq_len}], "
-                             f"got {data_kw['seq_len']}")
+                             f"got {data_cfg.seq_len}")
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return model_cfg, train_cfg, data_kw
+    return model_cfg, train_cfg, data_cfg
 
 
 def _int_at_least(lo):
@@ -95,23 +89,18 @@ def _int_at_least(lo):
 
 
 def _require_file(path, flag):
-    if path is None or not os.path.exists(path):
+    if path is None or not os.path.isfile(path):
         raise UsageError(f"{flag}: no such file: {path}")
 
 
 def _load_valsets(path, seq_len, limit):
     docs, _ = data_mod.load_corpus(path)
-    sequences, labels = data_mod.pack_sequences(docs, seq_len)
-    valsets: dict[str, list] = {}
-    for s, d in zip(sequences, labels):
-        valsets.setdefault(d, []).append(s)
-    short = sorted({doc.domain for doc in docs} - valsets.keys())
+    packed = data_mod.pack_sequences(docs, seq_len)
+    short = sorted(d for d, rows in packed.items() if not len(rows))
     if short:
         raise UsageError(f"--data: shorter than one sequence of {seq_len} tokens: "
                          f"domain {', '.join(short)}")
-    return {
-        d: np.stack(seqs[:limit]).astype(np.intp) for d, seqs in valsets.items()
-    }
+    return {d: rows[:limit] for d, rows in packed.items()}
 
 
 def _model_and_valsets(args):
@@ -128,26 +117,27 @@ def cmd_train(args):
     if args.seed is not None:
         train_cfg.seed = args.seed
     _require_file(args.data, "--data")
-    if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
-        raise UsageError(f"--out: {args.out} exists and is not empty (use --force)")
-    os.makedirs(args.out, exist_ok=True)
-
-    docs, _ = data_mod.load_corpus(args.data)
-    batches = data_mod.pack_batches(
-        docs, data_cfg["seq_len"], data_cfg["batch_size"], train_cfg.seed
-    )
-    start_step = 0
-    opt_state = None
     if args.resume:
         _require_file(args.resume, "--resume")
+    if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
+        raise UsageError(f"--out: {args.out} exists and is not empty (use --force)")
+
+    docs, _ = data_mod.load_corpus(args.data)
+    try:
+        batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
+                                        train_cfg.seed)
+    except ValueError as exc:
+        raise UsageError(f"--data: {exc}") from None
+    if args.resume:
         model, start_step, opt_state = load_checkpoint(args.resume)
         log.info("resuming at step %d", start_step)
     else:
-        model = MoEModel(model_cfg, seed=train_cfg.seed)
+        model, start_step, opt_state = MoEModel(model_cfg, seed=train_cfg.seed), 0, None
 
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as f:
-        for section in (dataclasses.asdict(model.config), dataclasses.asdict(train_cfg), data_cfg):
-            for k, v in section.items():
+        for cfg in (model.config, train_cfg, data_cfg):
+            for k, v in dataclasses.asdict(cfg).items():
                 f.write(f"{k} = {v}\n")
 
     final, metrics = trainer_mod.run_training(

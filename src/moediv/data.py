@@ -1,8 +1,10 @@
-"""Domain-labeled corpora: JSONL ingestion, synthetic generation, batch packing.
+"""Domain-labeled corpora: JSONL ingestion, synthetic generation, packing.
 
 Text is tokenized as raw UTF-8 bytes (vocab 256), so the artifact needs no
-external tokenizer assets. Every packed sequence carries exactly one domain
-label and never mixes bytes from documents of different domains.
+external tokenizer assets. ``pack_sequences`` cuts each domain's stream into
+its own [n, seq_len] array, so a packed sequence never mixes bytes from
+documents of different domains; batching, the validation split and the
+analysis verbs slice those arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ class DomainBatch:
 
     sequences: np.ndarray
     domains: list[str]
+
+
+@dataclass
+class DataConfig:
+    """How ``moediv train`` packs its corpus; ``val_sequences`` is not read yet."""
+
+    seq_len: int = 64
+    batch_size: int = 8
+    val_sequences: int = 100
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 def load_corpus(path):
@@ -131,28 +146,23 @@ def three_domain_demo_specs(num_docs: int = 8, doc_len: int = 2048):
 
 
 def pack_sequences(docs, seq_len: int):
-    """Chunk documents into fixed-length sequences without crossing domains.
+    """Cut each domain's token stream into [n, seq_len] rows.
 
-    Documents are concatenated per domain (in stream order) and each domain
+    Documents are concatenated per domain, in stream order, and each domain
     stream is cut into seq_len chunks; only each domain's tail remainder is
-    dropped, so token conservation holds per domain.
+    dropped, so token conservation holds per domain. Returns
+    {domain: [n, seq_len] intp array} with domains in first-seen order; a
+    domain shorter than one sequence maps to a [0, seq_len] array.
     """
     streams: dict[str, list] = {}
-    order: list[str] = []
     for doc in docs:
-        if doc.domain not in streams:
-            streams[doc.domain] = []
-            order.append(doc.domain)
-        streams[doc.domain].append(doc.tokens)
-    sequences = []
-    labels = []
-    for dom in order:
-        data = np.concatenate(streams[dom])
+        streams.setdefault(doc.domain, []).append(doc.tokens)
+    packed = {}
+    for dom, parts in streams.items():
+        data = np.concatenate(parts)
         n = len(data) // seq_len
-        for i in range(n):
-            sequences.append(data[i * seq_len : (i + 1) * seq_len])
-            labels.append(dom)
-    return sequences, labels
+        packed[dom] = data[: n * seq_len].reshape(n, seq_len).astype(np.intp)
+    return packed
 
 
 def pack_batches(docs, seq_len: int, batch_size: int, seed: int):
@@ -161,46 +171,39 @@ def pack_batches(docs, seq_len: int, batch_size: int, seed: int):
     Deterministic given ``seed``; a trailing group smaller than batch_size is
     dropped so every batch has the same shape.
     """
-    sequences, labels = pack_sequences(docs, seq_len)
-    if not sequences:
+    packed = pack_sequences(docs, seq_len)
+    labels = [dom for dom, rows in packed.items() for _ in range(len(rows))]
+    if not labels:
         raise ValueError("corpus shorter than one packed sequence")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(sequences))
-    batches = []
-    for start in range(0, len(perm) - batch_size + 1, batch_size):
-        take = perm[start : start + batch_size]
-        batches.append(
-            DomainBatch(
-                sequences=np.stack([sequences[i] for i in take]).astype(np.intp),
-                domains=[labels[i] for i in take],
-            )
-        )
+    sequences = np.concatenate(list(packed.values()))
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    batches = [
+        DomainBatch(sequences=sequences[take], domains=[labels[i] for i in take])
+        for take in (perm[s : s + batch_size]
+                     for s in range(0, len(perm) - batch_size + 1, batch_size))
+    ]
     if not batches:
-        raise ValueError(
-            f"corpus yields {len(sequences)} sequences, fewer than batch_size={batch_size}"
-        )
+        raise ValueError(f"corpus yields {len(labels)} sequences, "
+                         f"fewer than batch_size={batch_size}")
     return batches
 
 
 def split_validation(docs, seq_len: int, val_sequences: int):
     """Hold out the tail of each domain as its validation slice.
 
-    Returns (train_docs, valsets) where valsets maps domain -> [n, seq_len]
-    token array (up to ``val_sequences`` sequences per domain).
+    Returns (train_docs, valsets): valsets maps each domain to its last
+    ``val_sequences`` rows of ``pack_sequences`` (at most a fifth of them,
+    at least one), and train_docs holds one Document per domain with the
+    rest. A domain shorter than one sequence is left out of both.
     """
-    sequences, labels = pack_sequences(docs, seq_len)
-    per_domain: dict[str, list] = {}
-    for s, d in zip(sequences, labels):
-        per_domain.setdefault(d, []).append(s)
-    valsets = {}
-    train_docs = []
-    for dom, seqs in per_domain.items():
-        n_val = min(val_sequences, max(1, len(seqs) // 5))
-        val = seqs[-n_val:]
-        train = seqs[:-n_val]
-        valsets[dom] = np.stack(val).astype(np.intp)
-        if train:
-            train_docs.append(Document(tokens=np.concatenate(train), domain=dom))
+    valsets, train_docs = {}, []
+    for dom, rows in pack_sequences(docs, seq_len).items():
+        if not len(rows):
+            continue
+        n_val = min(val_sequences, max(1, len(rows) // 5))
+        valsets[dom], train = rows[-n_val:], rows[:-n_val]
+        if len(train):
+            train_docs.append(Document(tokens=train.ravel().astype(np.uint8), domain=dom))
     if not train_docs:
         raise ValueError("no training data left after validation split")
     return train_docs, valsets

@@ -12,7 +12,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,11 @@ class TrainConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
+        for key, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key.startswith("adam_beta") and not 0 <= value < 1:
+                raise ValueError(f"{key} must be in [0, 1), got {value}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if self.warmup_steps > self.total_steps:

@@ -9,6 +9,7 @@ training-synergy, perturbation, and heatmap criteria.
 import json
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def twin(tmp_path_factory):
         final, metrics = run_training(model, batches, cfg, root / tag)
         out[tag] = {
             "model": model,
-            "metrics": [json.loads(l) for l in open(metrics)],
+            "metrics": [json.loads(l) for l in Path(metrics).read_text().splitlines()],
         }
         out["wall"][tag] = time.perf_counter() - t0
     return out
@@ -211,7 +212,7 @@ def test_c9_determinism_and_resume(tmp_path):
     for sub in ("r1", "r2"):
         model = MoEModel(config, seed=4)
         _, metrics = run_training(model, batches, cfg, tmp_path / sub)
-        logs.append(open(metrics, "rb").read())
+        logs.append(Path(metrics).read_bytes())
     identical = logs[0] == logs[1]
 
     half_cfg = TrainConfig(total_steps=15, warmup_steps=5, checkpoint_interval=15, seed=4)
@@ -222,11 +223,11 @@ def test_c9_determinism_and_resume(tmp_path):
     shutil.copy(tmp_path / "half" / "metrics.jsonl", tmp_path / "resume" / "metrics.jsonl")
     run_training(resumed, batches, cfg, tmp_path / "resume",
                  start_step=step, opt_state=opt)
-    resume_log = open(tmp_path / "resume" / "metrics.jsonl", "rb").read()
+    resume_log = (tmp_path / "resume" / "metrics.jsonl").read_bytes()
     resume_ok = resume_log == logs[0]
     ckpt_ok = (
-        open(tmp_path / "r1" / "final.moediv", "rb").read()
-        == open(tmp_path / "resume" / "final.moediv", "rb").read()
+        (tmp_path / "r1" / "final.moediv").read_bytes()
+        == (tmp_path / "resume" / "final.moediv").read_bytes()
     )
 
     ok = identical and resume_ok and ckpt_ok

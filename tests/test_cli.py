@@ -63,14 +63,14 @@ class TestParseConfig:
     def test_empty_defaults(self):
         mc, tc, dc = cli.parse_config(None)
         assert mc.num_experts == 8 and tc.alpha == 1e-3
-        assert dc == {"seq_len": 64, "batch_size": 8, "val_sequences": 100}
+        assert dataclasses.asdict(dc) == {"seq_len": 64, "batch_size": 8, "val_sequences": 100}
 
     def test_roundtrip(self, tmp_path):
         p = write_config(tmp_path / "c.ini")
         mc, tc, dc = cli.parse_config(p)
         assert mc.num_layers == 1 and mc.num_experts == 4
         assert tc.total_steps == 6 and tc.warmup_steps == 2
-        assert dc["seq_len"] == 12 and dc["batch_size"] == 4
+        assert dc.seq_len == 12 and dc.batch_size == 4
 
     def test_comments_and_floats(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -100,7 +100,7 @@ class TestParseConfig:
         p = tmp_path / "c.ini"
         p.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items()))
         mc, tc, dc = cli.parse_config(p)
-        parsed = {**dataclasses.asdict(mc), **dataclasses.asdict(tc), **dc}
+        parsed = {**dataclasses.asdict(mc), **dataclasses.asdict(tc), **dataclasses.asdict(dc)}
         assert parsed.keys() == defaults.keys()
         for key, value in defaults.items():
             assert type(parsed[key]) is type(value) and parsed[key] == value, key
@@ -215,6 +215,16 @@ class TestExitCodes:
         ("num_layers = 0", "num_layers must be at least 1, got 0"),
         ("top_k = 0", "top_k must be at least 1, got 0"),
         ("checkpoint_interval = 0", "checkpoint_interval must be at least 1, got 0"),
+        ("lr = nan", "lr must be finite, got nan"),
+        ("weight_decay = nan", "weight_decay must be finite, got nan"),
+        ("eps = nan", "eps must be finite, got nan"),
+        ("alpha = nan", "alpha must be finite, got nan"),
+        ("beta = inf", "beta must be finite, got inf"),
+        ("lr = inf", "lr must be finite, got inf"),
+        ("grad_clip = nan", "grad_clip must be finite, got nan"),
+        ("adam_beta1 = 1.0", "adam_beta1 must be in [0, 1), got 1.0"),
+        ("adam_beta2 = 1.0", "adam_beta2 must be in [0, 1), got 1.0"),
+        ("adam_beta1 = -0.5", "adam_beta1 must be in [0, 1), got -0.5"),
     ])
     def test_invalid_config_is_usage_error(self, trained, tmp_path, capsys, line, message):
         config = tmp_path / "c.ini"
@@ -226,6 +236,38 @@ class TestExitCodes:
         assert f"error: {config}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("", "corpus shorter than one packed sequence", id="empty"),
+        # 100 bytes: one sequence of the default seq_len 64
+        pytest.param(json.dumps({"text": "ab" * 50, "domain": "a"}) + "\n",
+                     "corpus yields 1 sequences, fewer than batch_size=8", id="one sequence"),
+    ])
+    def test_corpus_smaller_than_a_batch_is_usage_error(self, tmp_path, capsys, text, message):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(text)
+        out = tmp_path / "out"
+        assert cli.run(["train", "--data", str(corpus), "--out", str(out)]) == 1
+        assert f"error: --data: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("train", "--config"), ("train", "--data"), ("train", "--resume"),
+        ("decompose", "--ckpt"), ("decompose", "--data"),
+    ])
+    def test_directory_is_not_a_file(self, trained, tmp_path, capsys, verb, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        if verb == "train":
+            given = {"--config": trained["config"], "--data": trained["corpus"], "--out": out}
+        else:
+            given = {"--ckpt": trained["ckpt"], "--data": trained["corpus"]}
+        given[flag] = folder
+        argv = [verb] + [str(a) for pair in given.items() for a in pair]
+        assert cli.run(argv) == 1
+        assert f"error: {flag}: no such file: {folder}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainOutputs:
     def test_artifacts(self, trained):
@@ -233,7 +275,7 @@ class TestTrainOutputs:
         assert (out / "final.moediv").exists()
         assert (out / "checkpoint.moediv").exists()
         assert (out / "config.txt").exists()
-        lines = [json.loads(l) for l in open(out / "metrics.jsonl")]
+        lines = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert [l["step"] for l in lines] == list(range(6))
         assert all(np.isfinite(l["l_final"]) for l in lines)
 
@@ -358,7 +400,7 @@ class TestAnalysisCommands:
                       "--data", str(trained["corpus"]), "--out", str(out2),
                       "--seed", "3", "--resume", str(out1 / "checkpoint.moediv")])
         assert rc == 0
-        lines = [json.loads(l) for l in open(out2 / "metrics.jsonl")]
+        lines = [json.loads(l) for l in (out2 / "metrics.jsonl").read_text().splitlines()]
         assert [l["step"] for l in lines] == [3, 4, 5]
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from moediv import cli
 from moediv import data as D
 
 
@@ -122,24 +123,31 @@ class TestPacking:
         ]
 
     def test_no_domain_crossing(self):
-        seqs, labels = D.pack_sequences(self.docs(), seq_len=4)
-        for s, lab in zip(seqs, labels):
+        packed = D.pack_sequences(self.docs(), seq_len=4)
+        for lab, rows in packed.items():
             src = set(range(10)) | set(range(20, 25)) if lab == "a" else set(range(50, 57))
-            assert set(s.tolist()) <= src
+            for s in rows:
+                assert set(s.tolist()) <= src
 
     def test_per_domain_token_conservation(self):
-        seqs, labels = D.pack_sequences(self.docs(), seq_len=4)
-        kept = {"a": 0, "b": 0}
-        for s, lab in zip(seqs, labels):
-            kept[lab] += len(s)
+        packed = D.pack_sequences(self.docs(), seq_len=4)
+        kept = {lab: rows.size for lab, rows in packed.items()}
         # domain a has 15 tokens -> 3 chunks of 4, remainder 3 dropped
         # domain b has 7 tokens -> 1 chunk, remainder 3 dropped
         assert kept == {"a": 12, "b": 4}
 
     def test_stream_order_preserved(self):
-        seqs, labels = D.pack_sequences(self.docs(), seq_len=5)
-        a_seqs = [s for s, l in zip(seqs, labels) if l == "a"]
-        np.testing.assert_array_equal(np.concatenate(a_seqs)[:10], np.arange(10))
+        packed = D.pack_sequences(self.docs(), seq_len=5)
+        np.testing.assert_array_equal(packed["a"].ravel()[:10], np.arange(10))
+
+    def test_per_domain_arrays(self):
+        # first-seen domain order; a domain shorter than one sequence keeps
+        # its key with no rows
+        docs = self.docs() + [D.Document(tokens=np.arange(3, dtype=np.uint8), domain="c")]
+        packed = D.pack_sequences(docs, seq_len=4)
+        assert list(packed) == ["a", "b", "c"]
+        assert [rows.shape for rows in packed.values()] == [(3, 4), (1, 4), (0, 4)]
+        assert all(rows.dtype == np.intp for rows in packed.values())
 
     def test_batches_deterministic(self):
         docs = self.docs()
@@ -195,3 +203,137 @@ class TestValidationSplit:
         # cap at a fifth of the sequences so training never goes empty
         assert all(v.shape[0] >= 1 for v in valsets.values())
         assert len(train) == 2
+
+
+# The list-based packing that ``pack_sequences`` replaced, with the three
+# consumers that each regrouped its flat lists by domain: the oracles of the
+# per-domain arrays.
+
+def oracle_pack_sequences(docs, seq_len):
+    streams, order = {}, []
+    for doc in docs:
+        if doc.domain not in streams:
+            streams[doc.domain] = []
+            order.append(doc.domain)
+        streams[doc.domain].append(doc.tokens)
+    sequences, labels = [], []
+    for dom in order:
+        data = np.concatenate(streams[dom])
+        for i in range(len(data) // seq_len):
+            sequences.append(data[i * seq_len : (i + 1) * seq_len])
+            labels.append(dom)
+    return sequences, labels
+
+
+def oracle_pack_batches(docs, seq_len, batch_size, seed):
+    sequences, labels = oracle_pack_sequences(docs, seq_len)
+    perm = np.random.default_rng(seed).permutation(len(sequences))
+    return [
+        D.DomainBatch(sequences=np.stack([sequences[i] for i in take]).astype(np.intp),
+                      domains=[labels[i] for i in take])
+        for take in (perm[s : s + batch_size]
+                     for s in range(0, len(perm) - batch_size + 1, batch_size))
+    ]
+
+
+def oracle_split_validation(docs, seq_len, val_sequences):
+    sequences, labels = oracle_pack_sequences(docs, seq_len)
+    per_domain = {}
+    for s, d in zip(sequences, labels):
+        per_domain.setdefault(d, []).append(s)
+    valsets, train_docs = {}, []
+    for dom, seqs in per_domain.items():
+        n_val = min(val_sequences, max(1, len(seqs) // 5))
+        valsets[dom] = np.stack(seqs[-n_val:]).astype(np.intp)
+        if seqs[:-n_val]:
+            train_docs.append(D.Document(tokens=np.concatenate(seqs[:-n_val]), domain=dom))
+    return train_docs, valsets
+
+
+def oracle_load_valsets(path, seq_len, limit):
+    docs, _ = D.load_corpus(path)
+    sequences, labels = oracle_pack_sequences(docs, seq_len)
+    valsets = {}
+    for s, d in zip(sequences, labels):
+        valsets.setdefault(d, []).append(s)
+    short = sorted({doc.domain for doc in docs} - valsets.keys())
+    if short:
+        raise cli.UsageError(f"--data: shorter than one sequence of {seq_len} tokens: "
+                             f"domain {', '.join(short)}")
+    return {d: np.stack(seqs[:limit]).astype(np.intp) for d, seqs in valsets.items()}
+
+
+def _stream(domain, start, n):
+    return D.Document(tokens=(np.arange(start, start + n) % 128).astype(np.uint8),
+                      domain=domain)
+
+
+@pytest.fixture(scope="module")
+def demo_docs():
+    return D.synth_corpus(D.three_domain_demo_specs(), seed=3)[0]
+
+
+# interleaved: domains alternate in the stream and no document is a whole
+# number of sequences; short: domain "z" holds fewer tokens than one sequence
+PACKING_CASES = {
+    "demo-64": (None, 64, 8, 100, 100),
+    "demo-128": (None, 128, 8, 100, 100),
+    "interleaved": ([_stream("a", 0, 13), _stream("b", 100, 9), _stream("a", 13, 30),
+                     _stream("c", 200, 17), _stream("b", 109, 22), _stream("a", 43, 5)],
+                    6, 3, 2, 4),
+    "short domain": ([_stream("a", 0, 40), _stream("z", 150, 5), _stream("b", 100, 25),
+                      _stream("a", 40, 11)], 6, 2, 1, 3),
+}
+
+
+def assert_same_arrays(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", list(PACKING_CASES))
+class TestPackingMatchesListOracle:
+    """Values, dtypes, labels and order equal to the list-based packing."""
+
+    @pytest.fixture
+    def setup(self, case, demo_docs):
+        docs, seq_len, batch_size, val_sequences, limit = PACKING_CASES[case]
+        return (demo_docs if docs is None else docs), seq_len, batch_size, val_sequences, limit
+
+    def test_pack_batches(self, setup):
+        docs, seq_len, batch_size, _, _ = setup
+        got = D.pack_batches(docs, seq_len, batch_size, seed=5)
+        expected = oracle_pack_batches(docs, seq_len, batch_size, seed=5)
+        assert len(got) == len(expected) > 0
+        for g, e in zip(got, expected):
+            assert_same_arrays(g.sequences, e.sequences)
+            assert g.domains == e.domains
+
+    def test_split_validation(self, setup):
+        docs, seq_len, _, val_sequences, _ = setup
+        train, valsets = D.split_validation(docs, seq_len, val_sequences)
+        train_e, valsets_e = oracle_split_validation(docs, seq_len, val_sequences)
+        assert [d.domain for d in train] == [d.domain for d in train_e]
+        for g, e in zip(train, train_e):
+            assert_same_arrays(g.tokens, e.tokens)
+        assert list(valsets) == list(valsets_e)
+        for dom in valsets:
+            assert_same_arrays(valsets[dom], valsets_e[dom])
+
+    def test_load_valsets(self, case, setup, tmp_path):
+        docs, seq_len, _, _, limit = setup
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"text": bytes(d.tokens).decode("ascii"), "domain": d.domain}
+                           for d in docs])
+        if case == "short domain":
+            with pytest.raises(cli.UsageError) as expected:
+                oracle_load_valsets(path, seq_len, limit)
+            with pytest.raises(cli.UsageError) as got:
+                cli._load_valsets(path, seq_len, limit)
+            assert str(got.value) == str(expected.value)
+            return
+        expected = oracle_load_valsets(path, seq_len, limit)
+        got = cli._load_valsets(path, seq_len, limit)
+        assert list(got) == list(expected)
+        for dom in got:
+            assert_same_arrays(got[dom], expected[dom])

@@ -261,7 +261,8 @@ class TestCompose:
 
     def test_non_finite_total_named(self):
         # every part finite, but alpha * l_lb overflows
-        with pytest.raises(ValueError, match="l_final"):
+        with pytest.raises(ValueError, match="l_final"), \
+                pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
             compose(1.0, 10.0, 1.0, 1e308, 5e-4)
 
     @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ class TestRunTraining:
         model = MoEModel(SMALL, seed=4)
         cfg = TR.TrainConfig(total_steps=6, warmup_steps=2, checkpoint_interval=3)
         final, metrics = TR.run_training(model, tiny_batches(), cfg, tmp_path)
-        lines = [json.loads(l) for l in open(metrics)]
+        lines = [json.loads(l) for l in Path(metrics).read_text().splitlines()]
         assert [l["step"] for l in lines] == list(range(6))
         assert (tmp_path / "final.moediv").exists()
         assert (tmp_path / "checkpoint.moediv").exists()
@@ -307,7 +308,7 @@ class TestRunTraining:
         for sub in ("r1", "r2"):
             model = MoEModel(SMALL, seed=5)
             _, metrics = TR.run_training(model, tiny_batches(seed=5), cfg, tmp_path / sub)
-            out.append(open(metrics, "rb").read())
+            out.append(Path(metrics).read_bytes())
         assert out[0] == out[1]
 
     def test_resume_byte_identical(self, tmp_path):
@@ -330,17 +331,18 @@ class TestRunTraining:
         TR.run_training(resumed, batches, cfg, tmp_path / "resume",
                         start_step=step, opt_state=opt)
 
-        a = open(full_metrics, "rb").read()
-        b = open(tmp_path / "resume" / "metrics.jsonl", "rb").read()
+        a = Path(full_metrics).read_bytes()
+        b = (tmp_path / "resume" / "metrics.jsonl").read_bytes()
         assert a == b
-        fa = open(full_ckpt, "rb").read()
-        fb = open(tmp_path / "resume" / "final.moediv", "rb").read()
+        fa = Path(full_ckpt).read_bytes()
+        fb = (tmp_path / "resume" / "final.moediv").read_bytes()
         assert fa == fb
 
     def test_non_finite_loss_names_step(self, tmp_path):
         model = MoEModel(SMALL, seed=11)
         cfg = TR.TrainConfig(alpha=1e308, total_steps=2, warmup_steps=0)
-        with pytest.raises(ValueError, match=r"^step 0: .*l_final"):
+        with pytest.raises(ValueError, match=r"^step 0: .*l_final"), \
+                pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
             TR.run_training(model, tiny_batches(), cfg, tmp_path)
 
 
