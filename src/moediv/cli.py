@@ -93,8 +93,16 @@ def _require_file(path, flag):
         raise UsageError(f"{flag}: no such file: {path}")
 
 
+def _load_docs(path):
+    """The documents of a --data file; a malformed record is a usage error."""
+    try:
+        return data_mod.load_corpus(path)[0]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _load_valsets(path, seq_len, limit):
-    docs, _ = data_mod.load_corpus(path)
+    docs = _load_docs(path)
     packed = data_mod.pack_sequences(docs, seq_len)
     short = sorted(d for d, rows in packed.items() if not len(rows))
     if short:
@@ -119,10 +127,12 @@ def cmd_train(args):
     _require_file(args.data, "--data")
     if args.resume:
         _require_file(args.resume, "--resume")
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise UsageError(f"--out: {args.out} exists and is not a directory")
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
         raise UsageError(f"--out: {args.out} exists and is not empty (use --force)")
 
-    docs, _ = data_mod.load_corpus(args.data)
+    docs = _load_docs(args.data)
     try:
         batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
                                         train_cfg.seed)

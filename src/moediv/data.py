@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,6 +90,23 @@ class SynthDomainSpec:
     weights: list | None = None
     bigram_gain: float = 0.0
 
+    def __post_init__(self):
+        def refuse(field, why):
+            raise ValueError(f"SynthDomainSpec {self.name!r}: {field} {why}")
+        k = len(self.alphabet.encode("utf-8"))
+        if k == 0:
+            refuse("alphabet", "must not be empty")
+        for field in ("num_docs", "doc_len"):
+            if getattr(self, field) < 1:
+                refuse(field, f"must be at least 1, got {getattr(self, field)}")
+        if not (np.isfinite(self.bigram_gain) and self.bigram_gain >= 0):
+            refuse("bigram_gain", f"must be finite and non-negative, got {self.bigram_gain}")
+        w = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (k,):
+            refuse("weights", f"must hold one value per alphabet byte ({k}), got shape {w.shape}")
+        if not (np.isfinite(w).all() and (w >= 0).all() and 0 < sum(w.tolist()) < np.inf):
+            refuse("weights", f"must be non-negative with a finite positive sum, got {w}")
+
 
 def synth_corpus(specs, seed: int):
     """Generate a deterministic labeled corpus from per-domain specs."""
@@ -102,26 +120,24 @@ def synth_corpus(specs, seed: int):
         vocab.append(spec.name)
         chars = np.frombuffer(spec.alphabet.encode("utf-8"), dtype=np.uint8)
         k = len(chars)
-        if spec.weights is None:
-            uni = np.full(k, 1.0 / k)
-        else:
-            uni = np.asarray(spec.weights, dtype=np.float64)
-            uni = uni / uni.sum()
+        uni = np.ones(k) if spec.weights is None else np.asarray(spec.weights, dtype=np.float64)
+        uni = uni / uni.sum()
+        trans = np.broadcast_to(uni, (k, k))
         if spec.bigram_gain > 0:
             noise = rng.normal(0.0, spec.bigram_gain, size=(k, k))
             trans = uni[None, :] * np.exp(noise)
             trans /= trans.sum(axis=1, keepdims=True)
-        else:
-            trans = None
+        # inverse CDFs built as Generator.choice(p=) builds them, so a token is
+        # what one rng.choice(k, p=row) call draws from the same uniform: row c
+        # is the law after token c, row k the first token's law
+        cdf = np.vstack([trans, uni]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
         for _ in range(spec.num_docs):
-            idx = np.empty(spec.doc_len, dtype=np.intp)
-            idx[0] = rng.choice(k, p=uni)
-            if trans is None:
-                idx[1:] = rng.choice(k, size=spec.doc_len - 1, p=uni)
-            else:
-                for t in range(1, spec.doc_len):
-                    idx[t] = rng.choice(k, p=trans[idx[t - 1]])
-            docs.append(Document(tokens=chars[idx], domain=spec.name))
+            u = rng.random(spec.doc_len)
+            # nxt[t][c]: token t when token t - 1 is c (or c = k at t = 0)
+            nxt = np.stack([np.searchsorted(row, u, side="right") for row in cdf], axis=1)
+            walk = list(accumulate(nxt.tolist(), lambda c, row: row[c], initial=k))
+            docs.append(Document(tokens=chars[walk[1:]], domain=spec.name))
     return docs, vocab
 
 

@@ -268,6 +268,32 @@ class TestExitCodes:
         assert f"error: {flag}: no such file: {folder}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["train", "decompose"])
+    def test_malformed_data_is_usage_error(self, trained, tmp_path, capsys, verb):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"text": "abc", "domain": "a"}\nnot json\n')
+        out = tmp_path / "out"
+        if verb == "train":
+            argv = ["train", "--data", str(corpus), "--out", str(out)]
+        else:
+            argv = ["decompose", "--ckpt", str(trained["ckpt"]), "--data", str(corpus)]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {corpus}:2: malformed record: " in captured.err
+        assert not out.exists()
+
+    def test_out_is_a_file_is_usage_error(self, trained, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("x")
+        # refused before the corpus is read
+        monkeypatch.setattr(cli.data_mod, "load_corpus", None)
+        rc = cli.run(["train", "--config", str(trained["config"]),
+                      "--data", str(trained["corpus"]), "--out", str(out), "--force"])
+        assert rc == 1
+        assert f"error: --out: {out} exists and is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "x"
+
 
 class TestTrainOutputs:
     def test_artifacts(self, trained):

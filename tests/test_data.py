@@ -113,6 +113,92 @@ class TestSynthCorpus:
             assert np.abs(tables[a] - tables[b]).sum() > 0.3
 
 
+# The per-token sampler that ``synth_corpus`` replaced: one ``rng.choice``
+# call per token, the oracle of the inverse-CDF table walk.
+
+def oracle_synth_corpus(specs, seed):
+    rng = np.random.default_rng(seed)
+    docs, vocab = [], []
+    for spec in specs:
+        vocab.append(spec.name)
+        chars = np.frombuffer(spec.alphabet.encode("utf-8"), dtype=np.uint8)
+        k = len(chars)
+        if spec.weights is None:
+            uni = np.full(k, 1.0 / k)
+        else:
+            uni = np.asarray(spec.weights, dtype=np.float64)
+            uni = uni / uni.sum()
+        if spec.bigram_gain > 0:
+            noise = rng.normal(0.0, spec.bigram_gain, size=(k, k))
+            trans = uni[None, :] * np.exp(noise)
+            trans /= trans.sum(axis=1, keepdims=True)
+        else:
+            trans = None
+        for _ in range(spec.num_docs):
+            idx = np.empty(spec.doc_len, dtype=np.intp)
+            idx[0] = rng.choice(k, p=uni)
+            if trans is None:
+                idx[1:] = rng.choice(k, size=spec.doc_len - 1, p=uni)
+            else:
+                for t in range(1, spec.doc_len):
+                    idx[t] = rng.choice(k, p=trans[idx[t - 1]])
+            docs.append(D.Document(tokens=chars[idx], domain=spec.name))
+    return docs, vocab
+
+
+SYNTH_CASES = {
+    **{f"demo seed {seed}": (D.three_domain_demo_specs(), seed) for seed in (0, 3, 7)},
+    # uneven weights with a zero, a multi-byte alphabet, and bigram noise
+    "weighted": ([D.SynthDomainSpec("a", "xyz", 3, 300, weights=[0.7, 0.2, 0.1],
+                                    bigram_gain=0.8),
+                  D.SynthDomainSpec("b", "xé", 2, 100, weights=[1, 0, 2], bigram_gain=0.5)],
+                 5),
+    "bigram_gain 0": ([D.SynthDomainSpec("a", "abcd", 3, 200),
+                       D.SynthDomainSpec("b", "xy", 2, 50, weights=[3, 1])], 11),
+    "doc_len 1": ([D.SynthDomainSpec("a", "abcd", 3, 1, bigram_gain=1.0),
+                   D.SynthDomainSpec("b", "xy", 2, 1)], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTH_CASES))
+def test_synth_corpus_matches_choice_oracle(case):
+    specs, seed = SYNTH_CASES[case]
+    docs, vocab = D.synth_corpus(specs, seed)
+    docs_e, vocab_e = oracle_synth_corpus(specs, seed)
+    assert vocab == vocab_e
+    assert [d.domain for d in docs] == [d.domain for d in docs_e]
+    for got, expected in zip(docs, docs_e, strict=True):
+        assert got.tokens.dtype == expected.tokens.dtype == np.uint8
+        assert got.tokens.tobytes() == expected.tokens.tobytes()
+
+
+def test_synth_corpus_peak_memory(no_grad_peak):
+    # temporaries stay within one document's [doc_len, k + 1] table
+    specs = D.three_domain_demo_specs()
+    assert no_grad_peak(lambda: D.synth_corpus(specs, 3)) < 1.5e6
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"weights": [1, 2]}, "weights"),
+    ({"weights": [1, 2, 3, 4]}, "weights"),
+    ({"weights": [0, 0, 0]}, "weights"),
+    ({"weights": [1, -1, 1]}, "weights"),
+    ({"weights": [1, float("nan"), 1]}, "weights"),
+    ({"weights": [1, float("inf"), 1]}, "weights"),
+    ({"weights": [1e308, 1e308, 1]}, "weights"),
+    ({"alphabet": ""}, "alphabet"),
+    ({"num_docs": 0}, "num_docs"),
+    ({"doc_len": 0}, "doc_len"),
+    ({"bigram_gain": -0.5}, "bigram_gain"),
+    ({"bigram_gain": float("nan")}, "bigram_gain"),
+    ({"bigram_gain": float("inf")}, "bigram_gain"),
+])
+def test_synth_spec_refusals(change, field):
+    kw = {"name": "news", "alphabet": "xyz", "num_docs": 2, "doc_len": 8, **change}
+    with pytest.raises(ValueError, match=rf"^SynthDomainSpec 'news': {field} must"):
+        D.SynthDomainSpec(**kw)
+
+
 class TestPacking:
     @staticmethod
     def docs():

@@ -3,9 +3,11 @@
 The outputs are byte-reproducible at a fixed BLAS thread count, so OpenBLAS
 is set to one thread before numpy loads. The recipe:
 
-- corpus: ``synth_corpus(three_domain_demo_specs(), seed=3)``; training
-  batches: ``pack_batches`` of the training documents of
-  ``split_validation(docs, 64, 100)``, at seq_len 64, batch size 8, seed 0;
+- ``corpus-seed3``: ``synth_corpus(three_domain_demo_specs(), seed=3)`` as
+  JSONL, one ``{"text", "domain"}`` record per document in order, which pins
+  every domain label and token byte; training batches: ``pack_batches`` of
+  the training documents of ``split_validation(docs, 64, 100)``, at seq_len
+  64, batch size 8, seed 0;
 - ``train-N``: ``MoEModel(ModelConfig(), seed=0)`` trained with
   ``TrainConfig(total_steps=N, warmup_steps=5, checkpoint_interval=10)``
   for N = 30 and N = 200, giving ``metrics.jsonl`` and ``final.moediv``;
@@ -71,6 +73,9 @@ def main():
         print(lines[-1], flush=True)
 
     docs, _ = data.synth_corpus(data.three_domain_demo_specs(), seed=3)
+    jsonl = "".join(json.dumps({"text": doc.tokens.tobytes().decode("utf-8"),
+                                "domain": doc.domain}) + "\n" for doc in docs)
+    emit("corpus-seed3", jsonl.encode("utf-8"))
     train_docs, _ = data.split_validation(docs, 64, 100)
     batches = data.pack_batches(train_docs, 64, 8, 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,10 +87,7 @@ def main():
             emit(f"train-{steps}/metrics.jsonl", pathlib.Path(metrics).read_bytes())
             emit(f"train-{steps}/final.moediv", pathlib.Path(final).read_bytes())
         corpus = tmp / "corpus.jsonl"
-        with open(corpus, "w", encoding="utf-8") as f:
-            for doc in docs:
-                f.write(json.dumps({"text": doc.tokens.tobytes().decode("utf-8"),
-                                    "domain": doc.domain}) + "\n")
+        corpus.write_text(jsonl, encoding="utf-8")
         for name, verb in VERBS.items():
             argv = verb + ["--ckpt", str(final), "--data", str(corpus), "--limit", "20"]
             emit(name, stdout_of(argv))
