@@ -58,40 +58,49 @@ def permute_router(model: MoEModel, layer: int, seed: int) -> tuple:
     return shuffled, perm
 
 
-def domain_perplexities(model: MoEModel, valsets: dict) -> dict:
-    """Perplexity of ``model`` on each domain's validation set."""
-    return {dom: perplexity(model, valsets[dom]) for dom in sorted(valsets)}
-
-
 def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
-              ppl_original: dict) -> list[dict]:
+              ppl_original: dict, prefixes: dict) -> list[dict]:
     """Perplexity increase per domain after permuting one layer's router rows.
 
-    ``ppl_original`` is ``domain_perplexities(model, valsets)``, computed
-    once by the caller and shared by every permutation it draws. Returns one
-    record per domain, in sorted order, as ``moediv perturb`` prints it:
-    layer, domain, ppl_orig, ppl_shuf, delta, seed and permutation.
+    ``ppl_original`` maps each domain to ``model``'s perplexity on it, and
+    ``prefixes`` to the rows ``forward(model, tokens, stop=layer)`` returns;
+    a caller that draws several permutations computes both once. No row
+    before layer's router depends on its rows, so each permuted forward
+    resumes from the prefix. Returns one record per domain, in sorted order,
+    as ``moediv perturb`` prints it: layer, domain, ppl_orig, ppl_shuf,
+    delta, seed and permutation.
     """
     if not valsets:
         raise ValueError("delta_ppl: empty validation sets")
     shuffled, perm = permute_router(model, layer, seed)
-    return [
-        {"layer": layer, "domain": dom, "ppl_orig": ppl_original[dom], "ppl_shuf": ppl,
-         "delta": ppl - ppl_original[dom], "seed": seed, "permutation": perm.tolist()}
-        for dom, ppl in domain_perplexities(shuffled, valsets).items()
-    ]
+    records = []
+    for dom in sorted(valsets):
+        ppl = perplexity(shuffled, valsets[dom], (layer, prefixes[dom]))
+        records.append({"layer": layer, "domain": dom, "ppl_orig": ppl_original[dom],
+                        "ppl_shuf": ppl, "delta": ppl - ppl_original[dom], "seed": seed,
+                        "permutation": perm.tolist()})
+    return records
 
 
 def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
                    draws: int = 3) -> dict:
     """Mean per-domain delta-PPL over ``draws`` independent permutations.
 
-    Returns {"mean_delta": {domain: mean}, "draws": [delta_ppl's records
-    per draw]}.
+    Each domain's prefix, the rows entering layer's MoE sublayer, is computed
+    once and serves the original model and every draw; one domain's prefix
+    is held at a time. Returns {"mean_delta": {domain: mean}, "draws":
+    [delta_ppl's records per draw]}.
     """
-    ppl_original = domain_perplexities(model, valsets)
-    results = [delta_ppl(model, layer, valsets, seed + i, ppl_original)
-               for i in range(draws)]
+    if not valsets:
+        raise ValueError("delta_ppl_mean: empty validation sets")
+    results = [[] for _ in range(draws)]
+    for dom in sorted(valsets):
+        with T.no_grad():
+            prefix = {dom: forward(model, valsets[dom], stop=layer)[0]}
+        ppl_original = {dom: perplexity(model, valsets[dom], (layer, prefix[dom]))}
+        for i, records in enumerate(results):
+            records += delta_ppl(model, layer, {dom: valsets[dom]}, seed + i,
+                                 ppl_original, prefix)
     mean = {
         dom: float(np.mean([records[j]["delta"] for records in results]))
         for j, dom in enumerate(sorted(valsets))
@@ -103,12 +112,13 @@ def collect_traces(model: MoEModel, valsets: dict) -> dict:
     """Forward every domain's validation set once; {domain: [LayerTrace]}.
 
     The heatmaps and the divergence report read any layer from the result,
-    so one call serves every layer of a command.
+    so one call serves every layer of a command. Each forward stops once the
+    last layer is routed, as nothing reads its expert mixture.
     """
     out = {}
     with T.no_grad():
         for dom in sorted(valsets):
-            out[dom] = forward(model, valsets[dom])[1]
+            out[dom] = forward(model, valsets[dom], stop=model.config.num_layers - 1)[1]
     return out
 
 

@@ -111,15 +111,22 @@ def _affine_norm(x, g, b):
     return T.add(T.mul(T.layernorm(x), g), b)
 
 
-def forward(model: MoEModel, tokens):
+def forward(model: MoEModel, tokens, start=None, stop=None):
     """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
-    Returns (hidden Tensor [B*L, d], [LayerTrace per MoE layer]): ``hidden``
-    is the last block's residual rows, before the final norm, which
-    ``lm_loss`` applies with the LM head; the routing analyses read only the
-    traces. Each trace's ``probs`` is the router output itself, so the
-    auxiliary losses differentiate through it; under ``no_grad`` it is a
+    Returns (hidden Tensor [B*L, d], [LayerTrace per MoE layer run]):
+    ``hidden`` is the last block's residual rows, before the final norm,
+    which ``lm_loss`` applies with the LM head; the routing analyses read
+    only the traces. Each trace's ``probs`` is the router output itself, so
+    the auxiliary losses differentiate through it; under ``no_grad`` it is a
     plain Tensor.
+
+    The run can start and stop at a MoE layer's router. With ``stop=l`` it
+    returns once layer l is routed: ``hidden`` is then the residual rows that
+    enter layer l's MoE sublayer (the "prefix"), and the traces end with
+    layer l's. ``start=(l, prefix)`` resumes from such a prefix of the same
+    tokens: the run begins at layer l's MoE sublayer and its traces begin
+    with layer l's. Either way every row is bit-equal to the full run's.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -131,23 +138,36 @@ def forward(model: MoEModel, tokens):
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
-    # [B, L, d] token rows plus the first L position rows, broadcast over B
     p = model.params
-    x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
-    x = T.reshape(x, (b * l, c.hidden_size))
+    if start is None:
+        first = 0
+        # [B, L, d] token rows plus the first L position rows, broadcast over B
+        x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
+        x = T.reshape(x, (b * l, c.hidden_size))
+    else:
+        first, x = start[0], T.as_tensor(start[1])
+        if not 0 <= first < c.num_layers or x.shape != (b * l, c.hidden_size):
+            raise ValueError(f"forward: cannot start at layer {first} from rows of shape "
+                             f"{x.shape} for {c.num_layers} layers and {b * l} tokens")
+    if stop is not None and not first <= stop < c.num_layers:
+        raise ValueError(f"forward: cannot stop at layer {stop} when starting at layer {first} "
+                         f"of {c.num_layers}")
 
     layers = []
-    for i in range(c.num_layers):
+    for i in range(first, c.num_layers):
         pre = f"layers.{i}."
         w = {name[len(pre):]: t for name, t in p.items() if name.startswith(pre)}
-        xn = _affine_norm(x, w["ln1.g"], w["ln1.b"])
-        attn = [w["attn." + name] for name in ("wq", "wk", "wv", "wo")]
-        x = T.add(x, T.causal_attention(xn, *attn, b, c.num_heads))
+        if start is None or i > first:
+            xn = _affine_norm(x, w["ln1.g"], w["ln1.b"])
+            attn = [w["attn." + name] for name in ("wq", "wk", "wv", "wo")]
+            x = T.add(x, T.causal_attention(xn, *attn, b, c.num_heads))
         hn = _affine_norm(x, w["ln2.g"], w["ln2.b"])
         moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
-        y, probs, selected = moe_forward_batch(moe, hn)
-        x = T.add(x, y)
+        y, probs, selected = moe_forward_batch(moe, hn, mix=i != stop)
         layers.append(LayerTrace(probs=probs, selected=selected))
+        if i == stop:
+            break
+        x = T.add(x, y)
 
     return x, layers
 
@@ -164,11 +184,12 @@ def lm_loss(model: MoEModel, hidden, tokens):
     return T.next_token_nll(_affine_norm(hidden, p["ln_f.g"], p["ln_f.b"]), p["lm_head"], tokens)
 
 
-def perplexity(model: MoEModel, tokens) -> float:
+def perplexity(model: MoEModel, tokens, start=None) -> float:
     """exp(mean next-token NLL) of ``model`` on one [B, L] token array; under
-    ``no_grad`` the head runs in row tiles, so no [B*L, V] logits exist."""
+    ``no_grad`` the head runs in row tiles, so no [B*L, V] logits exist.
+    ``start`` is ``forward``'s: a (layer, prefix) pair to resume from."""
     with T.no_grad():
-        hidden, _ = forward(model, tokens)
+        hidden, _ = forward(model, tokens, start=start)
         return float(np.exp(lm_loss(model, hidden, tokens).item()))
 
 

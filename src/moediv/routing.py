@@ -35,11 +35,13 @@ def route(w_r, x) -> Tensor:
     """Router probabilities of a [T, d] token batch as one graph node.
 
     The max-shifted softmax of the logits ``x @ w_r.T``, one [N] row per
-    token; ``w_r`` is [N, d]. Raises ValueError on a non-finite logit.
+    token; ``w_r`` is [N, d]. Raises ValueError on a non-finite input or
+    logit.
     """
     w_r, x = T.as_tensor(w_r), T.as_tensor(x)
     if len(x.shape) != 2 or x.shape[1] != w_r.shape[1]:
         raise ValueError(f"route: tokens of shape {x.shape} do not match router {w_r.shape}")
+    T.require_finite("route", w_r=w_r, x=x)
     logits = x.data @ w_r.data.T
     if not np.all(np.isfinite(logits)):
         raise ValueError("route: non-finite router logit")
@@ -67,7 +69,7 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-probs, axis=-1, kind="stable")[..., :k]
 
 
-def moe_forward_batch(layer: MoELayer, x: Tensor):
+def moe_forward_batch(layer: MoELayer, x: Tensor, mix: bool = True):
     """Sparse MoE forward for a [T, d] token batch.
 
     Returns (y [T, d], probs Tensor [T, N], selected [T, K]). Only selected
@@ -75,8 +77,9 @@ def moe_forward_batch(layer: MoELayer, x: Tensor):
     which also renormalises the selected probabilities into gates;
     selection indices are constants for the backward pass, so gradients
     reach the router solely through the gate values and the auxiliary
-    losses.
+    losses. With ``mix`` false no expert runs and y is None.
     """
     probs = route(layer.router, x)
     selected = topk_select(probs.data, layer.top_k)
-    return T.expert_mixture(x, probs, selected, layer.experts), probs, selected
+    y = T.expert_mixture(x, probs, selected, layer.experts) if mix else None
+    return y, probs, selected

@@ -214,6 +214,15 @@ def layernorm(a, eps=1e-5) -> Tensor:
     return node(xhat, (a,), vjp)
 
 
+def require_finite(op, **tensors):
+    """Raise ValueError naming ``op`` and the first of ``tensors`` that holds a
+    non-finite value. A fused op checks its inputs before its first product,
+    so this error, not a numpy warning from inside the product, reports them."""
+    for name, a in tensors.items():
+        if not np.isfinite(a.data).all():
+            raise ValueError(f"{op}: non-finite {name}")
+
+
 def _tile(parents, whole, part, *widths):
     """Tile size of a fused op: ``part`` for a no-grad call, else ``whole``.
 
@@ -288,8 +297,10 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     everything and saves q, k, v, the weights and the merged heads (a
     no-grad call at d / H not a multiple of 8 also runs one tile, see
     ``_tile``). The scores become the weights in place. Returns [B*L, d].
+    Raises ValueError on a non-finite input or score.
     """
     xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
+    require_finite("causal_attention", xn=xn, wq=wq, wk=wk, wv=wv, wo=wo)
     t, d = xn.shape
     l, dh = t // batch, d // num_heads
     scale = 1.0 / np.sqrt(dh)

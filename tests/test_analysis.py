@@ -7,6 +7,7 @@ import pytest
 from moediv import analysis as A
 from moediv import divergence as dv
 from moediv import model as model_mod
+from moediv import tensor as T
 from moediv.model import ModelConfig, MoEModel, forward, perplexity
 
 CFG = ModelConfig(
@@ -27,6 +28,15 @@ def valsets():
         dom: rng.integers(97, 110, size=(3, 12))
         for dom in ("news", "code", "math")
     }
+
+
+def domain_perplexities(model, valsets):
+    return {dom: perplexity(model, tokens) for dom, tokens in valsets.items()}
+
+
+def prefixes(model, valsets, layer):
+    with T.no_grad():
+        return {dom: forward(model, tokens, stop=layer)[0] for dom, tokens in valsets.items()}
 
 
 class TestPermuteRouter:
@@ -82,26 +92,53 @@ class TestDeltaPPL:
         router = same.params["layers.0.moe.router"].data
         router[...] = router[0]
         recs = A.delta_ppl(same, 0, valsets, seed=0,
-                           ppl_original=A.domain_perplexities(same, valsets))
+                           ppl_original=domain_perplexities(same, valsets),
+                           prefixes=prefixes(same, valsets, 0))
         assert len(recs) == len(valsets)
         for rec in recs:
             assert rec["delta"] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_perplexity(self, model, valsets):
         recs = A.delta_ppl(model, 0, valsets, seed=5,
-                           ppl_original=A.domain_perplexities(model, valsets))
+                           ppl_original=domain_perplexities(model, valsets),
+                           prefixes=prefixes(model, valsets, 0))
         shuffled, _ = A.permute_router(model, 0, seed=5)
         for rec in recs:
             dom = rec["domain"]
-            assert rec["ppl_orig"] == pytest.approx(
-                perplexity(model, valsets[dom]), rel=1e-12
-            )
-            assert rec["ppl_shuf"] == pytest.approx(
-                perplexity(shuffled, valsets[dom]), rel=1e-12
-            )
-            assert rec["delta"] == pytest.approx(
-                rec["ppl_shuf"] - rec["ppl_orig"], abs=1e-12
-            )
+            assert rec["ppl_orig"] == perplexity(model, valsets[dom])
+            assert rec["ppl_shuf"] == perplexity(shuffled, valsets[dom])
+            assert rec["delta"] == rec["ppl_shuf"] - rec["ppl_orig"]
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_mean_matches_direct_perplexity(self, model, valsets, layer):
+        # every forward of delta_ppl_mean after a domain's first resumes
+        # from its prefix; the records hold the perplexities of forwards run
+        # from the embeddings
+        out = A.delta_ppl_mean(model, layer, valsets, seed=7, draws=2)
+        for i, records in enumerate(out["draws"]):
+            shuffled, perm = A.permute_router(model, layer, 7 + i)
+            for rec in records:
+                tokens = valsets[rec["domain"]]
+                assert rec["ppl_orig"] == perplexity(model, tokens)
+                assert rec["ppl_shuf"] == perplexity(shuffled, tokens)
+                assert rec["permutation"] == perm.tolist()
+
+    def test_empty_valsets(self, model):
+        with pytest.raises(ValueError, match="empty validation sets"):
+            A.delta_ppl_mean(model, 0, {}, seed=0)
+
+    def test_mean_peak_within_one_prefix_of_a_forward(self, no_grad_peak):
+        # beside the forward it runs, delta_ppl_mean holds the permuted
+        # model copy and one domain's [B*L, d] prefix, not every domain's
+        c = dataclasses.replace(CFG, hidden_size=32, intermediate_size=48, max_seq_len=64)
+        model = MoEModel(c, seed=0)
+        rng = np.random.default_rng(5)
+        valsets = {dom: rng.integers(0, c.vocab_size, size=(40, 64)) for dom in "abc"}
+        prefix = 40 * 64 * c.hidden_size * 8
+        forward_peak = no_grad_peak(lambda: perplexity(model, valsets["a"]))
+        mean_peak = no_grad_peak(lambda: A.delta_ppl_mean(model, 0, valsets, seed=0, draws=2))
+        extra = mean_peak - forward_peak - model.flat.nbytes
+        assert extra <= 1.1 * prefix, f"{extra / prefix:.2f} prefixes"
 
     def test_mean_over_draws(self, model, valsets):
         out = A.delta_ppl_mean(model, 0, valsets, seed=2, draws=3)
@@ -116,7 +153,8 @@ class TestDeltaPPL:
 
     def test_records(self, model, valsets):
         recs = A.delta_ppl(model, 1, valsets, seed=0,
-                           ppl_original=A.domain_perplexities(model, valsets))
+                           ppl_original=domain_perplexities(model, valsets),
+                           prefixes=prefixes(model, valsets, 1))
         assert len(recs) == 3
         assert all(r["layer"] == 1 for r in recs)
         assert [r["domain"] for r in recs] == sorted(valsets)
@@ -245,13 +283,14 @@ class TestDivergenceReport:
 
 
 def count_forwards(monkeypatch):
-    """Count model.forward calls, wherever analysis or perplexity look it up."""
+    """Record each model.forward call, wherever analysis or perplexity look
+    it up, as (start layer or None, stop layer or None)."""
     calls = []
     original = model_mod.forward
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(*args, start=None, stop=None):
+        calls.append((None if start is None else start[0], stop))
+        return original(*args, start=start, stop=stop)
 
     monkeypatch.setattr(model_mod, "forward", counted)
     monkeypatch.setattr(A, "forward", counted)
@@ -259,13 +298,16 @@ def count_forwards(monkeypatch):
 
 
 class TestForwardCounts:
-    """One forward per (model, domain) per analysis, whatever the layers."""
+    """Per domain, one forward from the embeddings per analysis, whatever
+    the layers; perturb resumes every model's forward from its prefix."""
 
     @pytest.mark.parametrize("draws", [1, 3])
     def test_delta_ppl_mean(self, model, valsets, monkeypatch, draws):
         calls = count_forwards(monkeypatch)
         A.delta_ppl_mean(model, 0, valsets, seed=0, draws=draws)
-        assert len(calls) == (draws + 1) * len(valsets)
+        assert calls.count((None, 0)) == len(valsets)
+        assert calls.count((0, None)) == (draws + 1) * len(valsets)
+        assert len(calls) == (draws + 2) * len(valsets)
 
     def test_traces_serve_every_layer(self, model, valsets, monkeypatch):
         calls = count_forwards(monkeypatch)
@@ -274,7 +316,7 @@ class TestForwardCounts:
             A.activation_heatmap(traces, layer)
             A.inverse_heatmap(traces, layer)
         A.divergence_report(traces)
-        assert len(calls) == len(valsets)
+        assert calls == [(None, CFG.num_layers - 1)] * len(valsets)
 
 
 class TestTiledForward:

@@ -431,7 +431,8 @@ class TestAnalysisCommands:
 
 
 class TestVerbForwardCounts:
-    """Each verb forwards each domain once per model, whatever the layers."""
+    """Each verb runs each domain from the embeddings once, whatever the
+    layers; perturb resumes every other forward from that run's prefix."""
 
     @pytest.fixture
     def three_layer(self, tmp_path):
@@ -447,19 +448,21 @@ class TestVerbForwardCounts:
         (["heatmap"], 3),
         (["heatmap", "--inverse"], 3),
         (["ternary"], 3),
-        (["perturb", "--layer", "1", "--draws", "2"], 9),  # (draws + 1) per domain
+        # a prefix and (draws + 1) resumed forwards per domain
+        (["perturb", "--layer", "1", "--draws", "2"], 12),
     ])
     def test_forward_calls(self, three_layer, monkeypatch, capsys, verb, expected):
         calls = []
         original = model_mod.forward
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(*args, start=None, **kwargs):
+            calls.append(start is None)
+            return original(*args, start=start, **kwargs)
 
         monkeypatch.setattr(model_mod, "forward", counted)
         monkeypatch.setattr(analysis, "forward", counted)
         ckpt, corpus = three_layer
         rc = cli.run([verb[0], "--ckpt", str(ckpt), "--data", str(corpus), *verb[1:]])
         assert rc == 0, capsys.readouterr().err
+        assert sum(calls) == 3
         assert len(calls) == expected

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import tracemalloc
 
@@ -106,6 +107,62 @@ class TestForward:
             finally:
                 tracemalloc.stop()
         assert peak < 3 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+
+
+class TestStartStop:
+    """A forward stopped at a layer's router, or resumed from the prefix such
+    a forward returns, gives bit-for-bit the rows and traces of the full one."""
+
+    @staticmethod
+    def assert_traces_equal(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.probs.data, w.probs.data)
+            assert np.array_equal(g.selected, w.selected)
+
+    # 9 sequences of 128 run several no-grad tiles of each op; widths 20
+    # and 36 are not multiples of 8, so each op runs as one tile
+    @pytest.mark.parametrize("config, batch, length", [
+        (ModelConfig(), 9, 128),
+        (ModelConfig(num_layers=3, hidden_size=20, intermediate_size=36, num_experts=5,
+                     top_k=2, num_heads=2, vocab_size=31, max_seq_len=16), 5, 13),
+    ])
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_matches_full_forward(self, config, batch, length, recorded):
+        model = MoEModel(config, seed=0)
+        tokens = np.random.default_rng(4).integers(0, config.vocab_size, size=(batch, length))
+        grad_mode = contextlib.nullcontext() if recorded else T.no_grad()
+        with grad_mode:
+            hidden, layers = forward(model, tokens)
+            for layer in (0, config.num_layers - 1):
+                prefix, stopped = forward(model, tokens, stop=layer)
+                kept = prefix.data.copy()
+                self.assert_traces_equal(stopped, layers[:layer + 1])
+                for _ in range(2):  # a resumed forward leaves its prefix as it was
+                    resumed, traces = forward(model, tokens, start=(layer, prefix))
+                    assert np.array_equal(resumed.data, hidden.data)
+                    self.assert_traces_equal(traces, layers[layer:])
+                assert np.array_equal(prefix.data, kept)
+                _, between = forward(model, tokens, start=(0, forward(model, tokens, stop=0)[0]),
+                                     stop=layer)
+                self.assert_traces_equal(between, layers[:layer + 1])
+        assert resumed.requires_grad == recorded
+        assert perplexity(model, tokens, (layer, prefix)) == perplexity(model, tokens)
+
+    def test_bad_start_and_stop_refused(self):
+        model = MoEModel(SMALL, seed=0)
+        tokens = np.zeros((2, 5), dtype=np.intp)
+        with T.no_grad():
+            prefix, _ = forward(model, tokens, stop=1)
+            with pytest.raises(ValueError, match="cannot start at layer 2"):
+                forward(model, tokens, start=(2, prefix))
+            with pytest.raises(ValueError, match=r"from rows of shape \(10, 16\)"):
+                forward(model, tokens[:1], start=(1, prefix))
+            for stop in (-1, 2):
+                with pytest.raises(ValueError, match=f"cannot stop at layer {stop}"):
+                    forward(model, tokens, stop=stop)
+            with pytest.raises(ValueError, match="cannot stop at layer 0 when starting at layer 1"):
+                forward(model, tokens, start=(1, prefix), stop=0)
 
 
 class TestLMLoss:

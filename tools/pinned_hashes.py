@@ -11,7 +11,7 @@ is set to one thread before numpy loads. The recipe:
 - ``train-N``: ``MoEModel(ModelConfig(), seed=0)`` trained with
   ``TrainConfig(total_steps=N, warmup_steps=5, checkpoint_interval=10)``
   for N = 30 and N = 200, giving ``metrics.jsonl`` and ``final.moediv``;
-- the stdout of decompose, perturb ``--layer 0``, heatmap, heatmap
+- the stdout of decompose, perturb ``--layer 0`` and ``--layer 1``, heatmap, heatmap
   ``--inverse`` and ternary on the N = 200 checkpoint, reading the whole
   corpus as JSONL with ``--limit 20``;
 - the stdout of ``moediv check``.
@@ -43,6 +43,7 @@ from moediv.model import ModelConfig, MoEModel  # noqa: E402
 VERBS = {
     "decompose": ["decompose"],
     "perturb-layer0": ["perturb", "--layer", "0"],
+    "perturb-layer1": ["perturb", "--layer", "1"],
     "heatmap": ["heatmap"],
     "heatmap-inverse": ["heatmap", "--inverse"],
     "ternary": ["ternary"],
