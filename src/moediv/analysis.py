@@ -36,12 +36,15 @@ class HeatmapMatrix:
         return buf.getvalue()
 
 
-def permute_router(model: MoEModel, layer: int, seed: int) -> tuple:
+def permute_router(model: MoEModel, layer: int, seed: int, out=None) -> tuple:
     """Return (model copy with layer's router rows permuted, permutation).
 
-    Only the given layer's router weight matrix changes; a uniformly random
-    permutation of its row indices other than the identity is drawn from
-    ``seed``. A one-expert model has no such permutation and is refused.
+    Only the given layer's router weight matrix differs from ``model``'s; a
+    uniformly random permutation of its row indices other than the identity
+    is drawn from ``seed``. The copy is ``out`` when given, a model whose
+    other parameters equal ``model``'s, so a caller that draws several
+    permutations copies ``model`` once; otherwise a new one. A one-expert
+    model has no such permutation and is refused.
     """
     if not 0 <= layer < model.config.num_layers:
         raise ValueError(f"layer {layer} out of range (model has {model.config.num_layers})")
@@ -52,27 +55,27 @@ def permute_router(model: MoEModel, layer: int, seed: int) -> tuple:
     perm = rng.permutation(n)
     while np.array_equal(perm, np.arange(n)):
         perm = rng.permutation(n)
-    shuffled = MoEModel(model.config, flat=model.flat)
-    router = shuffled.params[f"layers.{layer}.moe.router"].data
-    router[...] = router[perm]
+    shuffled = MoEModel(model.config, flat=model.flat) if out is None else out
+    name = f"layers.{layer}.moe.router"
+    shuffled.params[name].data[...] = model.params[name].data[perm]
     return shuffled, perm
 
 
 def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
-              ppl_original: dict, prefixes: dict) -> list[dict]:
+              ppl_original: dict, prefixes: dict, out=None) -> list[dict]:
     """Perplexity increase per domain after permuting one layer's router rows.
 
     ``ppl_original`` maps each domain to ``model``'s perplexity on it, and
     ``prefixes`` to the rows ``forward(model, tokens, stop=layer)`` returns;
     a caller that draws several permutations computes both once. No row
     before layer's router depends on its rows, so each permuted forward
-    resumes from the prefix. Returns one record per domain, in sorted order,
-    as ``moediv perturb`` prints it: layer, domain, ppl_orig, ppl_shuf,
-    delta, seed and permutation.
+    resumes from the prefix. ``out`` is ``permute_router``'s. Returns one
+    record per domain, in sorted order, as ``moediv perturb`` prints it:
+    layer, domain, ppl_orig, ppl_shuf, delta, seed and permutation.
     """
     if not valsets:
         raise ValueError("delta_ppl: empty validation sets")
-    shuffled, perm = permute_router(model, layer, seed)
+    shuffled, perm = permute_router(model, layer, seed, out)
     records = []
     for dom in sorted(valsets):
         ppl = perplexity(shuffled, valsets[dom], (layer, prefixes[dom]))
@@ -88,19 +91,21 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
 
     Each domain's prefix, the rows entering layer's MoE sublayer, is computed
     once and serves the original model and every draw; one domain's prefix
-    is held at a time. Returns {"mean_delta": {domain: mean}, "draws":
-    [delta_ppl's records per draw]}.
+    is held at a time, and one model copy is permuted for every draw.
+    Returns {"mean_delta": {domain: mean}, "draws": [delta_ppl's records per
+    draw]}.
     """
     if not valsets:
         raise ValueError("delta_ppl_mean: empty validation sets")
     results = [[] for _ in range(draws)]
+    shuffled = MoEModel(model.config, flat=model.flat)
     for dom in sorted(valsets):
         with T.no_grad():
             prefix = {dom: forward(model, valsets[dom], stop=layer)[0]}
         ppl_original = {dom: perplexity(model, valsets[dom], (layer, prefix[dom]))}
         for i, records in enumerate(results):
             records += delta_ppl(model, layer, {dom: valsets[dom]}, seed + i,
-                                 ppl_original, prefix)
+                                 ppl_original, prefix, shuffled)
     mean = {
         dom: float(np.mean([records[j]["delta"] for records in results]))
         for j, dom in enumerate(sorted(valsets))

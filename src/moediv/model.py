@@ -107,10 +107,6 @@ class MoEModel:
         return views
 
 
-def _affine_norm(x, g, b):
-    return T.add(T.mul(T.layernorm(x), g), b)
-
-
 def forward(model: MoEModel, tokens, start=None, stop=None):
     """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
@@ -158,10 +154,10 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
         pre = f"layers.{i}."
         w = {name[len(pre):]: t for name, t in p.items() if name.startswith(pre)}
         if start is None or i > first:
-            xn = _affine_norm(x, w["ln1.g"], w["ln1.b"])
+            xn = T.affine_norm(x, w["ln1.g"], w["ln1.b"])
             attn = [w["attn." + name] for name in ("wq", "wk", "wv", "wo")]
             x = T.add(x, T.causal_attention(xn, *attn, b, c.num_heads))
-        hn = _affine_norm(x, w["ln2.g"], w["ln2.b"])
+        hn = T.affine_norm(x, w["ln2.g"], w["ln2.b"])
         moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
         y, probs, selected = moe_forward_batch(moe, hn, mix=i != stop)
         layers.append(LayerTrace(probs=probs, selected=selected))
@@ -181,7 +177,7 @@ def lm_loss(model: MoEModel, hidden, tokens):
     have no target and are excluded.
     """
     p = model.params
-    return T.next_token_nll(_affine_norm(hidden, p["ln_f.g"], p["ln_f.b"]), p["lm_head"], tokens)
+    return T.next_token_nll(T.affine_norm(hidden, p["ln_f.g"], p["ln_f.b"]), p["lm_head"], tokens)
 
 
 def perplexity(model: MoEModel, tokens, start=None) -> float:

@@ -198,22 +198,6 @@ def _require_distinct_in_rows(idx, op):
 # neural-net primitives
 
 
-def layernorm(a, eps=1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
-    a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-
-    def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
-
-    return node(xhat, (a,), vjp)
-
-
 def require_finite(op, **tensors):
     """Raise ValueError naming ``op`` and the first of ``tensors`` that holds a
     non-finite value. A fused op checks its inputs before its first product,
@@ -240,6 +224,41 @@ def _tiles(lo, hi, size):
     before it, as numpy's one-row product (a GEMV) rounds unlike a GEMM's rows."""
     cuts = list(range(lo + size, hi - 1, size))
     return zip([lo] + cuts, cuts + [hi])
+
+
+def affine_norm(x, gain, bias, eps=1e-5) -> Tensor:
+    """LayerNorm of each row of [T, d] ``x`` times ``gain`` plus ``bias``, one graph node.
+
+    ``gain`` and ``bias`` are [d]. Each row is centred on its mean and scaled
+    by 1 / sqrt(var + eps), var its population variance. A no-grad call walks
+    tiles of ``_TILE`` // d rows and normalises each in place in its slice of
+    the output, so no full-size temporary exists; a recorded call runs one
+    tile and saves the normalised rows. The row sums and the VJP keep the op
+    order of ``np.mean``, ``np.var`` and a layernorm, mul and add graph.
+    """
+    x, gain, bias = parents = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    t, d = x.shape
+    for name, p in (("gain", gain), ("bias", bias)):
+        if p.shape != (d,):
+            raise ValueError(f"affine_norm: {name} has shape {p.shape}, expected ({d},)")
+    record = _recording(parents)
+    out = np.empty((t, d))
+    for a, b in _tiles(0, t, max(1, t if record else _TILE // d)):
+        o = out[a:b]
+        np.subtract(x.data[a:b], x.data[a:b].sum(axis=1, keepdims=True) / d, out=o)
+        inv = 1.0 / np.sqrt((o * o).sum(axis=1, keepdims=True) / d + eps)
+        o *= inv
+        xhat = o.copy() if record else None
+        o *= gain.data
+        o += bias.data
+
+    def vjp(g):
+        g_xhat = g * gain.data
+        gm = g_xhat.mean(axis=-1, keepdims=True)
+        gx = (g_xhat * xhat).mean(axis=-1, keepdims=True)
+        return inv * (g_xhat - gm - xhat * gx), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return node(out, parents, vjp)
 
 
 def next_token_nll(hidden, lm_head, tokens) -> Tensor:

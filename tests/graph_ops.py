@@ -1,11 +1,12 @@
 """Generic graph ops that the library's fused nodes replaced, kept as oracles.
 
 The ops are the engine's former ``sub``, ``tlog``, ``matmul``, ``transpose``,
-``concat``, ``tmean``, ``take_along_last`` and ``softmax_rows``, built on
-``tensor.node``. The composites below rebuild, from them, the router, the
-top-K gates, L_LB and L_ED as the many-node graphs that ``routing.route``,
-``tensor.expert_mixture``, ``losses.load_balance_loss_t`` and
-``losses.expert_divergence_loss_t`` each replaced with one node.
+``concat``, ``tmean``, ``take_along_last``, ``softmax_rows`` and ``layernorm``,
+built on ``tensor.node``. The composites below rebuild, from them, the
+router, the top-K gates, L_LB, L_ED and the affine norm as the many-node
+graphs that ``routing.route``, ``tensor.expert_mixture``,
+``losses.load_balance_loss_t``, ``losses.expert_divergence_loss_t`` and
+``tensor.affine_norm`` each replaced with one node.
 """
 
 import numpy as np
@@ -133,8 +134,29 @@ def softmax_rows(a) -> Tensor:
     return T.node(data, (a,), vjp)
 
 
+def layernorm(a, eps=1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (no affine)."""
+    a = as_tensor(a)
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (a.data - mu) * inv
+
+    def vjp(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (g - gm - xhat * gx),)
+
+    return T.node(xhat, (a,), vjp)
+
+
 # ---------------------------------------------------------------------------
-# the composite graphs of the fused router, gates and loss nodes
+# the composite graphs of the fused norm, router, gates and loss nodes
+
+
+def composite_affine_norm(x, gain, bias):
+    """The affine norm as ``layernorm``, ``mul`` and ``add``."""
+    return T.add(T.mul(layernorm(x), gain), bias)
 
 
 def composite_route(w_r, x):

@@ -62,6 +62,14 @@ class TestPermuteRouter:
             model.params["layers.0.moe.router"].data, before
         )
 
+    def test_out_is_permuted_in_place(self, model):
+        out = MoEModel(CFG, flat=model.flat)
+        for seed in (0, 1):
+            shuffled, perm = A.permute_router(model, layer=1, seed=seed, out=out)
+            fresh, fresh_perm = A.permute_router(model, layer=1, seed=seed)
+            assert shuffled is out and np.array_equal(perm, fresh_perm)
+            np.testing.assert_array_equal(out.flat, fresh.flat)
+
     def test_layer_out_of_range(self, model):
         with pytest.raises(ValueError):
             A.permute_router(model, layer=2, seed=0)
@@ -128,7 +136,7 @@ class TestDeltaPPL:
             A.delta_ppl_mean(model, 0, {}, seed=0)
 
     def test_mean_peak_within_one_prefix_of_a_forward(self, no_grad_peak):
-        # beside the forward it runs, delta_ppl_mean holds the permuted
+        # beside the forward it runs, delta_ppl_mean holds its one permuted
         # model copy and one domain's [B*L, d] prefix, not every domain's
         c = dataclasses.replace(CFG, hidden_size=32, intermediate_size=48, max_seq_len=64)
         model = MoEModel(c, seed=0)
@@ -139,6 +147,19 @@ class TestDeltaPPL:
         mean_peak = no_grad_peak(lambda: A.delta_ppl_mean(model, 0, valsets, seed=0, draws=2))
         extra = mean_peak - forward_peak - model.flat.nbytes
         assert extra <= 1.1 * prefix, f"{extra / prefix:.2f} prefixes"
+
+    def test_mean_copies_the_model_once(self, model, valsets, monkeypatch):
+        copies = []
+
+        def counted(*args, **kwargs):
+            copies.append(kwargs)
+            return MoEModel(*args, **kwargs)
+
+        before = model.flat.copy()
+        monkeypatch.setattr(A, "MoEModel", counted)
+        A.delta_ppl_mean(model, 0, valsets, seed=0, draws=3)
+        assert len(copies) == 1
+        np.testing.assert_array_equal(model.flat, before)
 
     def test_mean_over_draws(self, model, valsets):
         out = A.delta_ppl_mean(model, 0, valsets, seed=2, draws=3)

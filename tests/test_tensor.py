@@ -144,7 +144,7 @@ class TestBackward:
 
         def build():
             h = G.silu(G.matmul(w, v))
-            p = G.softmax_rows(T.layernorm(h))
+            p = G.softmax_rows(G.layernorm(h))
             return T.tsum(T.mul(p, G.tlog(p)))
 
         g1 = T.backward(build())
@@ -471,3 +471,67 @@ class TestNextTokenNLL:
         peak = no_grad_peak(lambda: T.next_token_nll(hidden, lm_head, tokens))
         logits_bytes = batch * length * v * 8
         assert peak < logits_bytes / 2, f"peak {peak / logits_bytes:.2f} logits arrays"
+
+
+def norm_inputs(seed, t, d):
+    """(x, gain, bias) as requires_grad leaves and a fixed [T, d] cotangent."""
+    rng = np.random.default_rng(seed)
+    x = T.Tensor(3.0 * rng.normal(size=(t, d)) + 1.0, requires_grad=True)
+    gain = T.Tensor(1.0 + 0.1 * rng.normal(size=d), requires_grad=True)
+    bias = T.Tensor(0.1 * rng.normal(size=d), requires_grad=True)
+    return [x, gain, bias], rng.normal(size=(t, d))
+
+
+# (T, d): at d = 64 a no-grad tile is 512 rows, so 12800 rows (the analysis
+# shape) run 25 tiles, 1025 leave a one-row remainder that joins the tile
+# before it and 513 run as one tile; 4000 rows at d = 20 run three 1638-row
+# tiles and a partial one; widths 20 and 36 are not multiples of 8
+NORM_SHAPES = [(12800, 64), (1025, 64), (513, 64), (4000, 20), (1152, 20), (195, 36),
+               (24, 8), (1, 64)]
+
+
+class TestAffineNorm:
+    @pytest.mark.parametrize("t, d", NORM_SHAPES)
+    def test_matches_composite_oracle(self, t, d):
+        inputs, cot = norm_inputs(80, t, d)
+        outs, grads = [], []
+        for op in (G.composite_affine_norm, T.affine_norm):
+            y = op(*inputs)
+            outs.append(y.data)
+            grads.append(T.backward(T.tsum(T.mul(y, cot))))
+        with T.no_grad():
+            tiled = T.affine_norm(*inputs)
+        assert np.array_equal(outs[1], outs[0])
+        assert np.array_equal(tiled.data, outs[0])
+        for p in inputs:
+            assert np.array_equal(grads[1][p], grads[0][p])
+
+    def test_one_graph_node(self):
+        inputs, _ = norm_inputs(81, 4, 8)
+        y = T.affine_norm(*inputs)
+        assert y._parents == tuple(inputs)
+        assert len(T._toposort(y)) == 4
+        with T.no_grad():
+            y = T.affine_norm(*inputs)
+        assert y._vjp is None and not y.requires_grad
+
+    def test_grad_check(self):
+        inputs, cot = norm_inputs(82, 3, 5)
+        f = lambda: {"y": T.tsum(T.mul(T.affine_norm(*inputs), cot))}
+        assert T.grad_check(f, inputs, h=1e-5)["y"] <= 1e-6
+
+    @pytest.mark.parametrize("name, shape", [("gain", (9,)), ("gain", (1, 8)), ("bias", (7,)),
+                                             ("bias", ())])
+    def test_parameter_shape_refused(self, name, shape):
+        x, gain, bias = norm_inputs(83, 4, 8)[0]
+        args = {"gain": gain, "bias": bias, name: np.ones(shape)}
+        with pytest.raises(ValueError, match=rf"^affine_norm: {name} has shape"):
+            T.affine_norm(x, **args)
+
+    def test_no_grad_peak_below_one_and_a_quarter_outputs(self, no_grad_peak):
+        # analysis size: each 512-row tile is normalised in place in its
+        # slice of the output, with no full-size temporary beside it
+        inputs, _ = norm_inputs(84, 12800, 64)
+        peak = no_grad_peak(lambda: T.affine_norm(*inputs))
+        out_bytes = 12800 * 64 * 8
+        assert peak < 1.25 * out_bytes, f"peak {peak / out_bytes:.2f} outputs"

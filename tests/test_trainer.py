@@ -282,14 +282,15 @@ class TestObjective:
 
     def test_graph_node_count(self):
         # a default-config step on a three-domain demo batch: per block two
-        # affine norms, attention, router, experts and two residual adds;
-        # per layer one L_LB node and one L_ED node (behind a reshape)
+        # affine norms (one node each), attention, router, experts and two
+        # residual adds; per layer one L_LB node and one L_ED node (behind a
+        # reshape); the final affine norm and the head's NLL
         docs, _ = D.synth_corpus(D.three_domain_demo_specs(), seed=3)
         train_docs, _ = D.split_validation(docs, 64, 100)
         batch = D.pack_batches(train_docs, 64, 8, 0)[0]
         assert len(set(batch.domains)) == 3
         terms, _ = TR.objective(MoEModel(ModelConfig(), seed=0), batch, TR.TrainConfig())
-        assert len(T._toposort(terms["l_final"])) == 73
+        assert len(T._toposort(terms["l_final"])) == 63
 
 
 class TestRunTraining:
