@@ -52,7 +52,8 @@ class LayerTrace:
 
 
 def _param_shapes(c: ModelConfig) -> dict:
-    """{name: shape} of every parameter, in the order of ``MoEModel.flat``."""
+    """{name: shape} of every parameter, in the order of ``MoEModel.flat``,
+    which is the order ``forward`` and ``lm_loss`` read them in."""
     d, m = c.hidden_size, c.intermediate_size
     shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d)}
     for l in range(c.num_layers):

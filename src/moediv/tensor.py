@@ -515,7 +515,8 @@ def grad_check(f, params, h=1e-5) -> dict:
     ``f`` is a zero-argument callable returning a dict of named scalar
     Tensors built from ``params`` (a list of requires_grad leaf tensors).
     Each parameter coordinate is perturbed in place by ±h, and one call of
-    ``f`` per perturbation, made under ``no_grad``, serves every name.
+    ``f`` per perturbation, made under ``no_grad``, serves every name. The
+    coordinate is restored even when ``f`` raises.
     Returns {name: max relative error}.
     """
     roots = f()
@@ -530,11 +531,13 @@ def grad_check(f, params, h=1e-5) -> dict:
             }
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
-                fp = {name: t.item() for name, t in f().items()}
-                flat[i] = orig - h
-                fm = {name: t.item() for name, t in f().items()}
-                flat[i] = orig
+                try:
+                    flat[i] = orig + h
+                    fp = {name: t.item() for name, t in f().items()}
+                    flat[i] = orig - h
+                    fm = {name: t.item() for name, t in f().items()}
+                finally:
+                    flat[i] = orig
                 for name in roots:
                     numeric = (fp[name] - fm[name]) / (2.0 * h)
                     a = aflat[name][i]

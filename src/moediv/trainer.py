@@ -130,15 +130,17 @@ def _layer_mean(terms):
     return T.div(total, float(len(terms)))
 
 
-def objective(model: MoEModel, batch, config: TrainConfig):
+def objective(model: MoEModel, batch, config: TrainConfig, start=None):
     """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
 
-    L_LB and L_ED are means over the MoE layers. Returns (terms, layers):
+    L_LB and L_ED are means over the MoE layers. ``start=(l, prefix)`` is
+    passed on to ``forward``, and the terms then read layers l on only, so at
+    l = 0 they equal the full run's. Returns (terms, layers):
     ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar Tensors and
     ``layers`` is the forward's LayerTrace list (``probs`` are graph nodes).
     """
     tokens = batch.sequences
-    hidden, layers = forward(model, tokens)
+    hidden, layers = forward(model, tokens, start=start)
     l_lm = lm_loss(model, hidden, tokens)
     lb_terms, ed_terms = [], []
     for layer in layers:
@@ -207,6 +209,7 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
             if record["m_b"] < 2:
                 log.debug("step %d: divergence-skipped (single-domain batch)", step)
             if (step + 1) % config.checkpoint_interval == 0:
+                mf.flush()  # a kill after the checkpoint leaves the log up to its step
                 save_checkpoint(ckpt_path, model, step=step + 1, opt_state=opt_state)
                 log.info("step %d: checkpoint written", step + 1)
             if step % 100 == 0:

@@ -205,6 +205,20 @@ class TestGradCheck:
         assert recorded == [True, False, False, False, False]
         assert T.tsum(T.mul(p, p)).requires_grad
 
+    def test_raising_f_leaves_parameter_unperturbed(self):
+        p = T.Tensor([0.3, -1.2], requires_grad=True)
+        calls = []
+
+        def f():
+            calls.append(None)
+            if len(calls) == 2:  # the first perturbed call, at p[0] + h
+                raise ValueError("f failed")
+            return {"y": T.tsum(T.mul(p, p))}
+
+        with pytest.raises(ValueError, match="f failed"):
+            T.grad_check(f, [p], h=1e-5)
+        assert p.data.tolist() == [0.3, -1.2]
+
 
 def one_hot(idx, n):
     """[len(idx), n] matrix with a 1 at (j, idx[j]); a dense gather matrix."""

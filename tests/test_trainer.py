@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,9 +222,9 @@ class TestObjective:
         calls = []
         real = TR.objective
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(model, batch, config, start=None):
+            calls.append(start)
+            return real(model, batch, config, start)
 
         monkeypatch.setattr(TR, "objective", counted)
         return calls
@@ -241,8 +244,10 @@ class TestObjective:
 
         monkeypatch.setattr(T, "grad_check", one_eval)
         ok, _ = checks.check_gradients()
-        # one evaluation serves every term: l_lm, l_lb, l_ed, l_final
-        assert ok and len(calls) == 1
+        # one evaluation per pass serves every term: l_lm, l_lb, l_ed,
+        # l_final; the second pass resumes from layer 0's prefix
+        assert ok and len(calls) == 2
+        assert calls[0] is None and calls[1][0] == 0
 
     def test_terms_match_record(self):
         # the record is the objective's terms: l_final is exactly the float
@@ -293,7 +298,81 @@ class TestObjective:
         assert len(T._toposort(terms["l_final"])) == 63
 
 
+class TestCheckGradients:
+    """The gradient check perturbs the parameters read after layer 0's
+    prefix on an objective resumed from it, and nothing else changes."""
+
+    def test_split_passes_equal_one_full_pass(self, monkeypatch):
+        passes = []
+        real = T.grad_check
+
+        def spy(*args, **kwargs):
+            passes.append(real(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(T, "grad_check", spy)
+        _, detail = checks.check_gradients()
+        model, batch = checks.gradient_check_fixture()
+        cfg = TR.TrainConfig(total_steps=1, warmup_steps=0)
+        full = real(lambda: TR.objective(model, batch, cfg)[0],
+                    list(model.params.values()), h=1e-5)
+        # an early parameter perturbed on the resumed objective would read 1.0
+        assert {name: max(p[name] for p in passes) for name in full} == full
+        assert detail == "max relative errors: " + ", ".join(
+            f"{k}={v:.2e}" for k, v in full.items()) + " (tol 1e-04)"
+
+    def test_forward_counts(self, monkeypatch):
+        counts = {"embeddings": 0, "resumed": 0}
+        real = checks.forward
+
+        def counted(model, tokens, start=None, stop=None):
+            counts["embeddings" if start is None else "resumed"] += 1
+            return real(model, tokens, start=start, stop=stop)
+
+        monkeypatch.setattr(checks, "forward", counted)
+        monkeypatch.setattr(TR, "forward", counted)
+        checks.check_gradients()
+        # the prefix (stop=0), then one analytic pass and 2 x coordinates per
+        # group: 440 from the embeddings to layer 0's attention, 1,704 after
+        assert counts == {"embeddings": 1 + 1 + 2 * 440, "resumed": 1 + 2 * 1704}
+
+
+KILLED_RUN = """
+import os, sys
+sys.path.insert(0, sys.argv[2])
+from test_trainer import SMALL, tiny_batches
+from moediv import trainer as TR
+from moediv.model import MoEModel
+
+save = TR.save_checkpoint
+
+def save_then_die(*args, step, **kwargs):
+    save(*args, step=step, **kwargs)
+    if step == 20:
+        os._exit(0)
+
+TR.save_checkpoint = save_then_die
+cfg = TR.TrainConfig(total_steps=25, warmup_steps=2, checkpoint_interval=10)
+TR.run_training(MoEModel(SMALL, seed=13), tiny_batches(seed=13), cfg, sys.argv[1])
+"""
+
+
 class TestRunTraining:
+    def test_kill_after_checkpoint_keeps_log_to_its_step(self, tmp_path):
+        # a process killed right after the step-20 checkpoint, with no
+        # chance to flush, leaves the log's first 20 lines on disk
+        env = dict(os.environ, PYTHONPATH=str(Path(TR.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", KILLED_RUN, str(tmp_path / "killed"),
+                               str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert load_checkpoint(tmp_path / "killed" / "checkpoint.moediv")[1] == 20
+        cfg = TR.TrainConfig(total_steps=25, warmup_steps=2, checkpoint_interval=10)
+        _, full = TR.run_training(MoEModel(SMALL, seed=13), tiny_batches(seed=13), cfg,
+                                  tmp_path / "full")
+        killed = (tmp_path / "killed" / "metrics.jsonl").read_text().splitlines()
+        assert killed == Path(full).read_text().splitlines()[:20]
+
     def test_outputs_and_metrics_lines(self, tmp_path):
         model = MoEModel(SMALL, seed=4)
         cfg = TR.TrainConfig(total_steps=6, warmup_steps=2, checkpoint_interval=3)
