@@ -114,9 +114,9 @@ def _load_valsets(path, seq_len, limit):
 def _model_and_valsets(args):
     """The --ckpt model and the --data validation sets of an analysis verb."""
     _require_file(args.ckpt, "--ckpt")
+    _require_file(args.data, "--data")
     model, step, _ = load_checkpoint(args.ckpt)
     log.info("loaded checkpoint at step %d", step)
-    _require_file(args.data, "--data")
     return model, _load_valsets(args.data, model.config.max_seq_len, args.limit)
 
 

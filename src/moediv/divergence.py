@@ -28,7 +28,10 @@ def _validate_dist(p, name="p"):
 
 def entropy(p) -> float:
     """Shannon entropy -sum p ln p, with 0 ln 0 = 0."""
-    p = _validate_dist(p)
+    return _entropy(_validate_dist(p))
+
+
+def _entropy(p) -> float:  # entropy of a validated distribution
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -39,8 +42,10 @@ def kl(p, q) -> float:
     Returns +inf when p puts mass where q has none (documented marker, never
     raises for that case).
     """
-    p = _validate_dist(p, "p")
-    q = _validate_dist(q, "q")
+    return _kl(_validate_dist(p, "p"), _validate_dist(q, "q"))
+
+
+def _kl(p, q) -> float:  # kl of two validated distributions
     mask = p > 0
     if np.any(q[mask] == 0):
         return float("inf")
@@ -56,7 +61,7 @@ def jsd_pair(p, q) -> float:
     p = _validate_dist(p, "p")
     q = _validate_dist(q, "q")
     m = 0.5 * (p + q)
-    return entropy(m) - 0.5 * entropy(p) - 0.5 * entropy(q)
+    return _entropy(m) - 0.5 * _entropy(p) - 0.5 * _entropy(q)
 
 
 def generalized_jsd(dists, weights) -> float:
@@ -73,7 +78,7 @@ def generalized_jsd(dists, weights) -> float:
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {weights.sum()}, not 1")
     mean = sum(w * d for w, d in zip(weights, dists))
-    return float(sum(w * kl(d, mean) for w, d in zip(weights, dists) if w > 0))
+    return float(sum(w * _kl(d, mean) for w, d in zip(weights, dists) if w > 0))
 
 
 def generalized_jsd_entropy_form(dists, weights) -> float:
@@ -83,7 +88,7 @@ def generalized_jsd_entropy_form(dists, weights) -> float:
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {weights.sum()}, not 1")
     mean = sum(w * d for w, d in zip(weights, dists))
-    return entropy(mean) - float(sum(w * entropy(d) for w, d in zip(weights, dists)))
+    return _entropy(mean) - float(sum(w * _entropy(d) for w, d in zip(weights, dists)))
 
 
 def pairwise_sum(means) -> float:

@@ -154,17 +154,21 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     for i in range(first, c.num_layers):
         pre = f"layers.{i}."
         w = {name[len(pre):]: t for name, t in p.items() if name.startswith(pre)}
+        # each norm's output goes straight into the op that reads it, and y
+        # is dropped after the add, so under no_grad a sublayer's input is
+        # freed as soon as it has been read
         if start is None or i > first:
-            xn = T.affine_norm(x, w["ln1.g"], w["ln1.b"])
             attn = [w["attn." + name] for name in ("wq", "wk", "wv", "wo")]
-            x = T.add(x, T.causal_attention(xn, *attn, b, c.num_heads))
-        hn = T.affine_norm(x, w["ln2.g"], w["ln2.b"])
+            x = T.add(x, T.causal_attention(T.affine_norm(x, w["ln1.g"], w["ln1.b"]), *attn,
+                                            b, c.num_heads))
         moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
-        y, probs, selected = moe_forward_batch(moe, hn, mix=i != stop)
+        y, probs, selected = moe_forward_batch(moe, T.affine_norm(x, w["ln2.g"], w["ln2.b"]),
+                                               mix=i != stop)
         layers.append(LayerTrace(probs=probs, selected=selected))
         if i == stop:
             break
         x = T.add(x, y)
+        del y
 
     return x, layers
 
@@ -228,29 +232,32 @@ def load_checkpoint(path):
     from .trainer import AdamWState  # local import to avoid a cycle
 
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a moediv checkpoint (bad magic)")
-        header_line = f.readline()
-        blob = f.read()
-    try:
-        header = json.loads(header_line)
-        config = ModelConfig(**header["config"])
-        step = header["step"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ValueError(f"{path}: bad header: {exc}") from exc
-    shapes = _param_shapes(config)
-    if header.get("params") != [[n, list(s)] for n, s in shapes.items()]:
-        raise ValueError(f"{path}: parameter names and shapes do not match the config")
-    n = sum(math.prod(s) for s in shapes.values())
-    expected = 8 * n * (3 if header.get("has_opt") else 1)
-    if len(blob) != expected:
-        reason = "truncated" if len(blob) < expected else f"{len(blob) - expected} trailing bytes"
-        raise ValueError(f"{path}: {reason}: expected {expected} data bytes, read {len(blob)}")
-    vectors = np.frombuffer(blob, dtype="<f8").reshape(-1, n)
-    model = MoEModel(config, flat=vectors[0])
-    opt_state = None
-    if header.get("has_opt"):
-        opt_state = AdamWState(m=vectors[1].copy(), v=vectors[2].copy(),
-                               t=header.get("opt_t", 0))
+        try:
+            header = json.loads(f.readline())
+            config = ModelConfig(**header["config"])
+            step = header["step"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: bad header: {exc}") from exc
+        shapes = _param_shapes(config)
+        if header.get("params") != [[n, list(s)] for n, s in shapes.items()]:
+            raise ValueError(f"{path}: parameter names and shapes do not match the config")
+        n = sum(math.prod(s) for s in shapes.values())
+        expected = 8 * n * (3 if header.get("has_opt") else 1)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != expected:
+            reason = "truncated" if size < expected else f"{size - expected} trailing bytes"
+            raise ValueError(f"{path}: {reason}: expected {expected} data bytes, read {size}")
+
+        def vector():  # the next n values, read straight into their own array
+            out = np.empty(n, dtype="<f8")
+            if f.readinto(out) != 8 * n:
+                raise ValueError(f"{path}: truncated while reading")
+            return out
+
+        model = MoEModel(config, flat=vector())
+        opt_state = None
+        if header.get("has_opt"):
+            opt_state = AdamWState(m=vector(), v=vector(), t=header.get("opt_t", 0))
     return model, step, opt_state

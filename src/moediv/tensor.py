@@ -310,13 +310,16 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
 
     ``xn`` is [B*L, d] and ``wq``, ``wk``, ``wv``, ``wo`` are [d, d]; each of
     ``num_heads`` heads attends with its d / H columns of q, k and v to earlier
-    and equal positions. A no-grad call runs tiles of a few sequences and 32
-    query rows [r0, r1), each scored only against keys [0, r1), so it holds
-    one tile of the [B, H, L, L] scores; a recorded call runs one tile of
-    everything and saves q, k, v, the weights and the merged heads (a
-    no-grad call at d / H not a multiple of 8 also runs one tile, see
-    ``_tile``). The scores become the weights in place. Returns [B*L, d].
-    Raises ValueError on a non-finite input or score.
+    and equal positions. A no-grad call walks groups of a few sequences: it
+    projects q, k and v for the group's rows only, runs tiles of 32 query rows
+    [r0, r1), each scored only against keys [0, r1), into the group's merged
+    heads, and writes their product with ``wo`` into the group's rows of the
+    output. So it holds one tile of the [B, H, L, L] scores and no [B*L, d]
+    array but its output. A recorded call runs one tile of everything and
+    saves q, k, v, the weights and the merged heads (a no-grad call at d / H
+    not a multiple of 8 also runs one tile, see ``_tile``). The scores become
+    the weights in place. Returns [B*L, d]. Raises ValueError on a non-finite
+    input or score.
     """
     xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
     require_finite("causal_attention", xn=xn, wq=wq, wk=wk, wv=wv, wo=wo)
@@ -324,23 +327,25 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     l, dh = t // batch, d // num_heads
     scale = 1.0 / np.sqrt(dh)
 
-    def heads(a):  # [B*L, d] -> [B, H, L, dh]
-        return np.transpose(a.reshape(batch, l, num_heads, dh), (0, 2, 1, 3))
+    def heads(a):  # [n*L, d] -> [n, H, L, dh]
+        return np.transpose(a.reshape(-1, l, num_heads, dh), (0, 2, 1, 3))
 
     def merge(a):  # [B, H, L, dh] -> [B*L, d]
         return np.transpose(a, (0, 2, 1, 3)).reshape(t, d)
 
-    q, k, v = (heads(xn.data @ w.data) for w in (wq, wk, wv))
     # -1e30 above the diagonal; np.triu takes twice as long to build it
     mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
     # key prefixes r1 that are multiples of 32 (or L) add only exact zeros
     # less than whole rows do, to the row sums and to the K loop of att @ v
     rows, seqs = _tile(parents, (l, batch), (32, max(1, _TILE // (32 * num_heads * l))), dh)
-    merged = np.empty((t, d))
-    out = heads(merged)  # att @ v lands in the merged heads' layout
+    data = np.empty((t, d))
     for b0, b1 in _tiles(0, batch, seqs):
+        x = xn.data[b0 * l:b1 * l]
+        q, k, v = (heads(x @ w.data) for w in (wq, wk, wv))
+        merged = np.empty(x.shape)
+        out = heads(merged)  # att @ v lands in the merged heads' layout
         for r0, r1 in _tiles(0, l, rows):
-            att = np.matmul(q[b0:b1, :, r0:r1], np.swapaxes(k[b0:b1, :, :r1], -1, -2))
+            att = np.matmul(q[:, :, r0:r1], np.swapaxes(k[:, :, :r1], -1, -2))
             att *= scale
             att += mask[r0:r1, :r1]
             if not np.all(np.isfinite(att)):
@@ -348,7 +353,8 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
             att -= att.max(axis=-1, keepdims=True)
             np.exp(att, out=att)
             att /= att.sum(axis=-1, keepdims=True)
-            np.matmul(att, v[b0:b1, :, :r1], out=out[b0:b1, :, r0:r1])
+            np.matmul(att, v[:, :, :r1], out=out[:, :, r0:r1])
+        np.matmul(merged, wo.data, out=data[b0 * l:b1 * l])
 
     def vjp(g):
         g_out = heads(g @ wo.data.T)
@@ -363,7 +369,7 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
         g_xn = (g_q @ wq.data.T + g_k @ wk.data.T) + g_v @ wv.data.T
         return (g_xn, xn.data.T @ g_q, xn.data.T @ g_k, xn.data.T @ g_v, merged.T @ g)
 
-    return node(merged @ wo.data, parents, vjp)
+    return node(data, parents, vjp)
 
 
 def expert_mixture(x, probs, selected, experts) -> Tensor:

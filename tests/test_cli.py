@@ -294,6 +294,18 @@ class TestExitCodes:
         assert f"error: --out: {out} exists and is not a directory" in capsys.readouterr().err
         assert out.read_text() == "x"
 
+    @pytest.mark.parametrize("verb", ["decompose", "perturb", "heatmap", "ternary"])
+    def test_missing_data_refused_before_checkpoint_is_read(self, trained, tmp_path, capsys,
+                                                            monkeypatch, verb):
+        def load_checkpoint(path):
+            raise AssertionError("checkpoint read before --data was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", load_checkpoint)
+        missing = tmp_path / "missing.jsonl"
+        argv = [verb, "--ckpt", str(trained["ckpt"]), "--data", str(missing)]
+        assert cli.run(argv + (["--layer", "0"] if verb == "perturb" else [])) == 1
+        assert f"error: --data: no such file: {missing}" in capsys.readouterr().err
+
 
 class TestTrainOutputs:
     def test_artifacts(self, trained):

@@ -91,22 +91,25 @@ class TestForward:
         with pytest.raises(ValueError, match=r"got shape \(2, 0\)"):
             forward(model, np.zeros((2, 0), dtype=np.intp))
 
-    def test_no_grad_peak_below_three_score_arrays(self):
+    def test_no_grad_peak_below_three_score_arrays(self, no_grad_peak):
         # attention turns its [B, H, L, L] scores into the weights in place,
         # so a no-grad forward never holds several arrays of that size
         c = ModelConfig()
         model = MoEModel(c, seed=0)
         tokens = np.random.default_rng(0).integers(0, c.vocab_size, size=(16, 128))
         score_bytes = 16 * c.num_heads * 128 * 128 * 8
-        with T.no_grad():
-            forward(model, tokens)  # warm-up
-            tracemalloc.start()
-            try:
-                forward(model, tokens)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        peak = no_grad_peak(lambda: forward(model, tokens))
         assert peak < 3 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+
+    def test_no_grad_peak_below_six_residual_arrays(self, no_grad_peak):
+        # a sublayer's input is freed once read, and attention holds no
+        # [B*L, d] array but its output
+        c = ModelConfig()
+        model = MoEModel(c, seed=0)
+        tokens = np.random.default_rng(1).integers(0, c.vocab_size, size=(32, 128))
+        residual_bytes = 32 * 128 * c.hidden_size * 8
+        peak = no_grad_peak(lambda: forward(model, tokens))
+        assert peak < 6 * residual_bytes, f"peak {peak / residual_bytes:.2f} residual arrays"
 
 
 class TestStartStop:
@@ -241,6 +244,32 @@ class TestCheckpoint:
         assert loaded.t == 7
         assert np.array_equal(loaded.m, state.m)
         assert np.array_equal(loaded.v, state.v)
+
+    def test_loaded_moments_are_writable_and_separate(self, tmp_path):
+        model = MoEModel(SMALL, seed=19)
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, model, opt_state=AdamWState.init(model.flat))
+        loaded, _, state = load_checkpoint(path)
+        arrays = (loaded.flat, state.m, state.v)
+        assert all(a.flags.writeable for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_load_peak_at_most_four_flat_vectors(self, tmp_path):
+        # the file size is checked first, then each vector is read once into
+        # its own array: no whole-file bytes object and no copies of it
+        model = MoEModel(ModelConfig(), seed=20)
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, model, opt_state=AdamWState.init(model.flat))
+        load_checkpoint(path)  # warm-up
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * model.flat.nbytes, f"peak {peak / model.flat.nbytes:.2f} flat vectors"
 
     def test_data_is_flat_then_moments(self, tmp_path):
         model = MoEModel(SMALL, seed=17)

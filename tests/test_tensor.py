@@ -355,9 +355,12 @@ class TestCausalAttention:
 
     # (B, L, d, H): partial last sequence groups, L not a multiple of the
     # 32-row query block (L = 33 is one block: a one-row remainder joins the
-    # block before it), and the analysis length L = 128
+    # block before it), the analysis length L = 128, sequences of one and
+    # two tokens whose groups of 256 and 128 project 256 rows each before a
+    # partial last group, and one sequence
     @pytest.mark.parametrize("batch, length, d, heads", [
         (7, 40, 64, 4), (3, 33, 64, 4), (9, 65, 32, 2), (3, 128, 64, 4),
+        (300, 1, 64, 4), (200, 2, 64, 4), (1, 128, 64, 4),
     ])
     def test_no_grad_tiles_match_recorded_call(self, batch, length, d, heads):
         inputs, _ = attention_inputs(35, batch, length, d)
@@ -389,6 +392,14 @@ class TestCausalAttention:
         peak = no_grad_peak(lambda: T.causal_attention(*inputs, batch, heads))
         score_bytes = batch * heads * length * length * 8
         assert peak < score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+
+    def test_no_grad_peak_below_one_and_a_half_outputs(self, no_grad_peak):
+        # q, k, v and the merged heads exist one sequence group at a time
+        batch, length, heads = 100, 128, 4
+        inputs, _ = attention_inputs(38, batch, length, 64)
+        peak = no_grad_peak(lambda: T.causal_attention(*inputs, batch, heads))
+        out_bytes = batch * length * 64 * 8
+        assert peak < 1.5 * out_bytes, f"peak {peak / out_bytes:.2f} output arrays"
 
 
 @pytest.mark.parametrize("case", ["attention weight", "attention last token", "route"])
