@@ -124,7 +124,7 @@ def check_gradients(tol=1e-4, h=1e-5, seed=5):
     train_config = trainer.TrainConfig(total_steps=1, warmup_steps=0)
     with T.no_grad():
         prefix, _ = forward(model, batch.sequences, stop=0)
-    # _param_shapes lists parameters in the order forward reads them, so
+    # _layout lists parameters in the order forward reads them, so
     # layer 0's ln2 gain is the first one read after the prefix
     params = list(model.params.values())
     cut = list(model.params).index("layers.0.ln2.g")

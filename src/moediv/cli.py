@@ -229,32 +229,25 @@ def build_parser():
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("decompose", help="per-layer divergence report on a dataset")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=_int_at_least(1), default=100, help="sequences per domain")
+    flags = argparse.ArgumentParser(add_help=False)  # every analysis verb's flags
+    flags.add_argument("--ckpt", required=True)
+    flags.add_argument("--data", required=True)
+    flags.add_argument("--limit", type=_int_at_least(1), default=100, help="sequences per domain")
+
+    p = sub.add_parser("decompose", parents=[flags], help="per-layer divergence report")
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("perturb", help="router-permutation delta-PPL analysis")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("perturb", parents=[flags], help="router-permutation delta-PPL analysis")
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--draws", type=_int_at_least(1), default=3)
-    p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.set_defaults(fn=cmd_perturb)
 
-    p = sub.add_parser("heatmap", help="expert activation heatmaps as CSV")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("heatmap", parents=[flags], help="expert activation heatmaps as CSV")
     p.add_argument("--inverse", action="store_true", help="P(domain|expert) form")
-    p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.set_defaults(fn=cmd_heatmap)
 
-    p = sub.add_parser("ternary", help="3-domain simplex coordinates per expert")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=_int_at_least(1), default=100)
+    p = sub.add_parser("ternary", parents=[flags], help="3-domain simplex coordinates per expert")
     p.set_defaults(fn=cmd_ternary)
 
     p = sub.add_parser("check", help="run the invariant suite")

@@ -10,13 +10,12 @@ gradient reaches the router only through the soft probabilities.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import tensor as T
-from .divergence import DEFAULT_EPS
+from .divergence import DEFAULT_EPS, _pair_jsd
 from .tensor import Tensor
 
 
@@ -46,23 +45,14 @@ def load_balance_loss_t(probs: Tensor, selections) -> Tensor:
     return T.node(value, (probs,), vjp)
 
 
-def _entropy(p: np.ndarray):
-    """(H of each row of ``p`` in nats, its VJP).
-
-    Softmax means are strictly positive, but closed-form probes may pass
-    exact one-hots; the 1e-300 floor keeps 0*log(0) at 0 without moving any
-    representable positive probability. The VJP differentiates the floored
-    form, -g * (log(p + 1e-300) + p / (p + 1e-300)), and adds it to the
-    gradient ``acc`` that ``p`` already has.
+def _entropy_vjp(p: np.ndarray, g, acc=0.0):
+    """VJP of ``divergence._entropy`` at the rows of ``p`` for row cotangents
+    ``g``, added to the gradient ``acc`` that ``p`` already has. It
+    differentiates the floored form: -g * (log(p + 1e-300) + p / (p + 1e-300)).
     """
     floored = p + 1e-300
-    log_p = np.log(floored)
-
-    def vjp(g, acc=0.0):
-        g = (g * -1.0)[:, None]
-        return (acc + g * log_p) + g * p / floored
-
-    return (p * log_p).sum(axis=-1) * -1.0, vjp
+    g = (g * -1.0)[:, None]
+    return (acc + g * np.log(floored)) + g * p / floored
 
 
 def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -> Tensor:
@@ -91,19 +81,17 @@ def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -
     members = [np.nonzero(darr == d)[0] for d in unique]
     seq_means = probs.data.mean(axis=1)  # [B, N]
     means = np.stack([seq_means[rows].mean(axis=0) for rows in members])  # [M_B, N]
-    # pairs j < k in np.triu_indices order, built in a fraction of its time
-    j, k = np.array(list(itertools.combinations(range(len(unique)), 2)), dtype=np.intp).T
-    pj, pk = means[j], means[k]  # [P, N], one row per domain pair
-    (h_m, vjp_m), (h_j, vjp_j), (h_k, vjp_k) = map(_entropy, ((pj + pk) * 0.5, pj, pk))
-    jsd_eps = (h_m - (h_j + h_k) * 0.5) + eps
+    j, k, jsd = _pair_jsd(means)  # one JSD per domain pair j < k
+    jsd_eps = jsd + eps
     value = (np.log(jsd_eps) * -1.0).mean()
 
     def vjp(g):
         g_jsd = g / len(j) * -1.0 / jsd_eps
-        g_mix = vjp_m(g_jsd) * 0.5  # each of pj and pk is half of the mixture
+        pj, pk = means[j], means[k]  # [P, N], one row per domain pair
+        g_mix = _entropy_vjp((pj + pk) * 0.5, g_jsd) * 0.5  # pj and pk are half the mixture each
         g_half = -g_jsd * 0.5
-        g_means = (T._sum_rows(vjp_j(g_half, g_mix), j, len(unique))
-                   + T._sum_rows(vjp_k(g_half, g_mix), k, len(unique)))
+        g_means = (T._sum_rows(_entropy_vjp(pj, g_half, g_mix), j, len(unique))
+                   + T._sum_rows(_entropy_vjp(pk, g_half, g_mix), k, len(unique)))
         g_seq = np.empty((b, n))
         for rows, g_mean in zip(members, g_means):
             g_seq[rows] = g_mean / len(rows)

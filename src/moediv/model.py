@@ -51,9 +51,10 @@ class LayerTrace:
     selected: np.ndarray  # [T, K]
 
 
-def _param_shapes(c: ModelConfig) -> dict:
-    """{name: shape} of every parameter, in the order of ``MoEModel.flat``,
-    which is the order ``forward`` and ``lm_loss`` read them in."""
+def _layout(c: ModelConfig):
+    """({name: shape} of every parameter, their number of values, and the
+    checkpoint header's ``params`` list of [name, shape]), in the order of
+    ``MoEModel.flat``, which is the order ``forward`` and ``lm_loss`` read them in."""
     d, m = c.hidden_size, c.intermediate_size
     shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d)}
     for l in range(c.num_layers):
@@ -64,7 +65,8 @@ def _param_shapes(c: ModelConfig) -> dict:
                        pre + "moe.router": (c.num_experts, d),
                        pre + "moe.experts": (c.num_experts, 3, d, m)})
     shapes.update({"ln_f.g": (d,), "ln_f.b": (d,), "lm_head": (d, c.vocab_size)})
-    return shapes
+    return (shapes, sum(math.prod(s) for s in shapes.values()),
+            [[n, list(s)] for n, s in shapes.items()])
 
 
 class MoEModel:
@@ -79,8 +81,7 @@ class MoEModel:
         and every weight at N(0, 0.02^2), drawn in ``params`` order.
         """
         self.config = config
-        self.shapes = _param_shapes(config)
-        size = sum(math.prod(s) for s in self.shapes.values())
+        self.shapes, size, _ = _layout(config)
         if flat is None:
             self.flat = np.zeros(size)
         else:
@@ -207,7 +208,7 @@ def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
     header = {
         "config": asdict(model.config),
         "step": int(step),
-        "params": [[n, list(s)] for n, s in model.shapes.items()],
+        "params": _layout(model.config)[2],
         "has_opt": opt_state is not None,
         "opt_t": int(opt_state.t) if opt_state is not None else 0,
     }
@@ -240,10 +241,9 @@ def load_checkpoint(path):
             step = header["step"]
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad header: {exc}") from exc
-        shapes = _param_shapes(config)
-        if header.get("params") != [[n, list(s)] for n, s in shapes.items()]:
+        _, n, params = _layout(config)
+        if header.get("params") != params:
             raise ValueError(f"{path}: parameter names and shapes do not match the config")
-        n = sum(math.prod(s) for s in shapes.values())
         expected = 8 * n * (3 if header.get("has_opt") else 1)
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != expected:

@@ -14,7 +14,7 @@ import contextlib
 import numpy as np
 
 _grad_enabled = True
-_TILE = 1 << 15  # values per no-grad tile of the fused ops (256 KB): its temporaries stay in cache
+_TILE = 1 << 15  # values per no-grad fused-op tile and AdamW slice (256 KB): stays in cache
 
 
 @contextlib.contextmanager
@@ -214,7 +214,8 @@ def _tile(parents, whole, part, *widths):
     with an output width in ``widths`` that is not a multiple of 8: there
     OpenBLAS's kernel for small products rounds unlike its kernel for large
     ones, so a tile's rows would differ in the last bits from the same rows
-    of the whole product.
+    of the whole product. Where other widths do that, the op picks ``part``
+    by width: ``causal_attention`` tiles d / H >= 32 by whole sequences.
     """
     return whole if _recording(parents) or any(w % 8 for w in widths) else part
 
@@ -312,14 +313,14 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     ``num_heads`` heads attends with its d / H columns of q, k and v to earlier
     and equal positions. A no-grad call walks groups of a few sequences: it
     projects q, k and v for the group's rows only, runs tiles of 32 query rows
-    [r0, r1), each scored only against keys [0, r1), into the group's merged
-    heads, and writes their product with ``wo`` into the group's rows of the
-    output. So it holds one tile of the [B, H, L, L] scores and no [B*L, d]
-    array but its output. A recorded call runs one tile of everything and
-    saves q, k, v, the weights and the merged heads (a no-grad call at d / H
-    not a multiple of 8 also runs one tile, see ``_tile``). The scores become
-    the weights in place. Returns [B*L, d]. Raises ValueError on a non-finite
-    input or score.
+    [r0, r1) (whole sequences at d / H >= 32), each scored only against keys
+    [0, r1), into the group's merged heads, and writes their product with
+    ``wo`` into the group's rows of the output. So it holds one tile of the
+    [B, H, L, L] scores and no [B*L, d] array but its output. A recorded call
+    runs one tile of everything and saves q, k, v, the weights and the merged
+    heads (a no-grad call at d / H not a multiple of 8 also runs one tile, see
+    ``_tile``). The scores become the weights in place. Returns [B*L, d].
+    Raises ValueError on a non-finite input or score.
     """
     xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
     require_finite("causal_attention", xn=xn, wq=wq, wk=wk, wv=wv, wo=wo)
@@ -336,8 +337,10 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     # -1e30 above the diagonal; np.triu takes twice as long to build it
     mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
     # key prefixes r1 that are multiples of 32 (or L) add only exact zeros
-    # less than whole rows do, to the row sums and to the K loop of att @ v
-    rows, seqs = _tile(parents, (l, batch), (32, max(1, _TILE // (32 * num_heads * l))), dh)
+    # less than whole rows do, to the row sums and to the K loop of att @ v; at
+    # d / H >= 32 a 32-row tile's scores round unlike the whole q @ k.T's
+    part = 32 if dh < 32 else l
+    rows, seqs = _tile(parents, (l, batch), (part, max(1, _TILE // (part * num_heads * l))), dh)
     data = np.empty((t, d))
     for b0, b1 in _tiles(0, batch, seqs):
         x = xn.data[b0 * l:b1 * l]

@@ -75,9 +75,6 @@ def lr_at(step: int, config: TrainConfig) -> float:
     return config.lr
 
 
-_ADAMW_SLICE = 1 << 15  # 256 KB slices: their temporaries stay in cache, whole-vector ones do not
-
-
 def adamw_update(params_vec: np.ndarray, grads_vec: np.ndarray, state: AdamWState,
                  lr: float, beta1: float, beta2: float, weight_decay: float,
                  eps: float = 1e-8):
@@ -93,8 +90,8 @@ def adamw_update(params_vec: np.ndarray, grads_vec: np.ndarray, state: AdamWStat
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for start in range(0, params_vec.size, _ADAMW_SLICE):
-        part = slice(start, start + _ADAMW_SLICE)
+    for start in range(0, params_vec.size, T._TILE):  # whole-vector temporaries miss the cache
+        part = slice(start, start + T._TILE)
         p, g, m, v = params_vec[part], grads_vec[part], state.m[part], state.v[part]
         m *= beta1
         m += (1.0 - beta1) * g

@@ -57,6 +57,43 @@ class TestKL:
         assert dv.kl(p, q) == pytest.approx(expected, rel=1e-12)
 
 
+# one call per public function on rows of unequal length and on rows with a
+# negative entry that still sum to 1, and on the weights [1.5, -0.5]
+UNEQUAL, NEGATIVE = [[1.0], [0.5, 0.5]], [[1.1, -0.1], [0.9, 0.1]]
+REFUSALS = {
+    "kl": lambda rows, w: dv.kl(*rows),
+    "jsd_pair": lambda rows, w: dv.jsd_pair(*rows),
+    "generalized_jsd": dv.generalized_jsd,
+    "generalized_jsd_entropy_form": dv.generalized_jsd_entropy_form,
+    "pairwise_sum": lambda rows, w: dv.pairwise_sum(rows),
+    "decompose": lambda rows, w: dv.decompose(rows, ["a", "a"]),
+}
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("fn", REFUSALS)
+    @pytest.mark.parametrize("rows, what", [
+        pytest.param(UNEQUAL, "unequal length|shape", id="unequal"),
+        pytest.param(NEGATIVE, "negative entry", id="negative"),
+    ])
+    def test_bad_rows_refused_by_name(self, fn, rows, what):
+        # a numpy warning raised before the refusal fails this under
+        # filterwarnings = error
+        with pytest.raises(ValueError, match=f"^{fn}: .*({what})"):
+            REFUSALS[fn](rows, [0.5, 0.5])
+
+    @pytest.mark.parametrize("fn", ["generalized_jsd", "generalized_jsd_entropy_form"])
+    @pytest.mark.parametrize("weights", [[1.5, -0.5], [1.0], [0.6, 0.5]],
+                             ids=["negative", "short", "sum-1.1"])
+    def test_bad_weights_refused_by_name(self, fn, weights):
+        with pytest.raises(ValueError, match=f"^{fn}: weights"):
+            REFUSALS[fn]([[1.0, 0.0], [0.5, 0.5]], weights)
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="^entropy: p sums to nan"):
+            dv.entropy([np.nan, 1.0])
+
+
 class TestJSDPair:
     def test_identical_zero(self):
         assert dv.jsd_pair([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-15)
@@ -201,6 +238,16 @@ class TestExpertDivergenceLoss:
     def test_single_domain_skipped(self):
         assert ed_loss([[0.5, 0.5]]) == 0.0
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_value_is_mean_over_shared_pair_jsds(self, m):
+        rng = np.random.default_rng(40 + m)
+        means = np.stack([random_dist(rng, 8) for _ in range(m)])
+        j, k, jsd = dv._pair_jsd(means)
+        pairs = list(itertools.combinations(range(m), 2))
+        assert list(zip(j.tolist(), k.tolist())) == pairs
+        assert jsd.tolist() == [dv.jsd_pair(means[a], means[b]) for a, b in pairs]
+        assert ed_loss(means) == np.mean([-np.log(v + 1e-8) for v in jsd])
+
     def test_monotone_in_jsd(self):
         # -ln is strictly decreasing: larger pairwise JSD, smaller loss
         values = []
@@ -229,6 +276,13 @@ class TestPairwiseSum:
     def test_single_domain_rejected(self):
         with pytest.raises(ValueError):
             dv.pairwise_sum([[0.5, 0.5]])
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_equals_sum_of_jsd_pair(self, m):
+        rng = np.random.default_rng(50 + m)
+        means = np.stack([random_dist(rng, 8) for _ in range(m)])
+        expected = sum(dv.jsd_pair(p, q) for p, q in itertools.combinations(means, 2))
+        assert dv.pairwise_sum(means) == expected
 
 
 class TestDecompose:

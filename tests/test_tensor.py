@@ -357,10 +357,12 @@ class TestCausalAttention:
     # 32-row query block (L = 33 is one block: a one-row remainder joins the
     # block before it), the analysis length L = 128, sequences of one and
     # two tokens whose groups of 256 and 128 project 256 rows each before a
-    # partial last group, and one sequence
+    # partial last group, one sequence, and heads of d / H >= 32 at L >= 64,
+    # whose 32-row query tiles would round their scores apart
     @pytest.mark.parametrize("batch, length, d, heads", [
         (7, 40, 64, 4), (3, 33, 64, 4), (9, 65, 32, 2), (3, 128, 64, 4),
         (300, 1, 64, 4), (200, 2, 64, 4), (1, 128, 64, 4),
+        (1, 64, 64, 2), (3, 65, 64, 2), (2, 128, 128, 4), (3, 100, 96, 2),
     ])
     def test_no_grad_tiles_match_recorded_call(self, batch, length, d, heads):
         inputs, _ = attention_inputs(35, batch, length, d)
