@@ -101,8 +101,28 @@ def _load_docs(path):
         raise UsageError(str(exc)) from None
 
 
-def _load_valsets(path, seq_len, limit):
-    docs = _load_docs(path)
+def _check_inputs(config, docs, seq_len=None, experts=1):
+    """Refuse, before any file is written or any forward runs, inputs that do
+    not fit the ``config`` of the model a verb will run: a --data byte outside
+    its vocabulary, a ``seq_len`` above its ``max_seq_len``, or fewer than
+    ``experts`` experts."""
+    top = {}  # the largest byte of each domain, in first-seen order
+    for doc in docs:
+        if doc.tokens.size:
+            top[doc.domain] = max(top.get(doc.domain, 0), int(doc.tokens.max()))
+    for domain, byte in top.items():
+        if byte >= config.vocab_size:
+            raise UsageError(f"--data: domain {domain} has byte {byte}, outside the model's "
+                             f"vocab_size {config.vocab_size}")
+    if seq_len is not None and seq_len > config.max_seq_len:
+        raise UsageError(f"seq_len = {seq_len} exceeds the model's max_seq_len = "
+                         f"{config.max_seq_len}")
+    if config.num_experts < experts:
+        raise UsageError(f"--ckpt: the model has {config.num_experts} expert(s), "
+                         f"fewer than the {experts} this verb needs")
+
+
+def _load_valsets(docs, seq_len, limit):
     packed = data_mod.pack_sequences(docs, seq_len)
     short = sorted(d for d, rows in packed.items() if not len(rows))
     if short:
@@ -111,13 +131,16 @@ def _load_valsets(path, seq_len, limit):
     return {d: rows[:limit] for d, rows in packed.items()}
 
 
-def _model_and_valsets(args):
-    """The --ckpt model and the --data validation sets of an analysis verb."""
+def _model_and_valsets(args, experts=1):
+    """The --ckpt model and the --data validation sets of an analysis verb
+    that needs a model of at least ``experts`` experts."""
     _require_file(args.ckpt, "--ckpt")
     _require_file(args.data, "--data")
     model, step, _ = load_checkpoint(args.ckpt)
     log.info("loaded checkpoint at step %d", step)
-    return model, _load_valsets(args.data, model.config.max_seq_len, args.limit)
+    docs = _load_docs(args.data)
+    _check_inputs(model.config, docs, experts=experts)
+    return model, _load_valsets(docs, model.config.max_seq_len, args.limit)
 
 
 def cmd_train(args):
@@ -133,16 +156,17 @@ def cmd_train(args):
         raise UsageError(f"--out: {args.out} exists and is not empty (use --force)")
 
     docs = _load_docs(args.data)
-    try:
-        batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
-                                        train_cfg.seed)
-    except ValueError as exc:
-        raise UsageError(f"--data: {exc}") from None
     if args.resume:
         model, start_step, opt_state = load_checkpoint(args.resume)
         log.info("resuming at step %d", start_step)
     else:
         model, start_step, opt_state = MoEModel(model_cfg, seed=train_cfg.seed), 0, None
+    _check_inputs(model.config, docs, seq_len=data_cfg.seq_len)
+    try:
+        batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
+                                        train_cfg.seed)
+    except ValueError as exc:
+        raise UsageError(f"--data: {exc}") from None
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as f:
@@ -167,7 +191,7 @@ def cmd_decompose(args):
 
 
 def cmd_perturb(args):
-    model, valsets = _model_and_valsets(args)
+    model, valsets = _model_and_valsets(args, experts=2)
     if not 0 <= args.layer < model.config.num_layers:
         raise UsageError(
             f"--layer {args.layer} out of range: model has {model.config.num_layers} layers"

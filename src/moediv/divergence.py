@@ -11,6 +11,7 @@ is built from them. Each public function checks its inputs once, with
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,11 +45,20 @@ def _entropy(p):
     return (p * np.log(p + 1e-300)).sum(axis=-1) * -1.0
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(m):
+    """Read-only index arrays (j, k) of the pairs j < k of m >= 2 rows, in
+    ``itertools.combinations`` order."""
+    j, k = np.array(list(itertools.combinations(range(m), 2)), dtype=np.intp).T.copy()
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
+
+
 def _pair_jsd(means):
-    """(j, k, jsd) of the M >= 2 rows of checked ``means``: the pairs j < k in
-    ``itertools.combinations`` order and each pair's JSD in entropy form (Lin
-    1991), H((p_j + p_k) / 2) - (H(p_j) + H(p_k)) / 2."""
-    j, k = np.array(list(itertools.combinations(range(len(means)), 2)), dtype=np.intp).T
+    """(j, k, jsd) of the M >= 2 rows of checked ``means``: the pairs j < k of
+    ``_pairs`` and each pair's JSD in entropy form (Lin 1991),
+    H((p_j + p_k) / 2) - (H(p_j) + H(p_k)) / 2."""
+    j, k = _pairs(len(means))
     pj, pk = means[j], means[k]
     return j, k, _entropy((pj + pk) * 0.5) - (_entropy(pj) + _entropy(pk)) * 0.5
 

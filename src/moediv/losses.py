@@ -37,7 +37,7 @@ def load_balance_loss_t(probs: Tensor, selections) -> Tensor:
     """
     t, n = probs.shape
     f = _selection_fractions(selections, n)
-    value = (probs.data.mean(axis=0) * f).sum() * n
+    value = (probs.data.sum(axis=0) / t * f).sum() * n  # sum / t: np.mean's bits
 
     def vjp(g):
         return (np.broadcast_to(g * n * f / t, probs.shape).copy(),)
@@ -72,26 +72,27 @@ def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -
             f"expert_divergence_loss_t: {len(domains)} domain labels "
             f"for {probs.shape[0]} sequences"
         )
-    unique = list(dict.fromkeys(domains))
-    if len(unique) < 2:
+    groups = {}  # domain -> its rows, domains in first-seen order
+    for row, d in enumerate(domains):
+        groups.setdefault(d, []).append(row)
+    if len(groups) < 2:
         return Tensor(0.0)
 
     b, l, n = probs.shape
-    darr = np.asarray(domains)
-    members = [np.nonzero(darr == d)[0] for d in unique]
-    seq_means = probs.data.mean(axis=1)  # [B, N]
-    means = np.stack([seq_means[rows].mean(axis=0) for rows in members])  # [M_B, N]
+    members = list(groups.values())
+    seq_means = probs.data.sum(axis=1) / l  # [B, N]; each mean is sum / count, as np.mean
+    means = np.stack([seq_means[rows].sum(axis=0) / len(rows) for rows in members])  # [M_B, N]
     j, k, jsd = _pair_jsd(means)  # one JSD per domain pair j < k
     jsd_eps = jsd + eps
-    value = (np.log(jsd_eps) * -1.0).mean()
+    value = (np.log(jsd_eps) * -1.0).sum() / len(j)
 
     def vjp(g):
         g_jsd = g / len(j) * -1.0 / jsd_eps
         pj, pk = means[j], means[k]  # [P, N], one row per domain pair
         g_mix = _entropy_vjp((pj + pk) * 0.5, g_jsd) * 0.5  # pj and pk are half the mixture each
         g_half = -g_jsd * 0.5
-        g_means = (T._sum_rows(_entropy_vjp(pj, g_half, g_mix), j, len(unique))
-                   + T._sum_rows(_entropy_vjp(pk, g_half, g_mix), k, len(unique)))
+        g_means = (T._sum_rows(_entropy_vjp(pj, g_half, g_mix), j, len(members))
+                   + T._sum_rows(_entropy_vjp(pk, g_half, g_mix), k, len(members)))
         g_seq = np.empty((b, n))
         for rows, g_mean in zip(members, g_means):
             g_seq[rows] = g_mean / len(rows)

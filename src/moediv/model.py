@@ -154,17 +154,16 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     layers = []
     for i in range(first, c.num_layers):
         pre = f"layers.{i}."
-        w = {name[len(pre):]: t for name, t in p.items() if name.startswith(pre)}
         # each norm's output goes straight into the op that reads it, and y
         # is dropped after the add, so under no_grad a sublayer's input is
         # freed as soon as it has been read
         if start is None or i > first:
-            attn = [w["attn." + name] for name in ("wq", "wk", "wv", "wo")]
-            x = T.add(x, T.causal_attention(T.affine_norm(x, w["ln1.g"], w["ln1.b"]), *attn,
-                                            b, c.num_heads))
-        moe = MoELayer(w["moe.router"], w["moe.experts"], c.top_k)
-        y, probs, selected = moe_forward_batch(moe, T.affine_norm(x, w["ln2.g"], w["ln2.b"]),
-                                               mix=i != stop)
+            attn = [p[pre + "attn." + name] for name in ("wq", "wk", "wv", "wo")]
+            x = T.add(x, T.causal_attention(T.affine_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"]),
+                                            *attn, b, c.num_heads))
+        moe = MoELayer(p[pre + "moe.router"], p[pre + "moe.experts"], c.top_k)
+        y, probs, selected = moe_forward_batch(
+            moe, T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"]), mix=i != stop)
         layers.append(LayerTrace(probs=probs, selected=selected))
         if i == stop:
             break

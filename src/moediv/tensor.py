@@ -10,6 +10,7 @@ gradient checks can use tight tolerances. Natural logarithms throughout.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -190,7 +191,8 @@ def take_rows(a, idx) -> Tensor:
 
 def _require_distinct_in_rows(idx, op):
     """Refuse an index array with a repeat along its last axis."""
-    if idx.shape[-1] > 1 and np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
+    s = np.sort(idx, axis=-1)
+    if (s[..., 1:] == s[..., :-1]).any():
         raise ValueError(f"{op}: repeated index within a row")
 
 
@@ -223,6 +225,8 @@ def _tile(parents, whole, part, *widths):
 def _tiles(lo, hi, size):
     """[a, b) ranges of ``size`` over [lo, hi); a one-row remainder joins the one
     before it, as numpy's one-row product (a GEMV) rounds unlike a GEMM's rows."""
+    if hi - lo <= size + 1:
+        return ((lo, hi),)
     cuts = list(range(lo + size, hi - 1, size))
     return zip([lo] + cuts, cuts + [hi])
 
@@ -301,9 +305,17 @@ def next_token_nll(hidden, lm_head, tokens) -> Tensor:
         probs.reshape(b, l, v)[:, -1] = 0.0
         return probs @ lm_head.data.T, hidden.data.T @ probs
 
-    # a contiguous copy of the kept rows' NLL, so the mean adds them as one
-    # [B*(L-1)] vector
-    return node(-logp[:, :-1].reshape(-1).mean(), parents, vjp)
+    # the mean of a contiguous copy of the kept rows' NLL, one [B*(L-1)] vector,
+    # as sum / count: np.mean's arithmetic
+    return node(-(logp[:, :-1].reshape(-1).sum() / (t - b)), parents, vjp)
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_mask(l):
+    """Read-only [L, L] additive mask: -1e30 above the diagonal, else 0."""
+    mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
+    mask.flags.writeable = False
+    return mask
 
 
 def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
@@ -334,8 +346,7 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     def merge(a):  # [B, H, L, dh] -> [B*L, d]
         return np.transpose(a, (0, 2, 1, 3)).reshape(t, d)
 
-    # -1e30 above the diagonal; np.triu takes twice as long to build it
-    mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
+    mask = _causal_mask(l)
     # key prefixes r1 that are multiples of 32 (or L) add only exact zeros
     # less than whole rows do, to the row sums and to the K loop of att @ v; at
     # d / H >= 32 a 32-row tile's scores round unlike the whole q @ k.T's
@@ -409,7 +420,8 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
     counts = np.bincount(selected.reshape(-1), minlength=n)
     if counts.size != n:
         raise ValueError("expert_mixture: expert index out of range")
-    chosen = np.take_along_axis(probs.data, selected, axis=-1)
+    token_rows = np.arange(t)[:, None]
+    chosen = probs.data[token_rows, selected]
     norm = chosen.sum(axis=-1, keepdims=True)
     gates = chosen / norm
     bounds = [0, *np.cumsum(counts).tolist()]
@@ -424,20 +436,21 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
 
     data = np.zeros((t, x.shape[1]))
     saved = []
-    for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
-        w_gate, w_up, w_down = weights(experts.data, i)
-        for a, b in _tiles(lo, hi, rows):
-            tokens = slot_tokens[a:b]
-            xi = x.data[tokens]
-            pre = xi @ w_gate
-            sig = 1.0 / (1.0 + np.exp(-pre))
-            act = pre * sig
-            up = xi @ w_up
-            h = act * up
-            expert_out = h @ w_down
-            data[tokens] += expert_out * slot_gates[a:b]
-            if record:
-                saved.append((i, a, b, xi, pre, sig, act, up, h, expert_out))
+    with np.errstate(over="ignore"):  # exp(-pre) overflows to inf for pre < ~-709: sig is then 0
+        for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
+            w_gate, w_up, w_down = weights(experts.data, i)
+            for a, b in _tiles(lo, hi, rows):
+                tokens = slot_tokens[a:b]
+                xi = x.data[tokens]
+                pre = xi @ w_gate
+                sig = 1.0 / (1.0 + np.exp(-pre))
+                act = pre * sig
+                up = xi @ w_up
+                h = act * up
+                expert_out = h @ w_down
+                data[tokens] += expert_out * slot_gates[a:b]
+                if record:
+                    saved.append((i, a, b, xi, pre, sig, act, up, h, expert_out))
 
     def vjp(g):
         g_x = np.zeros_like(x.data)
@@ -462,7 +475,7 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
         g_gates = g_gates.reshape(t, k)
         g_norm = (-g_gates * chosen / (norm * norm)).sum(axis=1, keepdims=True)
         g_probs = np.zeros_like(probs.data)
-        np.put_along_axis(g_probs, selected, g_gates / norm + g_norm, axis=-1)
+        g_probs[token_rows, selected] = g_gates / norm + g_norm
         return g_x, g_probs, g_experts
 
     return node(data, parents, vjp)

@@ -306,6 +306,52 @@ class TestExitCodes:
         assert cli.run(argv + (["--layer", "0"] if verb == "perturb" else [])) == 1
         assert f"error: --data: no such file: {missing}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["train", "train --resume", "decompose"])
+    def test_byte_outside_vocabulary_is_usage_error(self, trained, tmp_path, capsys, verb):
+        # "é" is the bytes 0xC3 0xA9, outside the checkpoint's and the config's vocab_size 128
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(trained["corpus"].read_text()
+                          + json.dumps({"text": "caf\u00e9" * 20, "domain": "b"}) + "\n")
+        out = tmp_path / "out"
+        if verb == "decompose":
+            argv = ["decompose", "--ckpt", str(trained["ckpt"])]
+        else:
+            argv = ["train", "--config", str(trained["config"]), "--out", str(out)]
+            argv += ["--resume", str(trained["ckpt"])] if verb != "train" else []
+        assert cli.run(argv + ["--data", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: --data: domain b has byte 195, outside the model's vocab_size 128"
+                in captured.err)
+        assert not out.exists()
+
+    def test_resume_seq_len_above_checkpoint_max_is_usage_error(self, trained, tmp_path, capsys):
+        # the config's own max_seq_len admits seq_len 64; the checkpoint's 16 does not
+        config = tmp_path / "c.ini"
+        config.write_text(trained["config"].read_text().replace("seq_len = 12", "seq_len = 64")
+                          .replace("max_seq_len = 16", "max_seq_len = 128"))
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(config), "--data", str(trained["corpus"]),
+                      "--out", str(out), "--resume", str(trained["ckpt"])])
+        assert rc == 1
+        assert "error: seq_len = 64 exceeds the model's max_seq_len = 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_perturb_one_expert_is_usage_error(self, trained, tmp_path, capsys, monkeypatch):
+        def delta_ppl_mean(*args, **kwargs):
+            raise AssertionError("a forward ran before the expert count was checked")
+
+        monkeypatch.setattr(cli.analysis, "delta_ppl_mean", delta_ppl_mean)
+        ckpt = tmp_path / "one.moediv"
+        config = ModelConfig(num_layers=1, hidden_size=16, intermediate_size=24, num_experts=1,
+                             top_k=1, num_heads=2, vocab_size=128, max_seq_len=16)
+        save_checkpoint(ckpt, MoEModel(config))
+        rc = cli.run(["perturb", "--ckpt", str(ckpt), "--layer", "0",
+                      "--data", str(trained["corpus"])])
+        assert rc == 1
+        assert ("error: --ckpt: the model has 1 expert(s), fewer than the 2 this verb needs"
+                in capsys.readouterr().err)
+
 
 class TestTrainOutputs:
     def test_artifacts(self, trained):

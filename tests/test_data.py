@@ -415,11 +415,11 @@ class TestPackingMatchesListOracle:
             with pytest.raises(cli.UsageError) as expected:
                 oracle_load_valsets(path, seq_len, limit)
             with pytest.raises(cli.UsageError) as got:
-                cli._load_valsets(path, seq_len, limit)
+                cli._load_valsets(cli._load_docs(path), seq_len, limit)
             assert str(got.value) == str(expected.value)
             return
         expected = oracle_load_valsets(path, seq_len, limit)
-        got = cli._load_valsets(path, seq_len, limit)
+        got = cli._load_valsets(cli._load_docs(path), seq_len, limit)
         assert list(got) == list(expected)
         for dom in got:
             assert_same_arrays(got[dom], expected[dom])

@@ -248,6 +248,16 @@ class TestExpertDivergenceLoss:
         assert jsd.tolist() == [dv.jsd_pair(means[a], means[b]) for a, b in pairs]
         assert ed_loss(means) == np.mean([-np.log(v + 1e-8) for v in jsd])
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_pair_indices_cached_and_read_only(self, m):
+        j, k = dv._pairs(m)
+        assert dv._pairs(m)[0] is j
+        fresh = np.array(list(itertools.combinations(range(m), 2)), dtype=np.intp).T
+        assert np.array_equal(j, fresh[0]) and np.array_equal(k, fresh[1])
+        for idx in (j, k):
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 1
+
     def test_monotone_in_jsd(self):
         # -ln is strictly decreasing: larger pairwise JSD, smaller loss
         values = []

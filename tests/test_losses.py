@@ -221,6 +221,16 @@ class TestExpertDivergenceT:
         assert_same(g_new, g_old)
         assert np.all(np.isfinite(g_new))
 
+    def test_interleaved_labels_equal_composite_oracle(self):
+        # domains in first-seen order b, a, c, each over its rows in ascending order
+        domains = ["b", "a", "b", "c", "a"]
+        probs = T.Tensor(np.random.default_rng(9).dirichlet(np.ones(4), size=(5, 3)),
+                         requires_grad=True)
+        (old, new), (g_old, g_new) = oracle_pair(
+            G.composite_expert_divergence, losses.expert_divergence_loss_t, probs, domains)
+        assert new == old
+        assert np.array_equal(g_new, g_old)
+
     def test_single_domain_has_no_gradient(self):
         probs = T.Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
         (old, new), (g_old, g_new) = oracle_pair(

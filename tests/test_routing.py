@@ -349,6 +349,24 @@ class TestExpertMixture:
             T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
                              np.array([[0], [2]]), layer.experts)
 
+    def test_silu_overflow_is_silent(self):
+        # exp(-pre) overflows to inf at pre < ~-709, where sig is then an exact
+        # 0; under the suite's filterwarnings = error a warning would raise
+        rng = np.random.default_rng(67)
+        x = T.Tensor(1e3 * rng.normal(size=(6, 3)), requires_grad=True)
+        probs = T.Tensor(rng.random((6, 4)) + 0.1, requires_grad=True)
+        experts = T.Tensor(rng.normal(size=(4, 3, 3, 8)), requires_grad=True)
+        selected = np.argsort(rng.random((6, 4)), axis=1)[:, :2]
+        pre = np.einsum("td,tkdm->tkm", x.data, experts.data[selected, 0])
+        assert pre.min() < -710
+        recorded = T.expert_mixture(x, probs, selected, experts)
+        with T.no_grad():
+            silent = T.expert_mixture(x, probs, selected, experts)
+        assert np.array_equal(silent.data, recorded.data)
+        assert np.all(np.isfinite(recorded.data))
+        grads = T.backward(T.tsum(recorded))
+        assert all(np.all(np.isfinite(grads[p])) for p in (x, probs, experts))
+
     def test_no_grad_tiles_match_recorded_call(self):
         # at m = 128 a no-grad tile is 256 rows; expert 0 is in all 900 rows
         # (three tiles and a part), expert 1 in the first 257 (a tile and one

@@ -291,6 +291,40 @@ class TestGatherBackward:
             G.take_along_last(T.Tensor(np.ones((2, 4))), np.array([[0, 1], [2, 2]]))
 
 
+class TestRequireDistinctInRows:
+    @pytest.mark.parametrize("idx", [[[0, 1], [2, 2]], [[0, 1, 2], [3, 1, 3]], [[4, 4, 0]]])
+    def test_repeat_refused(self, idx):
+        with pytest.raises(ValueError, match="op: repeated index within a row"):
+            T._require_distinct_in_rows(np.array(idx), "op")
+
+    @pytest.mark.parametrize("idx", [[[0], [0], [3]], [[0, 1], [1, 0]], [[2, 0, 1]]])
+    def test_distinct_accepted(self, idx):
+        T._require_distinct_in_rows(np.array(idx), "op")
+
+
+def listed_tiles(lo, hi, size):
+    """``_tiles`` as lists of cuts, for every span."""
+    cuts = list(range(lo + size, hi - 1, size))
+    return list(zip([lo] + cuts, cuts + [hi]))
+
+
+def test_tiles_match_list_form():
+    # empty spans, one-row remainders, exact multiples and one-tile spans
+    for lo in (0, 3):
+        for size in (1, 2, 3, 5, 8):
+            for hi in range(lo, lo + 4 * size + 3):
+                assert list(T._tiles(lo, hi, size)) == listed_tiles(lo, hi, size), (lo, hi, size)
+
+
+def test_causal_mask_is_cached_and_read_only():
+    for l in (1, 2, 7, 32):
+        mask = T._causal_mask(l)
+        assert mask is T._causal_mask(l)
+        assert np.array_equal(mask, np.triu(np.full((l, l), -1e30), k=1))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, -1] = 0.0
+
+
 def composite_attention(xn, wq, wk, wv, wo, batch, num_heads):
     """The generic-op graph that ``causal_attention`` replaced: projections,
     head split, scaled and masked scores, ``softmax_rows``, head merge and
