@@ -124,6 +124,8 @@ def _check_inputs(config, docs, seq_len=None, experts=1):
 
 def _load_valsets(docs, seq_len, limit):
     packed = data_mod.pack_sequences(docs, seq_len)
+    if not packed:
+        raise UsageError("--data: no records")
     short = sorted(d for d, rows in packed.items() if not len(rows))
     if short:
         raise UsageError(f"--data: shorter than one sequence of {seq_len} tokens: "

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 _grad_enabled = True
-_TILE = 1 << 15  # values per no-grad fused-op tile and AdamW slice (256 KB): stays in cache
+_TILE = 1 << 15  # values per fused-op tile and AdamW slice (256 KB): stays in cache
 
 
 @contextlib.contextmanager
@@ -209,19 +209,6 @@ def require_finite(op, **tensors):
             raise ValueError(f"{op}: non-finite {name}")
 
 
-def _tile(parents, whole, part, *widths):
-    """Tile size of a fused op: ``part`` for a no-grad call, else ``whole``.
-
-    A recorded call runs one tile and saves it for its VJP. So does any call
-    with an output width in ``widths`` that is not a multiple of 8: there
-    OpenBLAS's kernel for small products rounds unlike its kernel for large
-    ones, so a tile's rows would differ in the last bits from the same rows
-    of the whole product. Where other widths do that, the op picks ``part``
-    by width: ``causal_attention`` tiles d / H >= 32 by whole sequences.
-    """
-    return whole if _recording(parents) or any(w % 8 for w in widths) else part
-
-
 def _tiles(lo, hi, size):
     """[a, b) ranges of ``size`` over [lo, hi); a one-row remainder joins the one
     before it, as numpy's one-row product (a GEMV) rounds unlike a GEMM's rows."""
@@ -235,11 +222,12 @@ def affine_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """LayerNorm of each row of [T, d] ``x`` times ``gain`` plus ``bias``, one graph node.
 
     ``gain`` and ``bias`` are [d]. Each row is centred on its mean and scaled
-    by 1 / sqrt(var + eps), var its population variance. A no-grad call walks
-    tiles of ``_TILE`` // d rows and normalises each in place in its slice of
-    the output, so no full-size temporary exists; a recorded call runs one
-    tile and saves the normalised rows. The row sums and the VJP keep the op
-    order of ``np.mean``, ``np.var`` and a layernorm, mul and add graph.
+    by 1 / sqrt(var + eps), var its population variance. A call walks tiles
+    of ``_TILE`` // d rows and normalises each in place in its slice of the
+    output, so a no-grad call makes no full-size temporary; a recorded call
+    also copies each tile's normalised rows and scales into whole arrays for
+    its VJP. The row sums and the VJP keep the op order of ``np.mean``,
+    ``np.var`` and a layernorm, mul and add graph.
     """
     x, gain, bias = parents = as_tensor(x), as_tensor(gain), as_tensor(bias)
     t, d = x.shape
@@ -248,12 +236,14 @@ def affine_norm(x, gain, bias, eps=1e-5) -> Tensor:
             raise ValueError(f"affine_norm: {name} has shape {p.shape}, expected ({d},)")
     record = _recording(parents)
     out = np.empty((t, d))
-    for a, b in _tiles(0, t, max(1, t if record else _TILE // d)):
+    xhat, inv = (np.empty((t, d)), np.empty((t, 1))) if record else (None, None)
+    for a, b in _tiles(0, t, max(1, _TILE // d)):
         o = out[a:b]
         np.subtract(x.data[a:b], x.data[a:b].sum(axis=1, keepdims=True) / d, out=o)
-        inv = 1.0 / np.sqrt((o * o).sum(axis=1, keepdims=True) / d + eps)
-        o *= inv
-        xhat = o.copy() if record else None
+        scale = 1.0 / np.sqrt((o * o).sum(axis=1, keepdims=True) / d + eps)
+        o *= scale
+        if record:
+            xhat[a:b], inv[a:b] = o, scale
         o *= gain.data
         o += bias.data
 
@@ -272,11 +262,11 @@ def next_token_nll(hidden, lm_head, tokens) -> Tensor:
     ``hidden`` is [B*L, d], one row per position of ``tokens``, and
     ``lm_head`` is [d, V]. Row s*L + p predicts tokens[s, p + 1] by the
     row-softmax of its logits ``hidden @ lm_head``; a sequence's last row has
-    no target. Natural log. A no-grad call walks tiles of ``_TILE`` // V
-    rows, so no [B*L, V] logits array exists; a recorded call (or one at V
-    not a multiple of 8, see ``_tile``) runs one tile and saves its shifted
-    logits. The VJP leaves zero logit gradients at the last rows, and the
-    head's weight gradient spans all B*L rows.
+    no target. Natural log. A call walks tiles of ``_TILE`` // V rows, so a
+    no-grad call makes no [B*L, V] logits array; a recorded call writes each
+    tile's shifted logits and log-sum-exps into whole arrays for its VJP. The
+    VJP leaves zero logit gradients at the last rows, and the head's weight
+    gradient spans all B*L rows.
     """
     hidden, lm_head = parents = as_tensor(hidden), as_tensor(lm_head)
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -290,15 +280,17 @@ def next_token_nll(hidden, lm_head, tokens) -> Tensor:
         raise ValueError("next_token_nll: target id out of range")
     flat = tokens.reshape(-1)
     targets = np.concatenate((flat[1:], flat[:1]))  # a last row's target is unused
+    record = _recording(parents)
+    logits, lses = (np.empty((t, v)), np.empty(t)) if record else (None, None)
     logp = np.empty((b, l))
-    for a, c in _tiles(0, t, max(1, _tile(parents, t, _TILE // v, v))):
-        z = hidden.data[a:c] @ lm_head.data
+    for a, c in _tiles(0, t, max(1, _TILE // v)):
+        z = np.matmul(hidden.data[a:c], lm_head.data, out=logits[a:c] if record else None)
         z -= z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1))
+        lse = np.log(np.exp(z).sum(axis=1), out=lses[a:c] if record else None)
         logp.reshape(-1)[a:c] = z[np.arange(c - a), targets[a:c]] - lse
 
     def vjp(g):
-        probs = z - lse[:, None]
+        probs = logits - lses[:, None]
         np.exp(probs, out=probs)
         probs[np.arange(t), targets] -= 1.0
         probs *= float(g) / (t - b)
@@ -323,16 +315,16 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
 
     ``xn`` is [B*L, d] and ``wq``, ``wk``, ``wv``, ``wo`` are [d, d]; each of
     ``num_heads`` heads attends with its d / H columns of q, k and v to earlier
-    and equal positions. A no-grad call walks groups of a few sequences: it
-    projects q, k and v for the group's rows only, runs tiles of 32 query rows
-    [r0, r1) (whole sequences at d / H >= 32), each scored only against keys
-    [0, r1), into the group's merged heads, and writes their product with
-    ``wo`` into the group's rows of the output. So it holds one tile of the
-    [B, H, L, L] scores and no [B*L, d] array but its output. A recorded call
-    runs one tile of everything and saves q, k, v, the weights and the merged
-    heads (a no-grad call at d / H not a multiple of 8 also runs one tile, see
-    ``_tile``). The scores become the weights in place. Returns [B*L, d].
-    Raises ValueError on a non-finite input or score.
+    and equal positions. A call walks groups of a few sequences: it projects
+    q, k and v for the group's rows only, runs tiles of 32 query rows [r0, r1),
+    each scored only against keys [0, r1), into the group's merged heads, and
+    writes their product with ``wo`` into the group's rows of the output. So a
+    no-grad call holds one tile of the [B, H, L, L] scores and no [B*L, d]
+    array but its output. A recorded call writes q, k, v and the merged heads
+    into whole [B*L, d] arrays, and each tile's weights into its block of a
+    zero-filled [B, H, L, L] array, for its VJP. The scores become the weights
+    in place. Returns [B*L, d]. Raises ValueError on a non-finite input or
+    score.
     """
     xn, wq, wk, wv, wo = parents = tuple(as_tensor(a) for a in (xn, wq, wk, wv, wo))
     require_finite("causal_attention", xn=xn, wq=wq, wk=wk, wv=wv, wo=wo)
@@ -347,18 +339,19 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
         return np.transpose(a, (0, 2, 1, 3)).reshape(t, d)
 
     mask = _causal_mask(l)
-    # key prefixes r1 that are multiples of 32 (or L) add only exact zeros
-    # less than whole rows do, to the row sums and to the K loop of att @ v; at
-    # d / H >= 32 a 32-row tile's scores round unlike the whole q @ k.T's
-    part = 32 if dh < 32 else l
-    rows, seqs = _tile(parents, (l, batch), (part, max(1, _TILE // (part * num_heads * l))), dh)
+    record = _recording(parents)
+    if record:  # q, k, v, the merged heads and the weights, whole, for the VJP
+        saved = [np.empty((t, d)) for _ in range(4)]
+        weights = np.zeros((batch, num_heads, l, l))
     data = np.empty((t, d))
-    for b0, b1 in _tiles(0, batch, seqs):
-        x = xn.data[b0 * l:b1 * l]
-        q, k, v = (heads(x @ w.data) for w in (wq, wk, wv))
-        merged = np.empty(x.shape)
+    for b0, b1 in _tiles(0, batch, max(1, _TILE // (32 * num_heads * l))):
+        rows = slice(b0 * l, b1 * l)
+        x = xn.data[rows]
+        q, k, v = (heads(np.matmul(x, w.data, out=saved[i][rows] if record else None))
+                   for i, w in enumerate((wq, wk, wv)))
+        merged = saved[3][rows] if record else np.empty(x.shape)
         out = heads(merged)  # att @ v lands in the merged heads' layout
-        for r0, r1 in _tiles(0, l, rows):
+        for r0, r1 in _tiles(0, l, 32):
             att = np.matmul(q[:, :, r0:r1], np.swapaxes(k[:, :, :r1], -1, -2))
             att *= scale
             att += mask[r0:r1, :r1]
@@ -368,7 +361,11 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
             np.exp(att, out=att)
             att /= att.sum(axis=-1, keepdims=True)
             np.matmul(att, v[:, :, :r1], out=out[:, :, r0:r1])
-        np.matmul(merged, wo.data, out=data[b0 * l:b1 * l])
+            if record:
+                weights[b0:b1, :, r0:r1, :r1] = att
+        np.matmul(merged, wo.data, out=data[rows])
+    if record:
+        q, k, v, merged, att = *map(heads, saved[:3]), saved[3], weights
 
     def vjp(g):
         g_out = heads(g @ wo.data.T)
@@ -401,15 +398,15 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
 
     The (token, k) slots are sorted by expert once, stably, so each expert
     runs on one contiguous slice of slots holding its tokens in ascending
-    order (dropless grouped dispatch as in MegaBlocks). A no-grad call walks
-    each slice in tiles of ``_TILE`` // m rows, so its temporaries stay in
-    cache; a recorded call runs each slice as one tile and saves it for the
-    backward (a no-grad call at m or d not a multiple of 8 also runs one
-    tile, see ``_tile``). A token appears at most once per expert, so each gated expert
-    output is added into its token rows by plain assignment, expert by
-    expert. Selections are constants of the backward pass: ``probs`` gets
-    gradient only at its selected entries, through the renormalised gates,
-    and the gradient slices of experts that get no token are zero.
+    order (dropless grouped dispatch as in MegaBlocks). A call walks each
+    slice in tiles of ``_TILE`` // m rows, so its temporaries stay in cache;
+    a recorded call saves each slice's tiles for the backward, joined into
+    one array each where the slice spans more than one tile. A token appears
+    at most once per expert, so each gated expert output is added into its
+    token rows by plain assignment, expert by expert. Selections are
+    constants of the backward pass: ``probs`` gets gradient only at its
+    selected entries, through the renormalised gates, and the gradient
+    slices of experts that get no token are zero.
     """
     x, probs, experts = as_tensor(x), as_tensor(probs), as_tensor(experts)
     parents = (x, probs, experts)
@@ -429,7 +426,6 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
     slot_tokens = order // k
     slot_gates = gates.reshape(-1)[order][:, None]
     record = _recording(parents)
-    rows = max(1, _tile(parents, t * k, _TILE // m, m, d))
 
     def weights(w, i):  # expert i's (w_gate, w_up, w_down), as views of w
         return w[i, 0], w[i, 1], w[i, 2].reshape(m, d)
@@ -439,7 +435,8 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
     with np.errstate(over="ignore"):  # exp(-pre) overflows to inf for pre < ~-709: sig is then 0
         for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
             w_gate, w_up, w_down = weights(experts.data, i)
-            for a, b in _tiles(lo, hi, rows):
+            tiles = []
+            for a, b in _tiles(lo, hi, max(1, _TILE // m)):
                 tokens = slot_tokens[a:b]
                 xi = x.data[tokens]
                 pre = xi @ w_gate
@@ -450,7 +447,10 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
                 expert_out = h @ w_down
                 data[tokens] += expert_out * slot_gates[a:b]
                 if record:
-                    saved.append((i, a, b, xi, pre, sig, act, up, h, expert_out))
+                    tiles.append((xi, pre, sig, act, up, h, expert_out))
+            if record:  # the VJP runs each slice whole
+                saved.append((i, lo, hi, *(tiles[0] if len(tiles) == 1 else
+                                           map(np.concatenate, zip(*tiles)))))
 
     def vjp(g):
         g_x = np.zeros_like(x.data)

@@ -155,6 +155,19 @@ class TestExitCodes:
         assert ("error: --data: shorter than one sequence of 16 tokens: domain d, e"
                 in captured.err)
 
+    @pytest.mark.parametrize("verb", ["decompose", "perturb", "heatmap", "heatmap --inverse",
+                                      "ternary"])
+    def test_data_without_records_is_usage_error(self, trained, tmp_path, capsys, verb):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("\n")
+        extra = ["--layer", "0"] if verb == "perturb" else []
+        rc = cli.run([*verb.split(), "--ckpt", str(trained["ckpt"]), "--data", str(corpus),
+                      *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error: --data: no records" in captured.err
+
     def test_refuses_nonempty_out(self, trained, tmp_path):
         out = tmp_path / "occupied"
         out.mkdir()

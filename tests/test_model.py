@@ -123,8 +123,8 @@ class TestStartStop:
             assert np.array_equal(g.probs.data, w.probs.data)
             assert np.array_equal(g.selected, w.selected)
 
-    # 9 sequences of 128 run several no-grad tiles of each op; widths 20
-    # and 36 are not multiples of 8, so each op runs as one tile
+    # 9 sequences of 128 run several tiles of each op; the small model's 5
+    # sequences of 13 fit in one tile of each
     @pytest.mark.parametrize("config, batch, length", [
         (ModelConfig(), 9, 128),
         (ModelConfig(num_layers=3, hidden_size=20, intermediate_size=36, num_experts=5,

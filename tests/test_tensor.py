@@ -352,11 +352,35 @@ def attention_inputs(seed, batch, length, d=8):
 
 ATTENTION_SHAPES = [(2, 5, 2), (1, 1, 2)]  # (B, L, H)
 
+# (B, L, d, H): partial last sequence groups, L not a multiple of the
+# 32-row query tile (L = 33 and 65 leave a one-row remainder, which joins the
+# tile before it), the analysis length L = 128, sequences of one and two
+# tokens whose groups of 256 and 128 project 256 rows each before a partial
+# last group, one sequence, and a sweep of head widths d / H from 4 to 64
+ATTENTION_TILE_SHAPES = [
+    (7, 40, 64, 4), (3, 33, 64, 4), (9, 65, 32, 2), (3, 128, 64, 4),
+    (300, 1, 64, 4), (200, 2, 64, 4), (1, 128, 64, 4),
+    (1, 64, 64, 2), (3, 65, 64, 2), (2, 128, 128, 4), (3, 100, 96, 2),
+    *((2, l, 2 * dh, 2) for dh in (4, 8, 16, 24, 32, 48, 64) for l in (33, 65)),
+]
+
+
+def attention_tiles_match(batch, length, d, heads):
+    """Whether a no-grad ``causal_attention`` equals the recorded call's output."""
+    inputs, _ = attention_inputs(35, batch, length, d)
+    recorded = T.causal_attention(*inputs, batch, heads)
+    with T.no_grad():
+        tiled = T.causal_attention(*inputs, batch, heads)
+    return recorded.requires_grad and np.array_equal(tiled.data, recorded.data)
+
 
 class TestCausalAttention:
-    @pytest.mark.parametrize("batch, length, heads", ATTENTION_SHAPES)
-    def test_matches_composite_oracle(self, batch, length, heads):
-        inputs, cot = attention_inputs(30, batch, length)
+    # (B, L, d, H): one tile; and 3 sequences of 65 tokens at the model's
+    # width, in three 32-row query tiles (the last with the one-row remainder)
+    @pytest.mark.parametrize("batch, length, d, heads", [(2, 5, 8, 2), (1, 1, 8, 2),
+                                                        (3, 65, 64, 4)])
+    def test_matches_composite_oracle(self, batch, length, d, heads):
+        inputs, cot = attention_inputs(30, batch, length, d)
         outs, grads = [], []
         for op in (composite_attention, T.causal_attention):
             y = op(*inputs, batch, heads)
@@ -387,24 +411,9 @@ class TestCausalAttention:
         with pytest.raises(ValueError, match="causal_attention: non-finite"):
             T.causal_attention(*inputs, 2, 2)
 
-    # (B, L, d, H): partial last sequence groups, L not a multiple of the
-    # 32-row query block (L = 33 is one block: a one-row remainder joins the
-    # block before it), the analysis length L = 128, sequences of one and
-    # two tokens whose groups of 256 and 128 project 256 rows each before a
-    # partial last group, one sequence, and heads of d / H >= 32 at L >= 64,
-    # whose 32-row query tiles would round their scores apart
-    @pytest.mark.parametrize("batch, length, d, heads", [
-        (7, 40, 64, 4), (3, 33, 64, 4), (9, 65, 32, 2), (3, 128, 64, 4),
-        (300, 1, 64, 4), (200, 2, 64, 4), (1, 128, 64, 4),
-        (1, 64, 64, 2), (3, 65, 64, 2), (2, 128, 128, 4), (3, 100, 96, 2),
-    ])
+    @pytest.mark.parametrize("batch, length, d, heads", ATTENTION_TILE_SHAPES)
     def test_no_grad_tiles_match_recorded_call(self, batch, length, d, heads):
-        inputs, _ = attention_inputs(35, batch, length, d)
-        recorded = T.causal_attention(*inputs, batch, heads)
-        assert recorded.requires_grad
-        with T.no_grad():
-            tiled = T.causal_attention(*inputs, batch, heads)
-        assert np.array_equal(tiled.data, recorded.data)
+        assert attention_tiles_match(batch, length, d, heads)
 
     @pytest.mark.parametrize("where", ["weight", "last token"])
     def test_non_finite_score_rejected_under_no_grad(self, where):
@@ -422,12 +431,14 @@ class TestCausalAttention:
         assert not seen
 
     def test_no_grad_peak_below_one_score_array(self, no_grad_peak):
-        # tiles of a few sequences and 32 query rows: no [B, H, L, L] array
+        # tiles of a few sequences and 32 query rows: no [B, H, L, L] array,
+        # also at a head width d / H = 15, not a multiple of 8
         batch, length, heads = 16, 128, 4
-        inputs, _ = attention_inputs(37, batch, length, 64)
-        peak = no_grad_peak(lambda: T.causal_attention(*inputs, batch, heads))
         score_bytes = batch * heads * length * length * 8
-        assert peak < score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
+        for d in (64, 60):
+            inputs, _ = attention_inputs(37, batch, length, d)
+            peak = no_grad_peak(lambda: T.causal_attention(*inputs, batch, heads))
+            assert peak < score_bytes, f"d = {d}: peak {peak / score_bytes:.2f} score arrays"
 
     def test_no_grad_peak_below_one_and_a_half_outputs(self, no_grad_peak):
         # q, k, v and the merged heads exist one sequence group at a time
@@ -478,10 +489,30 @@ def nll_inputs(seed, batch, length, d, v):
     return hidden, lm_head, rng.integers(0, v, size=(batch, length))
 
 
+# (B, L, V): at V = 256 a tile is 128 rows; L = 33 cuts sequences across
+# tiles, and 3 x 43 = 129 rows leave a one-row remainder (always a sequence's
+# last row, which has no target) that joins the tile before it; at V = 100
+# and 13, not multiples of 8, tiles are 327 and 2,520 rows, and 5 x 131 = 655
+# rows leave a one-row remainder
+NLL_TILE_SHAPES = [(8, 33, 256), (3, 43, 256), (100, 128, 100), (40, 128, 13), (5, 131, 100)]
+
+
+def nll_tiles_match(batch, length, v):
+    """Whether a no-grad ``next_token_nll`` equals the recorded call's value."""
+    hidden, lm_head, tokens = nll_inputs(72, batch, length, 64, v)
+    recorded = T.next_token_nll(hidden, lm_head, tokens)
+    with T.no_grad():
+        tiled = T.next_token_nll(hidden, lm_head, tokens)
+    return recorded.requires_grad and np.array_equal(tiled.data, recorded.data)
+
+
 class TestNextTokenNLL:
-    @pytest.mark.parametrize("batch, length, v", [(3, 5, 7), (2, 2, 16), (1, 9, 256)])
-    def test_matches_composite_oracle(self, batch, length, v):
-        hidden, lm_head, tokens = nll_inputs(70, batch, length, 8, v)
+    # (B, L, d, V): one tile; and 8 sequences of 33 tokens at the model's
+    # widths, in two 128-row tiles that cut a sequence
+    @pytest.mark.parametrize("batch, length, d, v", [(3, 5, 8, 7), (2, 2, 8, 16), (1, 9, 8, 256),
+                                                     (8, 33, 64, 256)])
+    def test_matches_composite_oracle(self, batch, length, d, v):
+        hidden, lm_head, tokens = nll_inputs(70, batch, length, d, v)
         outs, grads = [], []
         for op in (composite_nll, T.next_token_nll):
             y = op(hidden, lm_head, tokens)
@@ -500,18 +531,9 @@ class TestNextTokenNLL:
             y = T.next_token_nll(hidden, lm_head, tokens)
         assert y._vjp is None and not y.requires_grad
 
-    # (B, L, V): at V = 256 a no-grad tile is 128 rows; L = 33 cuts sequences
-    # across tiles, 3 x 43 = 129 rows leave a one-row remainder (always a
-    # sequence's last row, which has no target) that joins the tile before
-    # it, and V = 100 (not a multiple of 8) runs one tile
-    @pytest.mark.parametrize("batch, length, v", [(8, 33, 256), (3, 43, 256), (100, 128, 100)])
+    @pytest.mark.parametrize("batch, length, v", NLL_TILE_SHAPES)
     def test_no_grad_tiles_match_recorded_call(self, batch, length, v):
-        hidden, lm_head, tokens = nll_inputs(72, batch, length, 64, v)
-        recorded = T.next_token_nll(hidden, lm_head, tokens)
-        assert recorded.requires_grad
-        with T.no_grad():
-            tiled = T.next_token_nll(hidden, lm_head, tokens)
-        assert np.array_equal(tiled.data, recorded.data)
+        assert nll_tiles_match(batch, length, v)
 
     def test_grad_check(self):
         hidden, lm_head, tokens = nll_inputs(73, 2, 5, 4, 7)
@@ -525,13 +547,31 @@ class TestNextTokenNLL:
                 T.next_token_nll(hidden, lm_head, np.array(tokens))
 
     def test_no_grad_peak_below_half_a_logits_array(self, no_grad_peak):
-        # analysis size: 100 sequences of 128 tokens through a 64 x 256 head;
-        # row tiles of 128, never the [T, V] logits
-        batch, length, v = 100, 128, 256
-        hidden, lm_head, tokens = nll_inputs(75, batch, length, 64, v)
-        peak = no_grad_peak(lambda: T.next_token_nll(hidden, lm_head, tokens))
-        logits_bytes = batch * length * v * 8
-        assert peak < logits_bytes / 2, f"peak {peak / logits_bytes:.2f} logits arrays"
+        # analysis size: 100 sequences of 128 tokens through a 64 x V head;
+        # row tiles, never the [T, V] logits, also at V = 100, not a multiple of 8
+        batch, length = 100, 128
+        for v in (256, 100):
+            hidden, lm_head, tokens = nll_inputs(75, batch, length, 64, v)
+            peak = no_grad_peak(lambda: T.next_token_nll(hidden, lm_head, tokens))
+            logits_bytes = batch * length * v * 8
+            assert peak < logits_bytes / 2, f"V = {v}: peak {peak / logits_bytes:.2f} logits"
+
+
+def test_no_grad_tiles_match_recorded_call_at_one_blas_thread():
+    # the attention and head sweeps once more with OpenBLAS at one thread,
+    # fixed before numpy loads, hence the fresh interpreter
+    script = "\n".join([
+        "import test_tensor as t",
+        "bad = [s for s in t.ATTENTION_TILE_SHAPES if not t.attention_tiles_match(*s)]",
+        "bad += [s for s in t.NLL_TILE_SHAPES if not t.nll_tiles_match(*s)]",
+        "print(bad)",
+    ])
+    path = [pathlib.Path(T.__file__).parents[1], pathlib.Path(__file__).parent]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(map(str, path)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout == "[]\n"
 
 
 def norm_inputs(seed, t, d):
@@ -543,7 +583,7 @@ def norm_inputs(seed, t, d):
     return [x, gain, bias], rng.normal(size=(t, d))
 
 
-# (T, d): at d = 64 a no-grad tile is 512 rows, so 12800 rows (the analysis
+# (T, d): at d = 64 a tile is 512 rows, so 12800 rows (the analysis
 # shape) run 25 tiles, 1025 leave a one-row remainder that joins the tile
 # before it and 513 run as one tile; 4000 rows at d = 20 run three 1638-row
 # tiles and a partial one; widths 20 and 36 are not multiples of 8
