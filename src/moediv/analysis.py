@@ -90,7 +90,8 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
     """Mean per-domain delta-PPL over ``draws`` independent permutations.
 
     Each domain's prefix, the rows entering layer's MoE sublayer, is computed
-    once and serves the original model and every draw; one domain's prefix
+    once and serves the original model and every draw; the original model
+    also reuses the prefix forward's routing of layer. One domain's prefix
     is held at a time, and one model copy is permuted for every draw.
     Returns {"mean_delta": {domain: mean}, "draws": [delta_ppl's records per
     draw]}.
@@ -101,8 +102,10 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
     shuffled = MoEModel(model.config, flat=model.flat)
     for dom in sorted(valsets):
         with T.no_grad():
-            prefix = {dom: forward(model, valsets[dom], stop=layer)[0]}
-        ppl_original = {dom: perplexity(model, valsets[dom], (layer, prefix[dom]))}
+            rows, traces = forward(model, valsets[dom], stop=layer)
+        prefix = {dom: rows}
+        ppl_original = {dom: perplexity(model, valsets[dom], (layer, rows, traces[-1]))}
+        del traces
         for i, records in enumerate(results):
             records += delta_ppl(model, layer, {dom: valsets[dom]}, seed + i,
                                  ppl_original, prefix, shuffled)

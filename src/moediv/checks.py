@@ -114,27 +114,31 @@ def gradient_check_fixture(seed=5):
 
 def check_gradients(tol=1e-4, h=1e-5, seed=5):
     """Analytic gradients of each term of the training objective vs central
-    differences, all terms from each of two finite-difference passes.
+    differences, all terms from each of three finite-difference passes.
 
     Parameters read before layer 0's MoE sublayer are perturbed on the full
-    objective; the rest, which cannot change the rows entering it, on the
-    objective resumed from those rows, computed once.
+    objective. Layer 0's ``ln2`` and router, which cannot change the rows
+    entering that sublayer, are perturbed on the objective resumed from
+    those rows, and the rest, which cannot change its routing either, on the
+    objective resumed after that routing; the rows, the routing and its
+    L_LB and L_ED are computed once.
     """
     model, batch = gradient_check_fixture(seed)
     train_config = trainer.TrainConfig(total_steps=1, warmup_steps=0)
     with T.no_grad():
-        prefix, _ = forward(model, batch.sequences, stop=0)
-    # _layout lists parameters in the order forward reads them, so
-    # layer 0's ln2 gain is the first one read after the prefix
-    params = list(model.params.values())
-    cut = list(model.params).index("layers.0.ln2.g")
-
-    def one_pass(start, group):
-        return T.grad_check(lambda: trainer.objective(model, batch, train_config, start)[0],
-                            group, h=h)
-
-    early, late = one_pass(None, params[:cut]), one_pass((0, prefix), params[cut:])
-    errs = {name: max(early[name], late[name]) for name in early}
+        prefix, traces = forward(model, batch.sequences, stop=0)
+    # objective's (start, routed_losses) per pass
+    resumes = [(None, None), ((0, prefix), None),
+               ((0, prefix, traces[0]), trainer._layer_losses(traces[0], batch, train_config))]
+    # _layout lists parameters in the order forward reads them, so layer 0's
+    # ln2 gain is the first one read after the prefix, and its experts the
+    # first one read after its routing
+    params, names = list(model.params.values()), list(model.params)
+    cuts = [0, names.index("layers.0.ln2.g"), names.index("layers.0.moe.experts"), len(names)]
+    passes = [T.grad_check(lambda: trainer.objective(model, batch, train_config, *resume)[0],
+                           params[lo:hi], h=h)
+              for resume, lo, hi in zip(resumes, cuts[:-1], cuts[1:])]
+    errs = {name: max(p[name] for p in passes) for name in passes[0]}
     ok = all(e <= tol for e in errs.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in errs.items())
     return ok, f"max relative errors: {detail} (tol {tol:.0e})"

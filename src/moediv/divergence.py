@@ -60,7 +60,8 @@ def _pair_jsd(means):
     H((p_j + p_k) / 2) - (H(p_j) + H(p_k)) / 2."""
     j, k = _pairs(len(means))
     pj, pk = means[j], means[k]
-    return j, k, _entropy((pj + pk) * 0.5) - (_entropy(pj) + _entropy(pk)) * 0.5
+    mix, hj, hk = _entropy(np.concatenate(((pj + pk) * 0.5, pj, pk))).reshape(3, -1)
+    return j, k, mix - (hj + hk) * 0.5
 
 
 def entropy(p) -> float:

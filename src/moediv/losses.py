@@ -2,7 +2,7 @@
 
 Every loss here returns an autodiff Tensor (suffix ``_t``): L_LB and L_ED
 are one graph node each, with a closed-form VJP into the router
-probabilities, and ``compose_t`` adds the terms with generic ops.
+probabilities, and ``compose_t`` weights and adds the terms in one node.
 Plain-float values come from ``.item()`` on the result. The hard selection
 frequencies f_i are always treated as non-differentiable constants;
 gradient reaches the router only through the soft probabilities.
@@ -102,11 +102,13 @@ def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -
 
 
 def compose_t(l_lm: Tensor, l_lb: Tensor, l_ed: Tensor, alpha: float, beta: float) -> Tensor:
-    """L_final = L_LM + alpha*L_LB + beta*L_ED, added left to right.
+    """L_final = L_LM + alpha*L_LB + beta*L_ED, added left to right, as one
+    graph node; its VJP gives the terms g, g*alpha and g*beta.
 
     Raises ValueError naming the first non-finite component, L_final included.
     """
-    total = T.add(T.add(l_lm, T.mul(l_lb, alpha)), T.mul(l_ed, beta))
+    total = T.node((l_lm.data + l_lb.data * alpha) + l_ed.data * beta, (l_lm, l_lb, l_ed),
+                   lambda g: (g, g * alpha, g * beta))
     for name, part in (("l_lm", l_lm), ("l_lb", l_lb), ("l_ed", l_ed), ("l_final", total)):
         value = part.item()
         if not math.isfinite(value):

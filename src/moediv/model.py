@@ -124,7 +124,11 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     enter layer l's MoE sublayer (the "prefix"), and the traces end with
     layer l's. ``start=(l, prefix)`` resumes from such a prefix of the same
     tokens: the run begins at layer l's MoE sublayer and its traces begin
-    with layer l's. Either way every row is bit-equal to the full run's.
+    with layer l's. ``start=(l, prefix, trace)``, with the last trace of that
+    stopped run, resumes after layer l's routing: layer l mixes its experts
+    on ``trace``'s probabilities and selection, routes nothing, and its
+    trace is ``trace`` itself. Either way every row is bit-equal to the full
+    run's.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -137,6 +141,7 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
         raise ValueError("token id out of vocabulary range")
 
     p = model.params
+    routed = None  # layer first's trace, when the run starts after its routing
     if start is None:
         first = 0
         # [B, L, d] token rows plus the first L position rows, broadcast over B
@@ -144,9 +149,18 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
         x = T.reshape(x, (b * l, c.hidden_size))
     else:
         first, x = start[0], T.as_tensor(start[1])
+        routed = start[2] if len(start) > 2 else None
         if not 0 <= first < c.num_layers or x.shape != (b * l, c.hidden_size):
             raise ValueError(f"forward: cannot start at layer {first} from rows of shape "
                              f"{x.shape} for {c.num_layers} layers and {b * l} tokens")
+    if routed is not None:
+        want = ((b * l, c.num_experts), (b * l, c.top_k))
+        if (routed.probs.shape, routed.selected.shape) != want:
+            raise ValueError(f"forward: a trace of probs {routed.probs.shape} and selected "
+                             f"{routed.selected.shape} does not route {b * l} tokens")
+        if stop == first:
+            raise ValueError(f"forward: cannot stop at layer {stop} when starting after its "
+                             f"routing")
     if stop is not None and not first <= stop < c.num_layers:
         raise ValueError(f"forward: cannot stop at layer {stop} when starting at layer {first} "
                          f"of {c.num_layers}")
@@ -154,17 +168,22 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     layers = []
     for i in range(first, c.num_layers):
         pre = f"layers.{i}."
-        # each norm's output goes straight into the op that reads it, and y
-        # is dropped after the add, so under no_grad a sublayer's input is
-        # freed as soon as it has been read
+        # each norm's output is dropped once the op that reads it returns,
+        # and y after the add, so under no_grad a sublayer's input is freed
+        # as soon as it has been read
         if start is None or i > first:
             attn = [p[pre + "attn." + name] for name in ("wq", "wk", "wv", "wo")]
             x = T.add(x, T.causal_attention(T.affine_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"]),
                                             *attn, b, c.num_heads))
-        moe = MoELayer(p[pre + "moe.router"], p[pre + "moe.experts"], c.top_k)
-        y, probs, selected = moe_forward_batch(
-            moe, T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"]), mix=i != stop)
-        layers.append(LayerTrace(probs=probs, selected=selected))
+        xn = T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        if i == first and routed is not None:
+            y = T.expert_mixture(xn, routed.probs, routed.selected, p[pre + "moe.experts"])
+            layers.append(routed)
+        else:
+            moe = MoELayer(p[pre + "moe.router"], p[pre + "moe.experts"], c.top_k)
+            y, probs, selected = moe_forward_batch(moe, xn, mix=i != stop)
+            layers.append(LayerTrace(probs=probs, selected=selected))
+        del xn
         if i == stop:
             break
         x = T.add(x, y)
@@ -188,7 +207,8 @@ def lm_loss(model: MoEModel, hidden, tokens):
 def perplexity(model: MoEModel, tokens, start=None) -> float:
     """exp(mean next-token NLL) of ``model`` on one [B, L] token array; under
     ``no_grad`` the head runs in row tiles, so no [B*L, V] logits exist.
-    ``start`` is ``forward``'s: a (layer, prefix) pair to resume from."""
+    ``start`` is ``forward``'s: a (layer, prefix) or (layer, prefix, trace)
+    to resume from."""
     with T.no_grad():
         hidden, _ = forward(model, tokens, start=start)
         return float(np.exp(lm_loss(model, hidden, tokens).item()))

@@ -113,18 +113,6 @@ def mul(a, b) -> Tensor:
     return node(data, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return node(data, (a, b), vjp)
-
-
 # ---------------------------------------------------------------------------
 # shape and reduction
 

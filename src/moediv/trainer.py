@@ -121,30 +121,44 @@ def _flat_gradient(model: MoEModel, leaf_grads: dict, max_norm: float) -> np.nda
 
 
 def _layer_mean(terms):
-    total = terms[0]
+    """The mean of per-layer scalar Tensors as one graph node: their sum,
+    added left to right, divided by their count; each gets g / count."""
+    n = float(len(terms))
+    total = terms[0].data
     for t in terms[1:]:
-        total = T.add(total, t)
-    return T.div(total, float(len(terms)))
+        total = total + t.data
+    return T.node(total / n, terms, lambda g: [g / n] * len(terms))
 
 
-def objective(model: MoEModel, batch, config: TrainConfig, start=None):
+def _layer_losses(trace, batch, config: TrainConfig):
+    """(L_LB, L_ED) of one MoE layer's trace on ``batch``, one graph node each."""
+    return (losses.load_balance_loss_t(trace.probs, trace.selected),
+            losses.expert_divergence_loss_t(T.reshape(trace.probs, batch.sequences.shape + (-1,)),
+                                            batch.domains, eps=config.eps))
+
+
+def objective(model: MoEModel, batch, config: TrainConfig, start=None, routed_losses=None):
     """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
 
-    L_LB and L_ED are means over the MoE layers. ``start=(l, prefix)`` is
-    passed on to ``forward``, and the terms then read layers l on only, so at
-    l = 0 they equal the full run's. Returns (terms, layers):
-    ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar Tensors and
-    ``layers`` is the forward's LayerTrace list (``probs`` are graph nodes).
+    L_LB and L_ED are means over the MoE layers. ``start``, ``(l, prefix)``
+    or ``(l, prefix, trace)``, is passed on to ``forward``, and the terms
+    then read layers l on only, so at l = 0 they equal the full run's. With
+    a trace, layer l's L_LB and L_ED read its ``probs``, constants when the
+    trace was made under ``no_grad``; ``routed_losses`` may then give them
+    as ``_layer_losses(trace, batch, config)`` returns them, so that a
+    caller that resumes from one trace many times computes them once.
+    Returns (terms, layers): ``terms`` maps l_lm, l_lb, l_ed and l_final to
+    scalar Tensors and ``layers`` is the forward's LayerTrace list
+    (``probs`` are graph nodes).
     """
+    if routed_losses is not None and (start is None or len(start) < 3):
+        raise ValueError("objective: routed_losses needs a start after a layer's routing")
     tokens = batch.sequences
     hidden, layers = forward(model, tokens, start=start)
     l_lm = lm_loss(model, hidden, tokens)
-    lb_terms, ed_terms = [], []
-    for layer in layers:
-        lb_terms.append(losses.load_balance_loss_t(layer.probs, layer.selected))
-        ed_terms.append(losses.expert_divergence_loss_t(
-            T.reshape(layer.probs, tokens.shape + (-1,)), batch.domains, eps=config.eps
-        ))
+    per_layer = [] if routed_losses is None else [routed_losses]
+    per_layer += [_layer_losses(layer, batch, config) for layer in layers[len(per_layer):]]
+    lb_terms, ed_terms = zip(*per_layer)
     l_lb = _layer_mean(lb_terms)
     l_ed = _layer_mean(ed_terms)
     l_final = losses.compose_t(l_lm, l_lb, l_ed, config.alpha, config.beta)

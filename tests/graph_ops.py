@@ -1,12 +1,13 @@
 """Generic graph ops that the library's fused nodes replaced, kept as oracles.
 
-The ops are the engine's former ``sub``, ``tlog``, ``matmul``, ``transpose``,
-``concat``, ``tmean``, ``take_along_last``, ``softmax_rows`` and ``layernorm``,
-built on ``tensor.node``. The composites below rebuild, from them, the
-router, the top-K gates, L_LB, L_ED and the affine norm as the many-node
-graphs that ``routing.route``, ``tensor.expert_mixture``,
-``losses.load_balance_loss_t``, ``losses.expert_divergence_loss_t`` and
-``tensor.affine_norm`` each replaced with one node.
+The ops are the engine's former ``sub``, ``div``, ``tlog``, ``matmul``,
+``transpose``, ``concat``, ``tmean``, ``take_along_last``, ``softmax_rows``
+and ``layernorm``, built on ``tensor.node``. The composites below rebuild,
+from them, the router, the top-K gates, L_LB, L_ED, the affine norm, the
+layer mean and L_final as the many-node graphs that ``routing.route``,
+``tensor.expert_mixture``, ``losses.load_balance_loss_t``,
+``losses.expert_divergence_loss_t``, ``tensor.affine_norm``,
+``trainer._layer_mean`` and ``losses.compose_t`` each replaced with one node.
 """
 
 import numpy as np
@@ -29,6 +30,18 @@ def sub(a, b) -> Tensor:
 
     def vjp(g):
         return T._unbroadcast(g, a.shape), T._unbroadcast(-g, b.shape)
+
+    return T.node(data, (a, b), vjp)
+
+
+def div(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data / b.data
+
+    def vjp(g):
+        ga = T._unbroadcast(g / b.data, a.shape)
+        gb = T._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        return ga, gb
 
     return T.node(data, (a, b), vjp)
 
@@ -167,7 +180,7 @@ def composite_route(w_r, x):
 def composite_gates(probs, selected):
     """Top-K gates as a gather, a row sum and a divide."""
     chosen = take_along_last(probs, selected)
-    return T.div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
+    return div(chosen, T.tsum(chosen, axis=-1, keepdims=True))
 
 
 def composite_load_balance(probs, selections):
@@ -176,6 +189,19 @@ def composite_load_balance(probs, selections):
     f = losses._selection_fractions(selections, n)
     p_mean = tmean(probs, axis=0)
     return T.mul(T.tsum(T.mul(p_mean, f)), float(n))
+
+
+def composite_layer_mean(terms):
+    """The mean of per-layer scalars as ``add``s left to right and a ``div``."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = T.add(total, t)
+    return div(total, float(len(terms)))
+
+
+def composite_final(l_lm, l_lb, l_ed, alpha, beta):
+    """L_final = L_LM + alpha*L_LB + beta*L_ED as ``add``s and ``mul``s."""
+    return T.add(T.add(l_lm, T.mul(l_lb, alpha)), T.mul(l_ed, beta))
 
 
 def composite_entropy(p):

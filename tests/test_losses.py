@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from moediv import losses
 from moediv import tensor as T
 from moediv.divergence import jsd_pair
-from moediv.trainer import TrainConfig
+from moediv.trainer import TrainConfig, _layer_mean
 
 import graph_ops as G
 
@@ -284,3 +284,20 @@ class TestCompose:
     def test_graph_version_matches(self):
         # the Tensor adds left to right, so it equals the float sum exactly
         assert compose(1.5, 0.8, 4.0, 1e-3, 5e-4) == 1.5 + 1e-3 * 0.8 + 5e-4 * 4.0
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_fused_tail_matches_generic_graph(self, num_layers):
+        # the layer means and L_final, one node each, give the value and
+        # every term's gradient of the add / mul / div graph they replaced
+        rng = np.random.default_rng(num_layers)
+        l_lm = T.Tensor(rng.random() * 5.0, requires_grad=True)
+        lb = [T.Tensor(1.0 + rng.random(), requires_grad=True) for _ in range(num_layers)]
+        ed = [T.Tensor(rng.random() * 20.0, requires_grad=True) for _ in range(num_layers)]
+        c = TrainConfig()
+        fused = losses.compose_t(l_lm, _layer_mean(lb), _layer_mean(ed), c.alpha, c.beta)
+        generic = G.composite_final(l_lm, G.composite_layer_mean(lb),
+                                    G.composite_layer_mean(ed), c.alpha, c.beta)
+        assert fused.item() == generic.item()
+        new, old = (T.backward(T.mul(y, 0.37)) for y in (fused, generic))
+        for term in (l_lm, *lb, *ed):
+            assert np.array_equal(new[term], old[term])

@@ -7,6 +7,7 @@ import pytest
 
 from moediv import tensor as T
 from moediv.model import (
+    LayerTrace,
     ModelConfig,
     MoEModel,
     forward,
@@ -114,7 +115,8 @@ class TestForward:
 
 class TestStartStop:
     """A forward stopped at a layer's router, or resumed from the prefix such
-    a forward returns, gives bit-for-bit the rows and traces of the full one."""
+    a forward returns (with or without its routing), gives bit-for-bit the
+    rows and traces of the full one."""
 
     @staticmethod
     def assert_traces_equal(got, want):
@@ -141,22 +143,27 @@ class TestStartStop:
                 prefix, stopped = forward(model, tokens, stop=layer)
                 kept = prefix.data.copy()
                 self.assert_traces_equal(stopped, layers[:layer + 1])
-                for _ in range(2):  # a resumed forward leaves its prefix as it was
-                    resumed, traces = forward(model, tokens, start=(layer, prefix))
+                # a resumed forward leaves its prefix as it was; one resumed
+                # after the routing mixes the prefix forward's trace
+                for start in [(layer, prefix)] * 2 + [(layer, prefix, stopped[-1])] * 2:
+                    resumed, traces = forward(model, tokens, start=start)
                     assert np.array_equal(resumed.data, hidden.data)
                     self.assert_traces_equal(traces, layers[layer:])
+                assert traces[0] is stopped[-1]
                 assert np.array_equal(prefix.data, kept)
                 _, between = forward(model, tokens, start=(0, forward(model, tokens, stop=0)[0]),
                                      stop=layer)
                 self.assert_traces_equal(between, layers[:layer + 1])
         assert resumed.requires_grad == recorded
-        assert perplexity(model, tokens, (layer, prefix)) == perplexity(model, tokens)
+        assert (perplexity(model, tokens, (layer, prefix))
+                == perplexity(model, tokens, (layer, prefix, stopped[-1]))
+                == perplexity(model, tokens))
 
     def test_bad_start_and_stop_refused(self):
         model = MoEModel(SMALL, seed=0)
         tokens = np.zeros((2, 5), dtype=np.intp)
         with T.no_grad():
-            prefix, _ = forward(model, tokens, stop=1)
+            prefix, traces = forward(model, tokens, stop=1)
             with pytest.raises(ValueError, match="cannot start at layer 2"):
                 forward(model, tokens, start=(2, prefix))
             with pytest.raises(ValueError, match=r"from rows of shape \(10, 16\)"):
@@ -166,6 +173,17 @@ class TestStartStop:
                     forward(model, tokens, stop=stop)
             with pytest.raises(ValueError, match="cannot stop at layer 0 when starting at layer 1"):
                 forward(model, tokens, start=(1, prefix), stop=0)
+            # a routed start needs the trace of the same tokens at that layer
+            trace = traces[-1]
+            for wrong in (LayerTrace(T.Tensor(trace.probs.data[:-1]), trace.selected),
+                          LayerTrace(trace.probs, trace.selected[:-1]),
+                          LayerTrace(T.Tensor(trace.probs.data[:, :-1]), trace.selected),
+                          LayerTrace(trace.probs, trace.selected[:, :1])):
+                with pytest.raises(ValueError, match="forward: a trace of probs"):
+                    forward(model, tokens, start=(1, prefix, wrong))
+            with pytest.raises(ValueError, match="forward: cannot stop at layer 1 when "
+                                                 "starting after its routing"):
+                forward(model, tokens, start=(1, prefix, trace), stop=1)
 
 
 class TestLMLoss:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +223,9 @@ class TestObjective:
         calls = []
         real = TR.objective
 
-        def counted(model, batch, config, start=None):
-            calls.append(start)
-            return real(model, batch, config, start)
+        def counted(model, batch, config, start=None, routed_losses=None):
+            calls.append((start, routed_losses))
+            return real(model, batch, config, start, routed_losses)
 
         monkeypatch.setattr(TR, "objective", counted)
         return calls
@@ -245,9 +246,33 @@ class TestObjective:
         monkeypatch.setattr(T, "grad_check", one_eval)
         ok, _ = checks.check_gradients()
         # one evaluation per pass serves every term: l_lm, l_lb, l_ed,
-        # l_final; the second pass resumes from layer 0's prefix
-        assert ok and len(calls) == 2
-        assert calls[0] is None and calls[1][0] == 0
+        # l_final; the second pass resumes from layer 0's prefix, and the
+        # third from the same prefix after layer 0's routing, with that
+        # routing's L_LB and L_ED computed once
+        assert ok and len(calls) == 3
+        (full, full_losses), (resumed, resumed_losses), (routed, routed_losses) = calls
+        assert full is full_losses is resumed_losses is None
+        assert resumed[0] == 0 and len(resumed) == 2
+        assert routed[:2] == resumed and len(routed) == 3 and len(routed_losses) == 2
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_resumed_terms_equal_full_run(self, num_layers):
+        # resumed at layer 0's prefix, or after its routing with or without
+        # that routing's L_LB and L_ED given, every term keeps its bits
+        model = MoEModel(replace(SMALL, num_layers=num_layers), seed=6)
+        batch = tiny_batches()[0]
+        cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
+        full, _ = TR.objective(model, batch, cfg)
+        with T.no_grad():
+            prefix, traces = TR.forward(model, batch.sequences, stop=0)
+        routed = (0, prefix, traces[0])
+        for args in [((0, prefix),), (routed,),
+                     (routed, TR._layer_losses(traces[0], batch, cfg))]:
+            terms, _ = TR.objective(model, batch, cfg, *args)
+            assert {k: t.item() for k, t in terms.items()} == {k: t.item() for k, t in full.items()}
+        for start in (None, (0, prefix)):
+            with pytest.raises(ValueError, match="objective: routed_losses needs a start"):
+                TR.objective(model, batch, cfg, start, TR._layer_losses(traces[0], batch, cfg))
 
     def test_terms_match_record(self):
         # the record is the objective's terms: l_final is exactly the float
@@ -286,21 +311,25 @@ class TestObjective:
         assert not traces["a"][0].probs.requires_grad
 
     def test_graph_node_count(self):
-        # a default-config step on a three-domain demo batch: per block two
-        # affine norms (one node each), attention, router, experts and two
-        # residual adds; per layer one L_LB node and one L_ED node (behind a
-        # reshape); the final affine norm and the head's NLL
+        # a default-config step on a three-domain demo batch: 25 parameter
+        # leaves; the embedding rows (two row gathers, an add and a reshape);
+        # per block two affine norms (one node each), attention, router,
+        # experts and two residual adds; per layer one L_LB node and one L_ED
+        # node (behind a reshape); one layer-mean node each for L_LB and
+        # L_ED; the final affine norm, the head's NLL and L_final's node:
+        # 25 + 4 + 2 * 7 + 2 * 3 + 2 + 3
         docs, _ = D.synth_corpus(D.three_domain_demo_specs(), seed=3)
         train_docs, _ = D.split_validation(docs, 64, 100)
         batch = D.pack_batches(train_docs, 64, 8, 0)[0]
         assert len(set(batch.domains)) == 3
         terms, _ = TR.objective(MoEModel(ModelConfig(), seed=0), batch, TR.TrainConfig())
-        assert len(T._toposort(terms["l_final"])) == 63
+        assert len(T._toposort(terms["l_final"])) == 54
 
 
 class TestCheckGradients:
     """The gradient check perturbs the parameters read after layer 0's
-    prefix on an objective resumed from it, and nothing else changes."""
+    prefix on an objective resumed from it, those read after layer 0's
+    routing on one resumed after it, and nothing else changes."""
 
     def test_split_passes_equal_one_full_pass(self, monkeypatch):
         passes = []
@@ -322,19 +351,21 @@ class TestCheckGradients:
             f"{k}={v:.2e}" for k, v in full.items()) + " (tol 1e-04)"
 
     def test_forward_counts(self, monkeypatch):
-        counts = {"embeddings": 0, "resumed": 0}
+        counts = {"embeddings": 0, "resumed": 0, "routed": 0}
         real = checks.forward
 
         def counted(model, tokens, start=None, stop=None):
-            counts["embeddings" if start is None else "resumed"] += 1
+            counts[("embeddings", "resumed", "routed")[0 if start is None else len(start) - 1]] += 1
             return real(model, tokens, start=start, stop=stop)
 
         monkeypatch.setattr(checks, "forward", counted)
         monkeypatch.setattr(TR, "forward", counted)
         checks.check_gradients()
         # the prefix (stop=0), then one analytic pass and 2 x coordinates per
-        # group: 440 from the embeddings to layer 0's attention, 1,704 after
-        assert counts == {"embeddings": 1 + 1 + 2 * 440, "resumed": 1 + 2 * 1704}
+        # group: 440 from the embeddings to layer 0's attention, 48 in layer
+        # 0's ln2 and router, and 1,656 in its experts, ln_f and the LM head
+        assert counts == {"embeddings": 1 + 1 + 2 * 440, "resumed": 1 + 2 * 48,
+                          "routed": 1 + 2 * 1656}
 
 
 KILLED_RUN = """
