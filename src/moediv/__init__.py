@@ -9,14 +9,7 @@ heatmaps, ternary projections) to measure the resulting specialization.
 """
 
 from .data import DataConfig, DomainBatch, SynthDomainSpec, load_corpus, pack_batches, synth_corpus
-from .divergence import (
-    DivergenceReport,
-    decompose,
-    entropy,
-    generalized_jsd,
-    jsd_pair,
-    kl,
-)
+from .divergence import DivergenceReport, decompose, generalized_jsd
 from .model import ModelConfig, MoEModel, forward, load_checkpoint, perplexity, save_checkpoint
 from .tensor import Tensor, backward, grad_check, no_grad
 from .trainer import AdamWState, TrainConfig, objective, run_training, train_step

@@ -96,7 +96,7 @@ def _require_file(path, flag):
 def _load_docs(path):
     """The documents of a --data file; a malformed record is a usage error."""
     try:
-        return data_mod.load_corpus(path)[0]
+        return data_mod.load_corpus(path)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -46,12 +46,10 @@ class DataConfig:
 def load_corpus(path):
     """Read a JSONL file of {"text": ..., "domain": ...} records.
 
-    Returns (documents, domain_vocab); unknown domains enter the vocabulary
-    in first-seen order. A malformed record, or one that is not UTF-8, raises
-    ValueError naming the file and line.
+    Returns the list of documents, in file order. A malformed record, or one
+    that is not UTF-8, raises ValueError naming the file and line.
     """
     docs = []
-    vocab: list[str] = []
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -65,12 +63,9 @@ def load_corpus(path):
                 raise ValueError(
                     f"{path}:{lineno}: record must have 'text' and 'domain' fields"
                 )
-            domain = str(rec["domain"])
-            if domain not in vocab:
-                vocab.append(domain)
             tokens = np.frombuffer(str(rec["text"]).encode("utf-8"), dtype=np.uint8)
-            docs.append(Document(tokens=tokens.copy(), domain=domain))
-    return docs, vocab
+            docs.append(Document(tokens=tokens.copy(), domain=str(rec["domain"])))
+    return docs
 
 
 @dataclass

@@ -11,7 +11,6 @@ is built from them. Each public function checks its inputs once, with
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -45,55 +44,23 @@ def _entropy(p):
     return (p * np.log(p + 1e-300)).sum(axis=-1) * -1.0
 
 
-@functools.lru_cache(maxsize=16)
-def _pairs(m):
-    """Read-only index arrays (j, k) of the pairs j < k of m >= 2 rows, in
-    ``itertools.combinations`` order."""
-    j, k = np.array(list(itertools.combinations(range(m), 2)), dtype=np.intp).T.copy()
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
-
-
 def _pair_jsd(means):
-    """(j, k, jsd) of the M >= 2 rows of checked ``means``: the pairs j < k of
-    ``_pairs`` and each pair's JSD in entropy form (Lin 1991),
-    H((p_j + p_k) / 2) - (H(p_j) + H(p_k)) / 2."""
-    j, k = _pairs(len(means))
+    """(j, k, jsd) of the M >= 2 rows of checked ``means``: the pairs j < k,
+    in ``itertools.combinations`` order, and each pair's JSD in entropy form
+    (Lin 1991), H((p_j + p_k) / 2) - (H(p_j) + H(p_k)) / 2."""
+    j, k = np.array(list(itertools.combinations(range(len(means)), 2)), dtype=np.intp).T
     pj, pk = means[j], means[k]
     mix, hj, hk = _entropy(np.concatenate(((pj + pk) * 0.5, pj, pk))).reshape(3, -1)
     return j, k, mix - (hj + hk) * 0.5
 
 
-def entropy(p) -> float:
-    """Shannon entropy -sum p ln p, with 0 ln 0 = 0."""
-    return float(_entropy(_checked("entropy", "p", p)))
-
-
-def kl(p, q) -> float:
-    """KL divergence sum p ln(p/q).
-
-    Returns +inf when p puts mass where q has none (documented marker, never
-    raises for that case).
-    """
-    p = _checked("kl", "p", p)
-    return _kl(p, _checked("kl", "q", q, n=p.size))
-
-
-def _kl(p, q) -> float:  # kl of two checked distributions
+def _kl(p, q) -> float:
+    """KL divergence sum p ln(p/q) of two checked distributions; +inf when p
+    puts mass where q has none."""
     mask = p > 0
     if np.any(q[mask] == 0):
         return float("inf")
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
-
-
-def jsd_pair(p, q) -> float:
-    """Jensen-Shannon divergence with weights (1/2, 1/2).
-
-    Computed in entropy form H(m) - (H(p) + H(q)) / 2, which is finite for
-    any pair of valid distributions and lies in [0, ln 2].
-    """
-    p = _checked("jsd_pair", "p", p)
-    return float(_pair_jsd(np.stack((p, _checked("jsd_pair", "q", q, n=p.size))))[2][0])
 
 
 def generalized_jsd(dists, weights) -> float:

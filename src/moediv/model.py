@@ -246,8 +246,9 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (model, step, opt_state_or_None).
 
     Raises ValueError naming ``path`` for a bad magic line, an unreadable
-    header or config, a parameter layout that is not the config's, and a
-    truncated file or trailing bytes.
+    header or config, a ``step`` or ``opt_t`` that is not a non-negative
+    int, a parameter layout that is not the config's, and a truncated file
+    or trailing bytes.
     """
     from .trainer import AdamWState  # local import to avoid a cycle
 
@@ -260,6 +261,11 @@ def load_checkpoint(path):
             step = header["step"]
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad header: {exc}") from exc
+        for field in ("step", "opt_t"):
+            value = header.get(field, 0)
+            if type(value) is not int or value < 0:  # a bool is an int subclass: refused
+                raise ValueError(f"{path}: bad header: {field} must be a non-negative int, "
+                                 f"got {value!r}")
         _, n, params = _layout(config)
         if header.get("params") != params:
             raise ValueError(f"{path}: parameter names and shapes do not match the config")

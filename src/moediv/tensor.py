@@ -10,7 +10,6 @@ gradient checks can use tight tolerances. Natural logarithms throughout.
 from __future__ import annotations
 
 import contextlib
-import functools
 
 import numpy as np
 
@@ -147,21 +146,15 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 def _sum_rows(values, idx, num_rows) -> np.ndarray:
     """Zero base of ``num_rows`` rows with out[idx[j]] += values[j].
 
-    ``idx`` holds non-negative row numbers. Unique ones are a plain
-    assignment. Repeated ones go through one weighted ``bincount`` over
-    (row, column) cells, which adds each cell's terms in index order: the
-    same bits as adding them one by one.
+    ``idx`` holds non-negative row numbers, repeats allowed. One weighted
+    ``bincount`` over (row, column) cells adds each cell's terms in index
+    order: the same bits as adding them one by one onto zero.
     """
     tail = values.shape[idx.ndim:]
     width = int(np.prod(tail))
     idx = idx.reshape(-1)
-    values = values.reshape(idx.size, width)
-    if np.bincount(idx, minlength=num_rows).max(initial=0) <= 1:
-        out = np.zeros((num_rows, width))
-        out[idx] = values
-    else:
-        cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
-        out = np.bincount(cells, weights=values.reshape(-1), minlength=num_rows * width)
+    cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(cells, weights=values.reshape(-1), minlength=num_rows * width)
     return out.reshape((num_rows,) + tail)
 
 
@@ -290,14 +283,6 @@ def next_token_nll(hidden, lm_head, tokens) -> Tensor:
     return node(-(logp[:, :-1].reshape(-1).sum() / (t - b)), parents, vjp)
 
 
-@functools.lru_cache(maxsize=8)
-def _causal_mask(l):
-    """Read-only [L, L] additive mask: -1e30 above the diagonal, else 0."""
-    mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)
-    mask.flags.writeable = False
-    return mask
-
-
 def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     """Multi-head causal self-attention over ``batch`` sequences, one graph node.
 
@@ -326,7 +311,7 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     def merge(a):  # [B, H, L, dh] -> [B*L, d]
         return np.transpose(a, (0, 2, 1, 3)).reshape(t, d)
 
-    mask = _causal_mask(l)
+    mask = np.where(np.arange(l)[:, None] < np.arange(l), -1e30, 0.0)  # additive, causal
     record = _recording(parents)
     if record:  # q, k, v, the merged heads and the weights, whole, for the VJP
         saved = [np.empty((t, d)) for _ in range(4)]
@@ -402,9 +387,12 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
     _require_distinct_in_rows(selected, "expert_mixture")
     t, k = selected.shape
     n, _, d, m = experts.shape
-    counts = np.bincount(selected.reshape(-1), minlength=n)
-    if counts.size != n:
-        raise ValueError("expert_mixture: expert index out of range")
+    try:
+        counts = np.bincount(selected.reshape(-1), minlength=n)  # refuses an index < 0
+        if counts.size != n:
+            raise ValueError
+    except ValueError:
+        raise ValueError("expert_mixture: expert index out of range") from None
     token_rows = np.arange(t)[:, None]
     chosen = probs.data[token_rows, selected]
     norm = chosen.sum(axis=-1, keepdims=True)

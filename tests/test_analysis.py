@@ -288,8 +288,8 @@ class TestDivergenceReport:
             means = [p.mean(axis=0) for p in probs]
             assert len(means) == 3
             pooled = np.concatenate(probs)
-            inter = dv.entropy(pooled.mean(axis=0)) - sum(
-                len(p) / len(pooled) * dv.entropy(m) for p, m in zip(probs, means))
+            inter = dv._entropy(pooled.mean(axis=0)) - sum(
+                len(p) / len(pooled) * dv._entropy(m) for p, m in zip(probs, means))
             assert abs(rep.d_inter - inter) <= 1e-10
 
     def test_csv_format(self, model, valsets):

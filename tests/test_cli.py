@@ -132,6 +132,26 @@ class TestExitCodes:
                       "--layer", "0", "--data", str(trained["corpus"])])
         assert rc == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("step", -4), ("step", "2"), ("step", None), ("step", 2.5), ("step", True),
+        ("opt_t", -1), ("opt_t", True),
+    ], ids=["step-negative", "step-str", "step-null", "step-float", "step-bool",
+            "opt_t-negative", "opt_t-bool"])
+    def test_resume_bad_header_count_refused(self, trained, tmp_path, capsys, field, value):
+        # refused as the other checkpoint faults are, before --out is made
+        magic, header, blob = trained["ckpt"].read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header[field] = value
+        ckpt = tmp_path / "bad.moediv"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(trained["config"]), "--data",
+                      str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
+        assert rc == 2
+        assert (f"error: {ckpt}: bad header: {field} must be a non-negative int, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_layer_out_of_range_is_usage_error(self, trained, capsys):
         rc = cli.run(["perturb", "--ckpt", str(trained["ckpt"]),
                       "--layer", "9", "--data", str(trained["corpus"])])

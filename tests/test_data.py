@@ -21,23 +21,22 @@ class TestLoadCorpus:
             {"text": "world", "domain": "code"},
             {"text": "again", "domain": "news"},
         ])
-        docs, vocab = D.load_corpus(p)
-        assert vocab == ["news", "code"]  # first-seen order
-        assert [d.domain for d in docs] == ["news", "code", "news"]
+        docs = D.load_corpus(p)
+        assert [d.domain for d in docs] == ["news", "code", "news"]  # file order
         assert bytes(docs[0].tokens) == b"hello"
 
     def test_utf8_bytes(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"text": "café", "domain": "a"}])
-        docs, _ = D.load_corpus(p)
+        docs = D.load_corpus(p)
         assert bytes(docs[0].tokens) == "café".encode("utf-8")
         assert len(docs[0].tokens) == 5
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"text": "x", "domain": "a"}\n\n{"text": "y", "domain": "b"}\n')
-        docs, vocab = D.load_corpus(p)
-        assert len(docs) == 2 and vocab == ["a", "b"]
+        docs = D.load_corpus(p)
+        assert [d.domain for d in docs] == ["a", "b"]
 
     def test_malformed_json_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -337,7 +336,7 @@ def oracle_split_validation(docs, seq_len, val_sequences):
 
 
 def oracle_load_valsets(path, seq_len, limit):
-    docs, _ = D.load_corpus(path)
+    docs = D.load_corpus(path)
     sequences, labels = oracle_pack_sequences(docs, seq_len)
     valsets = {}
     for s, d in zip(sequences, labels):

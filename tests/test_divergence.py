@@ -18,6 +18,21 @@ def random_dist(rng, n):
     return p / p.sum()
 
 
+def entropy(p):
+    """Entropy of one distribution through the shared kernel."""
+    return float(dv._entropy(dv._checked("entropy", "p", p)))
+
+
+def kl(p, q):
+    """KL(p || q) of two checked distributions through the shared kernel."""
+    return dv._kl(dv._checked("kl", "p", p), dv._checked("kl", "q", q))
+
+
+def jsd(p, q):
+    """JSD of two distributions: the pairwise sum of their two rows."""
+    return dv.pairwise_sum([p, q])
+
+
 dists = st.integers(2, 12).flatmap(
     lambda n: st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)
 ).map(lambda xs: np.array(xs) / np.sum(xs))
@@ -26,43 +41,41 @@ dists = st.integers(2, 12).flatmap(
 class TestEntropy:
     def test_uniform(self):
         for n in (2, 5, 16):
-            assert dv.entropy(np.full(n, 1.0 / n)) == pytest.approx(np.log(n), abs=1e-12)
+            assert entropy(np.full(n, 1.0 / n)) == pytest.approx(np.log(n), abs=1e-12)
 
     def test_one_hot(self):
-        assert dv.entropy([0.0, 1.0, 0.0]) == 0.0
+        assert entropy([0.0, 1.0, 0.0]) == 0.0
 
     def test_half_half(self):
-        assert dv.entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-12)
+        assert entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-12)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
-            dv.entropy([1.1, -0.1])
+            entropy([1.1, -0.1])
 
 
 class TestKL:
     def test_identical(self):
         p = [0.2, 0.3, 0.5]
-        assert dv.kl(p, p) == 0.0
+        assert kl(p, p) == 0.0
 
     def test_one_hot_vs_uniform(self):
-        assert dv.kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(LN2, abs=1e-12)
+        assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(LN2, abs=1e-12)
 
     def test_absolute_continuity_marker(self):
-        assert dv.kl([0.5, 0.5], [1.0, 0.0]) == np.inf
+        assert kl([0.5, 0.5], [1.0, 0.0]) == np.inf
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(0)
         p, q = random_dist(rng, 8), random_dist(rng, 8)
         expected = sum(pi * np.log(pi / qi) for pi, qi in zip(p, q))
-        assert dv.kl(p, q) == pytest.approx(expected, rel=1e-12)
+        assert kl(p, q) == pytest.approx(expected, rel=1e-12)
 
 
 # one call per public function on rows of unequal length and on rows with a
 # negative entry that still sum to 1, and on the weights [1.5, -0.5]
 UNEQUAL, NEGATIVE = [[1.0], [0.5, 0.5]], [[1.1, -0.1], [0.9, 0.1]]
 REFUSALS = {
-    "kl": lambda rows, w: dv.kl(*rows),
-    "jsd_pair": lambda rows, w: dv.jsd_pair(*rows),
     "generalized_jsd": dv.generalized_jsd,
     "generalized_jsd_entropy_form": dv.generalized_jsd_entropy_form,
     "pairwise_sum": lambda rows, w: dv.pairwise_sum(rows),
@@ -90,24 +103,24 @@ class TestInputCheck:
             REFUSALS[fn]([[1.0, 0.0], [0.5, 0.5]], weights)
 
     def test_nan_refused(self):
-        with pytest.raises(ValueError, match="^entropy: p sums to nan"):
-            dv.entropy([np.nan, 1.0])
+        with pytest.raises(ValueError, match=r"^decompose: probs sums to \[nan\]"):
+            dv.decompose([[np.nan, 1.0]], ["a"])
 
 
 class TestJSDPair:
     def test_identical_zero(self):
-        assert dv.jsd_pair([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-15)
+        assert jsd([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-15)
 
     def test_disjoint_supports(self):
-        assert dv.jsd_pair([1.0, 0.0], [0.0, 1.0]) == pytest.approx(LN2, abs=1e-12)
+        assert jsd([1.0, 0.0], [0.0, 1.0]) == pytest.approx(LN2, abs=1e-12)
 
     def test_kl_and_entropy_forms_agree(self):
         # frozen from the KL-form oracle: 1/2 KL(p||m) + 1/2 KL(q||m)
         p, q = np.array([0.5, 0.5]), np.array([1.0, 0.0])
         m = 0.5 * (p + q)
-        kl_form = 0.5 * dv.kl(p, m) + 0.5 * dv.kl(q, m)
+        kl_form = 0.5 * kl(p, m) + 0.5 * kl(q, m)
         assert kl_form == pytest.approx(0.21576155433883565, abs=1e-14)
-        assert dv.jsd_pair(p, q) == pytest.approx(kl_form, abs=1e-12)
+        assert jsd(p, q) == pytest.approx(kl_form, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(dists, dists)
@@ -115,9 +128,9 @@ class TestJSDPair:
         if len(p) != len(q):
             q = np.resize(q, len(p))
             q = q / q.sum()
-        v = dv.jsd_pair(p, q)
+        v = jsd(p, q)
         assert -1e-12 <= v <= LN2 + 1e-12
-        assert dv.jsd_pair(q, p) == pytest.approx(v, abs=1e-12)
+        assert jsd(q, p) == pytest.approx(v, abs=1e-12)
 
 
 class TestGeneralizedJSD:
@@ -157,8 +170,8 @@ def domain_means(rows):
     for dom in dict.fromkeys(labels):
         sel = probs[[lab == dom for lab in labels]]
         aggs.append(SimpleNamespace(domain=dom, mean=sel.mean(axis=0), num_tokens=len(sel)))
-    inter = dv.entropy(probs.mean(axis=0)) - sum(
-        a.num_tokens / len(rows) * dv.entropy(a.mean) for a in aggs)
+    inter = entropy(probs.mean(axis=0)) - sum(
+        a.num_tokens / len(rows) * entropy(a.mean) for a in aggs)
     assert dv.decompose(probs, labels).d_inter == pytest.approx(inter, abs=1e-12)
     return aggs
 
@@ -231,7 +244,7 @@ class TestExpertDivergenceLoss:
         means = np.stack([random_dist(rng, 6) for _ in "abc"])
         pairs = list(itertools.combinations(range(3), 2))
         expected = np.mean(
-            [-np.log(dv.jsd_pair(means[j], means[k]) + 1e-8) for j, k in pairs]
+            [-np.log(jsd(means[j], means[k]) + 1e-8) for j, k in pairs]
         )
         assert ed_loss(means) == pytest.approx(expected, rel=1e-12)
 
@@ -242,21 +255,11 @@ class TestExpertDivergenceLoss:
     def test_value_is_mean_over_shared_pair_jsds(self, m):
         rng = np.random.default_rng(40 + m)
         means = np.stack([random_dist(rng, 8) for _ in range(m)])
-        j, k, jsd = dv._pair_jsd(means)
+        j, k, pair_jsd = dv._pair_jsd(means)
         pairs = list(itertools.combinations(range(m), 2))
         assert list(zip(j.tolist(), k.tolist())) == pairs
-        assert jsd.tolist() == [dv.jsd_pair(means[a], means[b]) for a, b in pairs]
-        assert ed_loss(means) == np.mean([-np.log(v + 1e-8) for v in jsd])
-
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_pair_indices_cached_and_read_only(self, m):
-        j, k = dv._pairs(m)
-        assert dv._pairs(m)[0] is j
-        fresh = np.array(list(itertools.combinations(range(m), 2)), dtype=np.intp).T
-        assert np.array_equal(j, fresh[0]) and np.array_equal(k, fresh[1])
-        for idx in (j, k):
-            with pytest.raises(ValueError, match="read-only"):
-                idx[0] = 1
+        assert pair_jsd.tolist() == [jsd(means[a], means[b]) for a, b in pairs]
+        assert ed_loss(means) == np.mean([-np.log(v + 1e-8) for v in pair_jsd])
 
     def test_monotone_in_jsd(self):
         # -ln is strictly decreasing: larger pairwise JSD, smaller loss
@@ -277,7 +280,7 @@ class TestPairwiseSum:
         rng = np.random.default_rng(5)
         means = np.stack([random_dist(rng, 8) for _ in "abcd"])
         expected = sum(
-            dv.jsd_pair(means[j], means[k])
+            jsd(means[j], means[k])
             for j, k in itertools.combinations(range(4), 2)
         )
         assert len(list(itertools.combinations(range(4), 2))) == 6
@@ -291,7 +294,7 @@ class TestPairwiseSum:
     def test_equals_sum_of_jsd_pair(self, m):
         rng = np.random.default_rng(50 + m)
         means = np.stack([random_dist(rng, 8) for _ in range(m)])
-        expected = sum(dv.jsd_pair(p, q) for p, q in itertools.combinations(means, 2))
+        expected = sum(jsd(p, q) for p, q in itertools.combinations(means, 2))
         assert dv.pairwise_sum(means) == expected
 
 
@@ -317,13 +320,13 @@ class TestDecompose:
         rep = dv.decompose(probs, labels)
         t = 12
         gmean = probs.mean(axis=0)
-        d_total = sum(dv.kl(p, gmean) for p in probs) / t
+        d_total = sum(kl(p, gmean) for p in probs) / t
         doms = {d: probs[[i for i, l in enumerate(labels) if l == d]] for d in "abc"}
         d_inter = sum(
-            (len(v) / t) * dv.kl(v.mean(axis=0), gmean) for v in doms.values()
+            (len(v) / t) * kl(v.mean(axis=0), gmean) for v in doms.values()
         )
         d_intra = sum(
-            (len(v) / t) * np.mean([dv.kl(p, v.mean(axis=0)) for p in v])
+            (len(v) / t) * np.mean([kl(p, v.mean(axis=0)) for p in v])
             for v in doms.values()
         )
         assert rep.d_total == pytest.approx(d_total, abs=1e-10)

@@ -5,10 +5,15 @@ from hypothesis import strategies as st
 
 from moediv import losses
 from moediv import tensor as T
-from moediv.divergence import jsd_pair
+from moediv.divergence import _pair_jsd
 from moediv.trainer import TrainConfig, _layer_mean
 
 import graph_ops as G
+
+
+def jsd_pair(p, q):
+    """JSD of two distributions through the shared pairwise kernel."""
+    return _pair_jsd(np.stack((p, q)))[2][0]
 
 
 def oracle_pair(composite, fused, probs, *args):

@@ -349,6 +349,13 @@ class TestExpertMixture:
             T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
                              np.array([[0], [2]]), layer.experts)
 
+    def test_negative_expert_index(self):
+        rng = np.random.default_rng(62)
+        layer = make_layer(rng, 2, 3, 4, 1)
+        with pytest.raises(ValueError, match="^expert_mixture: expert index out of range$"):
+            T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
+                             np.array([[0], [-1]]), layer.experts)
+
     def test_silu_overflow_is_silent(self):
         # exp(-pre) overflows to inf at pre < ~-709, where sig is then an exact
         # 0; under the suite's filterwarnings = error a warning would raise

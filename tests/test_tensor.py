@@ -260,8 +260,8 @@ class TestGatherBackward:
         np.testing.assert_allclose(grads[a], expected, rtol=0, atol=1e-14)
 
     def test_repeated_rows_sum_in_index_order(self):
-        # the repeated-index path adds each row's terms in index order, so it
-        # matches a sequential scatter-add bit for bit
+        # the row sum adds each row's terms in index order, so it matches a
+        # sequential scatter-add bit for bit
         rng = np.random.default_rng(22)
         idx = rng.integers(0, 7, size=300)
         values = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
@@ -314,15 +314,6 @@ def test_tiles_match_list_form():
         for size in (1, 2, 3, 5, 8):
             for hi in range(lo, lo + 4 * size + 3):
                 assert list(T._tiles(lo, hi, size)) == listed_tiles(lo, hi, size), (lo, hi, size)
-
-
-def test_causal_mask_is_cached_and_read_only():
-    for l in (1, 2, 7, 32):
-        mask = T._causal_mask(l)
-        assert mask is T._causal_mask(l)
-        assert np.array_equal(mask, np.triu(np.full((l, l), -1e30), k=1))
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0, -1] = 0.0
 
 
 def composite_attention(xn, wq, wk, wv, wo, batch, num_heads):

@@ -368,6 +368,63 @@ class TestCheckGradients:
                           "routed": 1 + 2 * 1656}
 
 
+def top_k_margin(model, batch, cfg):
+    """The smallest gap, over tokens and layers, between the K-th and the
+    (K+1)-th router probability of ``batch``."""
+    with T.no_grad():
+        _, layers = TR.objective(model, batch, cfg)
+    k = model.config.top_k
+    return min(float(np.diff(np.sort(layer.probs.data, axis=1)[:, -k - 1:-k + 1]).min())
+               for layer in layers)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_directional_derivatives_at_default_config(steps):
+    # the fused VJPs at the widths that train (d / H = 16, m = 128, V = 256,
+    # 8 x 64 tokens), which the coordinate-wise check never reaches: for one
+    # random unit direction v per parameter tensor, <gradient, v> of each
+    # term against (f(theta + hv) - f(theta - hv)) / 2h, with grad_check's
+    # relative error. A difference across a top-K switch measures a jump,
+    # not the derivative, and near-uniform routers switch some token on most
+    # batches at h = 1e-4, so the check runs on the batch whose top-K margin
+    # is widest and asserts that no selection switches.
+    docs, _ = D.synth_corpus(D.three_domain_demo_specs(), seed=3)
+    train_docs, _ = D.split_validation(docs, 64, 100)
+    batches = D.pack_batches(train_docs, 64, 8, 0)[:8]
+    model, cfg, h = MoEModel(ModelConfig(), seed=1), TR.TrainConfig(warmup_steps=0), 1e-4
+    state = TR.AdamWState.init(model.flat)
+    for step in range(steps):
+        TR.train_step(model, batches[step], cfg, state, step)
+    batch = max(batches, key=lambda b: top_k_margin(model, b, cfg))
+    terms, _ = TR.objective(model, batch, cfg)
+    rng = np.random.default_rng(0)
+    direction = np.zeros_like(model.flat)
+    views = model.split(direction)
+    for name, p in model.params.items():
+        v = rng.normal(size=p.shape)
+        views[name][...] = v / np.sqrt((v * v).sum())
+    analytic = {}
+    for name, root in terms.items():
+        grads = T.backward(root)
+        analytic[name] = sum(float((grads[p] * views[n]).sum())
+                             for n, p in model.params.items() if p in grads)
+    theta = model.flat.copy()
+    values, selections = [], []
+    with T.no_grad():
+        for sign in (1.0, -1.0):
+            model.flat[...] = theta + sign * h * direction
+            out, layers = TR.objective(model, batch, cfg)
+            values.append({name: t.item() for name, t in out.items()})
+            selections.append([layer.selected for layer in layers])
+    model.flat[...] = theta
+    for plus, minus in zip(*selections):
+        assert np.array_equal(plus, minus)
+    for name, a in analytic.items():
+        numeric = (values[0][name] - values[1][name]) / (2.0 * h)
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        assert err <= 1e-4, (name, a, numeric, err)
+
+
 KILLED_RUN = """
 import os, sys
 sys.path.insert(0, sys.argv[2])
