@@ -90,9 +90,11 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
     """Mean per-domain delta-PPL over ``draws`` independent permutations.
 
     Each domain's prefix, the rows entering layer's MoE sublayer, is computed
-    once and serves the original model and every draw; the original model
-    also reuses the prefix forward's routing of layer. One domain's prefix
-    is held at a time, and one model copy is permuted for every draw.
+    once and serves the original model and every draw. The prefix forward's
+    trace is dropped at once: a resume after its routing would hold its
+    normed rows through the rest of the forward, one more [B*L, d] array at
+    the forward's peak, to save one routing. One domain's prefix is held at
+    a time, and one model copy is permuted for every draw.
     Returns {"mean_delta": {domain: mean}, "draws": [delta_ppl's records per
     draw]}.
     """
@@ -102,10 +104,9 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
     shuffled = MoEModel(model.config, flat=model.flat)
     for dom in sorted(valsets):
         with T.no_grad():
-            rows, traces = forward(model, valsets[dom], stop=layer)
+            rows = forward(model, valsets[dom], stop=layer)[0]
         prefix = {dom: rows}
-        ppl_original = {dom: perplexity(model, valsets[dom], (layer, rows, traces[-1]))}
-        del traces
+        ppl_original = {dom: perplexity(model, valsets[dom], (layer, rows))}
         for i, records in enumerate(results):
             records += delta_ppl(model, layer, {dom: valsets[dom]}, seed + i,
                                  ppl_original, prefix, shuffled)
@@ -121,12 +122,14 @@ def collect_traces(model: MoEModel, valsets: dict) -> dict:
 
     The heatmaps and the divergence report read any layer from the result,
     so one call serves every layer of a command. Each forward stops once the
-    last layer is routed, as nothing reads its expert mixture.
+    last layer is routed, as nothing reads its expert mixture, and the
+    traces keep no normed rows.
     """
     out = {}
     with T.no_grad():
         for dom in sorted(valsets):
             out[dom] = forward(model, valsets[dom], stop=model.config.num_layers - 1)[1]
+            out[dom][-1].normed = None  # only a resume reads the last router's input
     return out
 
 

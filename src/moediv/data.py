@@ -46,8 +46,9 @@ class DataConfig:
 def load_corpus(path):
     """Read a JSONL file of {"text": ..., "domain": ...} records.
 
-    Returns the list of documents, in file order. A malformed record, or one
-    that is not UTF-8, raises ValueError naming the file and line.
+    Returns the list of documents, in file order. A malformed record, one
+    that is not UTF-8, or one whose ``text`` or ``domain`` is not a JSON
+    string raises ValueError naming the file and line.
     """
     docs = []
     with open(path, "rb") as f:
@@ -63,8 +64,12 @@ def load_corpus(path):
                 raise ValueError(
                     f"{path}:{lineno}: record must have 'text' and 'domain' fields"
                 )
-            tokens = np.frombuffer(str(rec["text"]).encode("utf-8"), dtype=np.uint8)
-            docs.append(Document(tokens=tokens.copy(), domain=str(rec["domain"])))
+            for field in ("text", "domain"):
+                if not isinstance(rec[field], str):
+                    raise ValueError(f"{path}:{lineno}: '{field}' must be a string, "
+                                     f"got {rec[field]!r}")
+            tokens = np.frombuffer(rec["text"].encode("utf-8"), dtype=np.uint8)
+            docs.append(Document(tokens=tokens.copy(), domain=rec["domain"]))
     return docs
 
 

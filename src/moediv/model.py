@@ -45,10 +45,19 @@ class ModelConfig:
 
 @dataclass
 class LayerTrace:
-    """Routing record of one MoE layer: the router output and its top-K."""
+    """Routing record of one MoE layer: the router output and its top-K.
+
+    Only the last trace of a run stopped at a layer's router holds
+    ``normed``, the rows that router read, which a run resumed after that
+    routing mixes its experts on. ``dispatch`` is the routing's
+    ``tensor.expert_dispatch`` for such a resume, which builds one when it
+    is None; a caller that resumes from one trace many times sets it once.
+    """
 
     probs: Tensor         # [T, N]; a graph node unless made under no_grad
     selected: np.ndarray  # [T, K]
+    normed: Tensor | None = None        # [T, d] router input, on a stopped run's last trace
+    dispatch: T.Dispatch | None = None  # set by a caller that resumes from the trace
 
 
 def _layout(c: ModelConfig):
@@ -122,13 +131,17 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     The run can start and stop at a MoE layer's router. With ``stop=l`` it
     returns once layer l is routed: ``hidden`` is then the residual rows that
     enter layer l's MoE sublayer (the "prefix"), and the traces end with
-    layer l's. ``start=(l, prefix)`` resumes from such a prefix of the same
-    tokens: the run begins at layer l's MoE sublayer and its traces begin
-    with layer l's. ``start=(l, prefix, trace)``, with the last trace of that
-    stopped run, resumes after layer l's routing: layer l mixes its experts
-    on ``trace``'s probabilities and selection, routes nothing, and its
-    trace is ``trace`` itself. Either way every row is bit-equal to the full
-    run's.
+    layer l's, which also holds the normed rows its router read.
+    ``start=(l, prefix)`` resumes from such a prefix of the same tokens: the
+    run begins at layer l's MoE sublayer and its traces begin with layer
+    l's. ``start=(l, prefix, trace)``, with the last trace of that stopped
+    run, resumes after layer l's routing: layer l reads neither its ``ln2``
+    nor its router, mixes its experts on ``trace``'s normed rows through
+    ``trace.dispatch`` (or a dispatch of its probabilities and selection
+    built here when that is None), and its trace is ``trace`` itself. With
+    l the number of layers, ``start=(l, hidden)`` takes the final rows and
+    returns them with no traces. Either way every row is bit-equal to the
+    full run's.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -150,7 +163,8 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     else:
         first, x = start[0], T.as_tensor(start[1])
         routed = start[2] if len(start) > 2 else None
-        if not 0 <= first < c.num_layers or x.shape != (b * l, c.hidden_size):
+        last = c.num_layers - (routed is not None)  # the final rows route no layer
+        if not 0 <= first <= last or x.shape != (b * l, c.hidden_size):
             raise ValueError(f"forward: cannot start at layer {first} from rows of shape "
                              f"{x.shape} for {c.num_layers} layers and {b * l} tokens")
     if routed is not None:
@@ -158,6 +172,10 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
         if (routed.probs.shape, routed.selected.shape) != want:
             raise ValueError(f"forward: a trace of probs {routed.probs.shape} and selected "
                              f"{routed.selected.shape} does not route {b * l} tokens")
+        if routed.normed is None or routed.normed.shape != x.shape:
+            raise ValueError(f"forward: a start after layer {first}'s routing needs the last "
+                             f"trace of a run stopped there, which holds the {x.shape} rows "
+                             f"its router read")
         if stop == first:
             raise ValueError(f"forward: cannot stop at layer {stop} when starting after its "
                              f"routing")
@@ -175,15 +193,18 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
             attn = [p[pre + "attn." + name] for name in ("wq", "wk", "wv", "wo")]
             x = T.add(x, T.causal_attention(T.affine_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"]),
                                             *attn, b, c.num_heads))
-        xn = T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         if i == first and routed is not None:
-            y = T.expert_mixture(xn, routed.probs, routed.selected, p[pre + "moe.experts"])
+            dispatch = routed.dispatch or T.expert_dispatch(routed.probs, routed.selected,
+                                                            c.num_experts)
+            y = T.expert_mixture(routed.normed, dispatch, p[pre + "moe.experts"])
+            del dispatch  # one built here is not held through the later layers
             layers.append(routed)
         else:
+            xn = T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
             moe = MoELayer(p[pre + "moe.router"], p[pre + "moe.experts"], c.top_k)
             y, probs, selected = moe_forward_batch(moe, xn, mix=i != stop)
-            layers.append(LayerTrace(probs=probs, selected=selected))
-        del xn
+            layers.append(LayerTrace(probs, selected, xn if i == stop else None))
+            del xn
         if i == stop:
             break
         x = T.add(x, y)
@@ -247,8 +268,8 @@ def load_checkpoint(path):
 
     Raises ValueError naming ``path`` for a bad magic line, an unreadable
     header or config, a ``step`` or ``opt_t`` that is not a non-negative
-    int, a parameter layout that is not the config's, and a truncated file
-    or trailing bytes.
+    int, a ``has_opt`` that is not a bool, a parameter layout that is not
+    the config's, and a truncated file or trailing bytes.
     """
     from .trainer import AdamWState  # local import to avoid a cycle
 
@@ -266,10 +287,13 @@ def load_checkpoint(path):
             if type(value) is not int or value < 0:  # a bool is an int subclass: refused
                 raise ValueError(f"{path}: bad header: {field} must be a non-negative int, "
                                  f"got {value!r}")
+        has_opt = header.get("has_opt", False)
+        if type(has_opt) is not bool:
+            raise ValueError(f"{path}: bad header: has_opt must be a bool, got {has_opt!r}")
         _, n, params = _layout(config)
         if header.get("params") != params:
             raise ValueError(f"{path}: parameter names and shapes do not match the config")
-        expected = 8 * n * (3 if header.get("has_opt") else 1)
+        expected = 8 * n * (3 if has_opt else 1)
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != expected:
             reason = "truncated" if size < expected else f"{size - expected} trailing bytes"
@@ -283,6 +307,6 @@ def load_checkpoint(path):
 
         model = MoEModel(config, flat=vector())
         opt_state = None
-        if header.get("has_opt"):
+        if has_opt:
             opt_state = AdamWState(m=vector(), v=vector(), t=header.get("opt_t", 0))
     return model, step, opt_state

@@ -1,11 +1,12 @@
 """Router and sparse mixture-of-experts layer.
 
 The router is a linear map to expert logits followed by a softmax, one
-graph node; top-K gating selects the K most probable experts, and
-``tensor.expert_mixture`` renormalizes their probabilities into mixture
-weights. The full pre-selection distribution is always kept, because the
-divergence losses and all routing analyses operate on it, not on the sparse
-gates.
+graph node; top-K gating selects the K most probable experts,
+``tensor.expert_dispatch`` renormalizes their probabilities into mixture
+weights and groups the tokens by expert, and ``tensor.expert_mixture`` runs
+the experts on that dispatch. The full pre-selection distribution is always
+kept, because the divergence losses and all routing analyses operate on it,
+not on the sparse gates.
 """
 
 from __future__ import annotations
@@ -73,13 +74,16 @@ def moe_forward_batch(layer: MoELayer, x: Tensor, mix: bool = True):
     """Sparse MoE forward for a [T, d] token batch.
 
     Returns (y [T, d], probs Tensor [T, N], selected [T, K]). Only selected
-    experts run, all of a layer's experts in one ``expert_mixture`` node,
-    which also renormalises the selected probabilities into gates;
-    selection indices are constants for the backward pass, so gradients
-    reach the router solely through the gate values and the auxiliary
-    losses. With ``mix`` false no expert runs and y is None.
+    experts run, all of a layer's experts in one ``expert_mixture`` node on
+    the routing's ``expert_dispatch``, which renormalises the selected
+    probabilities into gates; selection indices are constants for the
+    backward pass, so gradients reach the router solely through the gate
+    values and the auxiliary losses. With ``mix`` false no expert runs, no
+    dispatch is built and y is None.
     """
     probs = route(layer.router, x)
     selected = topk_select(probs.data, layer.top_k)
-    y = T.expert_mixture(x, probs, selected, layer.experts) if mix else None
-    return y, probs, selected
+    if not mix:
+        return None, probs, selected
+    dispatch = T.expert_dispatch(probs, selected, layer.num_experts)
+    return T.expert_mixture(x, dispatch, layer.experts), probs, selected

@@ -10,6 +10,7 @@ gradient checks can use tight tolerances. Natural logarithms throughout.
 from __future__ import annotations
 
 import contextlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -356,51 +357,80 @@ def causal_attention(xn, wq, wk, wv, wo, batch, num_heads) -> Tensor:
     return node(data, parents, vjp)
 
 
-def expert_mixture(x, probs, selected, experts) -> Tensor:
+class Dispatch(NamedTuple):
+    """One routing's (token, k) slots grouped by expert, as ``expert_mixture``
+    reads them; ``expert_dispatch`` builds it."""
+
+    probs: Tensor            # [T, N] router output: the mixture's parent for its gradient
+    selected: np.ndarray     # [T, K] expert indices, distinct within a row
+    chosen: np.ndarray       # [T, K] probs at the selected experts
+    norm: np.ndarray         # [T, 1] chosen's row sums
+    bounds: list             # expert i's slots are order[bounds[i]:bounds[i + 1]]
+    order: np.ndarray        # [T*K] slot numbers t * K + k, stably sorted by expert
+    slot_tokens: np.ndarray  # [T*K] each sorted slot's token
+    slot_gates: np.ndarray   # [T*K, 1] each sorted slot's gate
+
+
+def expert_dispatch(probs, selected, num_experts) -> Dispatch:
+    """The dispatch of ``selected``, an int array [T, K] of expert indices
+    below ``num_experts``, distinct within a row, chosen from the [T, N]
+    router output ``probs``.
+
+    Each token's gates are its selected probabilities divided by their sum.
+    The (token, k) slots are sorted by expert once, stably, so each expert
+    reads one contiguous slice of slots holding its tokens in ascending
+    order. A routing that is mixed many times is dispatched once. Raises
+    ValueError on a repeated or out-of-range index.
+    """
+    probs = as_tensor(probs)
+    selected = np.asarray(selected, dtype=np.intp)
+    _require_distinct_in_rows(selected, "expert_dispatch")
+    t, k = selected.shape
+    try:
+        counts = np.bincount(selected.reshape(-1), minlength=num_experts)  # refuses an index < 0
+        if counts.size != num_experts:
+            raise ValueError
+    except ValueError:
+        raise ValueError("expert_dispatch: expert index out of range") from None
+    chosen = probs.data[np.arange(t)[:, None], selected]
+    norm = chosen.sum(axis=-1, keepdims=True)
+    order = np.argsort(selected.reshape(-1), kind="stable")  # slot t * K + k
+    return Dispatch(probs, selected, chosen, norm, [0, *np.cumsum(counts).tolist()], order,
+                    order // k, (chosen / norm).reshape(-1)[order][:, None])
+
+
+def expert_mixture(x, dispatch, experts) -> Tensor:
     """Sparse mixture of SiLU-gated MLP experts as one graph node.
 
-    ``x`` is [T, d], ``probs`` the [T, N] router output and ``selected`` an
-    int array [T, K] of expert indices, distinct within a row. ``experts``
-    [N, 3, d, m] holds expert i's w_gate [d, m] at ``experts[i, 0]``, its
-    w_up [d, m] at ``experts[i, 1]`` and its w_down [m, d] as the same m*d
-    values as ``experts[i, 2]``. Returns y [T, d] with
+    ``x`` is [T, d] and ``dispatch`` is ``expert_dispatch``'s routing of its
+    rows among the N experts of ``experts`` [N, 3, d, m], which holds expert
+    i's w_gate [d, m] at ``experts[i, 0]``, its w_up [d, m] at
+    ``experts[i, 1]`` and its w_down [m, d] as the same m*d values as
+    ``experts[i, 2]``. With the dispatch's ``probs`` and ``selected``, returns
+    y [T, d] with
 
         y[t] = sum_k gates[t, k] * E_{selected[t, k]}(x[t]),
         gates[t, k] = probs[t, selected[t, k]] / sum_j probs[t, selected[t, j]],
         E(x) = (silu(x w_gate) * (x w_up)) w_down.
 
-    The (token, k) slots are sorted by expert once, stably, so each expert
-    runs on one contiguous slice of slots holding its tokens in ascending
-    order (dropless grouped dispatch as in MegaBlocks). A call walks each
-    slice in tiles of ``_TILE`` // m rows, so its temporaries stay in cache;
-    a recorded call saves each slice's tiles for the backward, joined into
-    one array each where the slice spans more than one tile. A token appears
-    at most once per expert, so each gated expert output is added into its
-    token rows by plain assignment, expert by expert. Selections are
-    constants of the backward pass: ``probs`` gets gradient only at its
-    selected entries, through the renormalised gates, and the gradient
-    slices of experts that get no token are zero.
+    Each expert runs on its slice of the dispatch's slots (dropless grouped
+    dispatch as in MegaBlocks). A call walks each slice in tiles of
+    ``_TILE`` // m rows, so its temporaries stay in cache; a recorded call
+    saves each slice's tiles for the backward, joined into one array each
+    where the slice spans more than one tile. A token appears at most once
+    per expert, so each gated expert output is added into its token rows by
+    plain assignment, expert by expert. Selections are constants of the
+    backward pass: ``probs`` gets gradient only at its selected entries,
+    through the renormalised gates, and the gradient slices of experts that
+    get no token are zero.
     """
-    x, probs, experts = as_tensor(x), as_tensor(probs), as_tensor(experts)
+    x, experts = as_tensor(x), as_tensor(experts)
+    probs, selected, chosen, norm, bounds, order, slot_tokens, slot_gates = dispatch
     parents = (x, probs, experts)
-    selected = np.asarray(selected, dtype=np.intp)
-    _require_distinct_in_rows(selected, "expert_mixture")
     t, k = selected.shape
     n, _, d, m = experts.shape
-    try:
-        counts = np.bincount(selected.reshape(-1), minlength=n)  # refuses an index < 0
-        if counts.size != n:
-            raise ValueError
-    except ValueError:
-        raise ValueError("expert_mixture: expert index out of range") from None
-    token_rows = np.arange(t)[:, None]
-    chosen = probs.data[token_rows, selected]
-    norm = chosen.sum(axis=-1, keepdims=True)
-    gates = chosen / norm
-    bounds = [0, *np.cumsum(counts).tolist()]
-    order = np.argsort(selected.reshape(-1), kind="stable")  # slot t * K + k
-    slot_tokens = order // k
-    slot_gates = gates.reshape(-1)[order][:, None]
+    if len(bounds) != n + 1:
+        raise ValueError(f"expert_mixture: a dispatch among {len(bounds) - 1} experts for {n}")
     record = _recording(parents)
 
     def weights(w, i):  # expert i's (w_gate, w_up, w_down), as views of w
@@ -451,7 +481,7 @@ def expert_mixture(x, probs, selected, experts) -> Tensor:
         g_gates = g_gates.reshape(t, k)
         g_norm = (-g_gates * chosen / (norm * norm)).sum(axis=1, keepdims=True)
         g_probs = np.zeros_like(probs.data)
-        g_probs[token_rows, selected] = g_gates / norm + g_norm
+        g_probs[np.arange(t)[:, None], selected] = g_gates / norm + g_norm
         return g_x, g_probs, g_experts
 
     return node(data, parents, vjp)

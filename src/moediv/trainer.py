@@ -140,24 +140,34 @@ def _layer_losses(trace, batch, config: TrainConfig):
 def objective(model: MoEModel, batch, config: TrainConfig, start=None, routed_losses=None):
     """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
 
-    L_LB and L_ED are means over the MoE layers. ``start``, ``(l, prefix)``
-    or ``(l, prefix, trace)``, is passed on to ``forward``, and the terms
-    then read layers l on only, so at l = 0 they equal the full run's. With
-    a trace, layer l's L_LB and L_ED read its ``probs``, constants when the
-    trace was made under ``no_grad``; ``routed_losses`` may then give them
-    as ``_layer_losses(trace, batch, config)`` returns them, so that a
-    caller that resumes from one trace many times computes them once.
+    L_LB and L_ED are means over the MoE layers. ``start`` is passed on to
+    ``forward``: ``(l, prefix)``, ``(l, prefix, trace)`` or, with l the
+    number of layers, ``(l, hidden)``; the terms then read the traces of
+    layers l on only, so at l = 0 they equal the full run's. With a trace,
+    layer l's L_LB and L_ED read its ``probs``, constants when the trace was
+    made under no_grad. ``routed_losses`` may give, as ``_layer_losses``
+    returns them, the (L_LB, L_ED) pairs of every layer the run does not
+    route: layers 0 to l - 1, and layer l after its routing. The terms then
+    cover every layer, and a caller that resumes from one point many times
+    computes those pairs once; a start from the final rows needs them.
     Returns (terms, layers): ``terms`` maps l_lm, l_lb, l_ed and l_final to
     scalar Tensors and ``layers`` is the forward's LayerTrace list
     (``probs`` are graph nodes).
     """
-    if routed_losses is not None and (start is None or len(start) < 3):
-        raise ValueError("objective: routed_losses needs a start after a layer's routing")
+    per_layer, skip = [], 0  # the given pairs, and how many of the forward's traces they cover
+    if routed_losses is not None:
+        unrouted = 0 if start is None else start[0] + (len(start) > 2)
+        if not unrouted or len(routed_losses) != unrouted:
+            raise ValueError(f"objective: routed_losses needs a start after a layer's routing "
+                             f"and one pair per layer before it: got {len(routed_losses)} "
+                             f"for a run that routes from layer {unrouted}")
+        per_layer, skip = list(routed_losses), len(start) - 2
+    elif start is not None and start[0] == model.config.num_layers:
+        raise ValueError("objective: a start from the final rows needs routed_losses")
     tokens = batch.sequences
     hidden, layers = forward(model, tokens, start=start)
     l_lm = lm_loss(model, hidden, tokens)
-    per_layer = [] if routed_losses is None else [routed_losses]
-    per_layer += [_layer_losses(layer, batch, config) for layer in layers[len(per_layer):]]
+    per_layer += [_layer_losses(layer, batch, config) for layer in layers[skip:]]
     lb_terms, ed_terms = zip(*per_layer)
     l_lb = _layer_mean(lb_terms)
     l_ed = _layer_mean(ed_terms)

@@ -339,6 +339,13 @@ class TestForwardCounts:
         A.divergence_report(traces)
         assert calls == [(None, CFG.num_layers - 1)] * len(valsets)
 
+    def test_traces_hold_no_normed_rows(self, model, valsets):
+        # the last layer's router input is a stopped forward's, for a resume,
+        # which no analysis of the traces makes
+        traces = A.collect_traces(model, valsets)
+        assert all(t.normed is None and t.dispatch is None
+                   for layers in traces.values() for t in layers)
+
 
 class TestTiledForward:
     """The verbs' no-grad forwards run the fused ops in tiles; they give the

@@ -1,6 +1,11 @@
 import argparse
 import dataclasses
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +154,22 @@ class TestExitCodes:
                       str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
         assert rc == 2
         assert (f"error: {ckpt}: bad header: {field} must be a non-negative int, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["str", "int", "null"])
+    def test_resume_bad_header_has_opt_refused(self, trained, tmp_path, capsys, value):
+        # named, not read by truthiness into a size that calls the file truncated
+        magic, header, blob = trained["ckpt"].read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header["has_opt"] = value
+        ckpt = tmp_path / "bad.moediv"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(trained["config"]), "--data",
+                      str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
+        assert rc == 2
+        assert (f"error: {ckpt}: bad header: has_opt must be a bool, got {value!r}"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -314,6 +335,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {corpus}:2: malformed record: " in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train", "heatmap"])
+    def test_non_string_field_is_usage_error(self, trained, tmp_path, capsys, verb):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"text": "abc", "domain": "a"}\n{"text": 123, "domain": null}\n')
+        out = tmp_path / "out"
+        if verb == "train":
+            argv = ["train", "--data", str(corpus), "--out", str(out)]
+        else:
+            argv = ["heatmap", "--ckpt", str(trained["ckpt"]), "--data", str(corpus)]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {corpus}:2: 'text' must be a string, got 123" in captured.err
         assert not out.exists()
 
     def test_out_is_a_file_is_usage_error(self, trained, tmp_path, capsys, monkeypatch):
@@ -557,3 +593,16 @@ class TestVerbForwardCounts:
         assert rc == 0, capsys.readouterr().err
         assert sum(calls) == 3
         assert len(calls) == expected
+
+
+def test_check_stdout_matches_pinned_hash():
+    # the gradient check's errors and every other check line are pinned by
+    # the "check" line of tools/pinned_hashes.txt, at one BLAS thread
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pinned = dict(line.split() for line in
+                  (root / "tools" / "pinned_hashes.txt").read_text().splitlines())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "moediv.cli", "check"], env=env,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == pinned["check"], done.stdout.decode()

@@ -56,6 +56,16 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="domain"):
             D.load_corpus(p)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"text": 123, "domain": "a"}, "'text' must be a string, got 123"),
+        ({"text": "x", "domain": None}, "'domain' must be a string, got None"),
+    ])
+    def test_non_string_field_names_file_line_and_field(self, tmp_path, record, message):
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [{"text": "x", "domain": "a"}, record])
+        with pytest.raises(ValueError, match=rf"c\.jsonl:2: {message}$"):
+            D.load_corpus(p)
+
 
 class TestSynthCorpus:
     def test_deterministic(self):

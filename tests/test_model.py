@@ -164,8 +164,13 @@ class TestStartStop:
         tokens = np.zeros((2, 5), dtype=np.intp)
         with T.no_grad():
             prefix, traces = forward(model, tokens, stop=1)
+            # the final rows start at layer 2 of 2; a routed start needs a layer
+            with pytest.raises(ValueError, match="cannot start at layer 3"):
+                forward(model, tokens, start=(3, prefix))
             with pytest.raises(ValueError, match="cannot start at layer 2"):
-                forward(model, tokens, start=(2, prefix))
+                forward(model, tokens, start=(2, prefix, traces[-1]))
+            with pytest.raises(ValueError, match="cannot stop at layer 1 when starting at layer 2"):
+                forward(model, tokens, start=(2, prefix), stop=1)
             with pytest.raises(ValueError, match=r"from rows of shape \(10, 16\)"):
                 forward(model, tokens[:1], start=(1, prefix))
             for stop in (-1, 2):
@@ -184,6 +189,52 @@ class TestStartStop:
             with pytest.raises(ValueError, match="forward: cannot stop at layer 1 when "
                                                  "starting after its routing"):
                 forward(model, tokens, start=(1, prefix, trace), stop=1)
+            # only the last trace of a stopped run holds its router's input rows
+            _, full = forward(model, tokens)
+            narrow = T.Tensor(trace.normed.data[:, 1:])
+            for bare in (full[1], LayerTrace(trace.probs, trace.selected),
+                         LayerTrace(trace.probs, trace.selected, narrow)):
+                with pytest.raises(ValueError, match=r"forward: a start after layer 1's routing "
+                                                     r"needs the last trace of a run stopped"):
+                    forward(model, tokens, start=(1, prefix, bare))
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_routed_resume_reads_no_ln2_or_router(self, layer):
+        # the routed resume mixes on the stopped run's normed rows, so layer's
+        # ln2 and router may hold anything, through a dispatch of its own or
+        # one given in the trace
+        model = MoEModel(SMALL, seed=2)
+        tokens = np.random.default_rng(7).integers(0, SMALL.vocab_size, size=(3, 9))
+        with T.no_grad():
+            hidden, layers = forward(model, tokens)
+            prefix, stopped = forward(model, tokens, stop=layer)
+            trace = stopped[-1]
+            assert all(t.normed is None for t in stopped[:-1] + layers)
+            for name in ("ln2.g", "ln2.b", "moe.router"):
+                model.params[f"layers.{layer}.{name}"].data[...] = np.nan
+            dispatched = LayerTrace(trace.probs, trace.selected, trace.normed,
+                                    T.expert_dispatch(trace.probs, trace.selected,
+                                                      SMALL.num_experts))
+            for routed in (trace, dispatched):
+                resumed, traces = forward(model, tokens, start=(layer, prefix, routed))
+                assert np.array_equal(resumed.data, hidden.data)
+                assert traces[0] is routed and len(traces) == SMALL.num_layers - layer
+
+    def test_final_rows_start(self):
+        # a start at the number of layers takes the final rows: no block
+        # parameter is read, and the head gives the full run's perplexity
+        model = MoEModel(SMALL, seed=3)
+        tokens = np.random.default_rng(8).integers(0, SMALL.vocab_size, size=(2, 7))
+        want = perplexity(model, tokens)
+        with T.no_grad():
+            hidden, _ = forward(model, tokens)
+        for name, p in model.params.items():
+            if name.startswith("layers."):
+                p.data[...] = np.nan
+        with T.no_grad():
+            rows, traces = forward(model, tokens, start=(SMALL.num_layers, hidden))
+        assert rows is hidden and traces == []
+        assert perplexity(model, tokens, (SMALL.num_layers, hidden)) == want
 
 
 class TestLMLoss:

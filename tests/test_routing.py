@@ -118,9 +118,15 @@ class TestTopK:
         # expert the same function E, the mixture is (sum of the gates) * E(x)
         experts = np.broadcast_to(rng.normal(size=(1, 3, 2, 3)), (n, 3, 2, 3))
         x = rng.normal(size=(1, 2))
-        mixed = T.expert_mixture(x, p[None, :], sel, experts).data
-        alone = T.expert_mixture(x, np.ones((1, 1)), np.zeros((1, 1)), experts[:1]).data
+        mixed = mixture(x, p[None, :], sel, experts).data
+        alone = mixture(x, np.ones((1, 1)), np.zeros((1, 1)), experts[:1]).data
         np.testing.assert_allclose(mixed, alone, rtol=1e-12, atol=0)
+
+
+def mixture(x, probs, selected, experts):
+    """``expert_mixture`` on a dispatch of ``selected`` made for this call."""
+    dispatch = T.expert_dispatch(probs, selected, T.as_tensor(experts).shape[0])
+    return T.expert_mixture(x, dispatch, experts)
 
 
 def expert_weight(layer, i, j):
@@ -307,7 +313,7 @@ class TestExpertMixture:
         params = [x, probs, layer.experts]
 
         def f():
-            y = T.expert_mixture(x, probs, selected, layer.experts)
+            y = mixture(x, probs, selected, layer.experts)
             return T.tsum(T.mul(y, weights))
 
         assert T.grad_check(lambda: {"y": f()}, params, h=1e-5)["y"] <= 1e-6
@@ -318,7 +324,7 @@ class TestExpertMixture:
         x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         probs = T.Tensor(rng.dirichlet(np.ones(4), size=3), requires_grad=True)
         selected = np.array([[0, 2], [2, 3], [3, 0]])
-        y = T.expert_mixture(x, probs, selected, layer.experts)
+        y = mixture(x, probs, selected, layer.experts)
         grads = T.backward(T.tsum(T.mul(y, y)))
         assert not np.any(grads[layer.experts][1])
         assert all(np.any(grads[layer.experts][i, j]) for i in (0, 2, 3) for j in range(3))
@@ -339,22 +345,29 @@ class TestExpertMixture:
         rng = np.random.default_rng(63)
         layer = make_layer(rng, 3, 3, 4, 2)
         with pytest.raises(ValueError, match="repeated"):
-            T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))),
+            mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))),
                              np.array([[0, 1], [2, 2]]), layer.experts)
 
     def test_expert_out_of_range(self):
         rng = np.random.default_rng(62)
         layer = make_layer(rng, 2, 3, 4, 1)
         with pytest.raises(ValueError, match="out of range"):
-            T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
+            mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
                              np.array([[0], [2]]), layer.experts)
 
     def test_negative_expert_index(self):
         rng = np.random.default_rng(62)
         layer = make_layer(rng, 2, 3, 4, 1)
-        with pytest.raises(ValueError, match="^expert_mixture: expert index out of range$"):
-            T.expert_mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
+        with pytest.raises(ValueError, match="^expert_dispatch: expert index out of range$"):
+            mixture(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 2))),
                              np.array([[0], [-1]]), layer.experts)
+
+    def test_dispatch_among_other_expert_count(self):
+        rng = np.random.default_rng(62)
+        layer = make_layer(rng, 3, 3, 4, 1)
+        dispatch = T.expert_dispatch(np.ones((2, 2)), np.array([[0], [1]]), 2)
+        with pytest.raises(ValueError, match="^expert_mixture: a dispatch among 2 experts for 3$"):
+            T.expert_mixture(T.Tensor(np.ones((2, 3))), dispatch, layer.experts)
 
     def test_silu_overflow_is_silent(self):
         # exp(-pre) overflows to inf at pre < ~-709, where sig is then an exact
@@ -366,9 +379,9 @@ class TestExpertMixture:
         selected = np.argsort(rng.random((6, 4)), axis=1)[:, :2]
         pre = np.einsum("td,tkdm->tkm", x.data, experts.data[selected, 0])
         assert pre.min() < -710
-        recorded = T.expert_mixture(x, probs, selected, experts)
+        recorded = mixture(x, probs, selected, experts)
         with T.no_grad():
-            silent = T.expert_mixture(x, probs, selected, experts)
+            silent = mixture(x, probs, selected, experts)
         assert np.array_equal(silent.data, recorded.data)
         assert np.all(np.isfinite(recorded.data))
         grads = T.backward(T.tsum(recorded))
@@ -388,10 +401,10 @@ class TestExpertMixture:
         selected[257:, 1] = 2
         selected[::3] = selected[::3, ::-1]  # not every slot k = 0 goes first
         assert np.array_equal(np.bincount(selected.reshape(-1), minlength=4), [900, 257, 643, 0])
-        recorded = T.expert_mixture(x, probs, selected, experts)
+        recorded = mixture(x, probs, selected, experts)
         assert recorded.requires_grad
         with T.no_grad():
-            tiled = T.expert_mixture(x, probs, selected, experts)
+            tiled = mixture(x, probs, selected, experts)
         assert np.array_equal(tiled.data, recorded.data)
 
     @pytest.mark.parametrize("m", [100, 132])
@@ -404,9 +417,9 @@ class TestExpertMixture:
         probs = T.Tensor(rng.random((t, 4)) + 0.1, requires_grad=True)
         experts = T.Tensor(0.1 * rng.normal(size=(4, 3, 64, m)), requires_grad=True)
         selected = np.argsort(rng.random((t, 4)), axis=1)[:, :2]
-        recorded = T.expert_mixture(x, probs, selected, experts)
+        recorded = mixture(x, probs, selected, experts)
         with T.no_grad():
-            tiled = T.expert_mixture(x, probs, selected, experts)
+            tiled = mixture(x, probs, selected, experts)
         assert np.array_equal(tiled.data, recorded.data)
 
     def test_no_grad_peak_below_two_outputs(self, no_grad_peak):
@@ -421,5 +434,5 @@ class TestExpertMixture:
         out_bytes = t * d * 8
         for m in (128, 100):
             experts = 0.1 * rng.normal(size=(8, 3, d, m))
-            peak = no_grad_peak(lambda: T.expert_mixture(x, probs, selected, experts))
+            peak = no_grad_peak(lambda: mixture(x, probs, selected, experts))
             assert peak < 2 * out_bytes, f"m = {m}: peak {peak / out_bytes:.2f} outputs"
