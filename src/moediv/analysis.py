@@ -66,19 +66,20 @@ def delta_ppl(model: MoEModel, layer: int, valsets: dict, seed: int,
     """Perplexity increase per domain after permuting one layer's router rows.
 
     ``ppl_original`` maps each domain to ``model``'s perplexity on it, and
-    ``prefixes`` to the rows ``forward(model, tokens, stop=layer)`` returns;
-    a caller that draws several permutations computes both once. No row
-    before layer's router depends on its rows, so each permuted forward
-    resumes from the prefix. ``out`` is ``permute_router``'s. Returns one
-    record per domain, in sorted order, as ``moediv perturb`` prints it:
-    layer, domain, ppl_orig, ppl_shuf, delta, seed and permutation.
+    ``prefixes`` to the ``Resume`` of ``model``'s forward stopped at layer's
+    route stage; a caller that draws several permutations computes both
+    once. No row before layer's router depends on its rows, so each
+    permuted forward resumes from the prefix. ``out`` is
+    ``permute_router``'s. Returns one record per domain, in sorted order, as
+    ``moediv perturb`` prints it: layer, domain, ppl_orig, ppl_shuf, delta,
+    seed and permutation.
     """
     if not valsets:
         raise ValueError("delta_ppl: empty validation sets")
     shuffled, perm = permute_router(model, layer, seed, out)
     records = []
     for dom in sorted(valsets):
-        ppl = perplexity(shuffled, valsets[dom], (layer, prefixes[dom]))
+        ppl = perplexity(shuffled, valsets[dom], prefixes[dom])
         records.append({"layer": layer, "domain": dom, "ppl_orig": ppl_original[dom],
                         "ppl_shuf": ppl, "delta": ppl - ppl_original[dom], "seed": seed,
                         "permutation": perm.tolist()})
@@ -89,12 +90,13 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
                    draws: int = 3) -> dict:
     """Mean per-domain delta-PPL over ``draws`` independent permutations.
 
-    Each domain's prefix, the rows entering layer's MoE sublayer, is computed
-    once and serves the original model and every draw. The prefix forward's
-    trace is dropped at once: a resume after its routing would hold its
-    normed rows through the rest of the forward, one more [B*L, d] array at
-    the forward's peak, to save one routing. One domain's prefix is held at
-    a time, and one model copy is permuted for every draw.
+    Each domain's prefix, the run stopped at layer's route stage, is
+    computed once and serves the original model and every draw; it holds
+    the rows entering layer's MoE sublayer and no normed rows, which a
+    resume after the routing would hold through the rest of the forward,
+    one more [B*L, d] array at the forward's peak, to save one routing. One
+    domain's prefix is held at a time, and one model copy is permuted for
+    every draw.
     Returns {"mean_delta": {domain: mean}, "draws": [delta_ppl's records per
     draw]}.
     """
@@ -104,9 +106,8 @@ def delta_ppl_mean(model: MoEModel, layer: int, valsets: dict, seed: int,
     shuffled = MoEModel(model.config, flat=model.flat)
     for dom in sorted(valsets):
         with T.no_grad():
-            rows = forward(model, valsets[dom], stop=layer)[0]
-        prefix = {dom: rows}
-        ppl_original = {dom: perplexity(model, valsets[dom], (layer, rows))}
+            prefix = {dom: forward(model, valsets[dom], stop=f"layers.{layer}.route")}
+        ppl_original = {dom: perplexity(model, valsets[dom], prefix[dom])}
         for i, records in enumerate(results):
             records += delta_ppl(model, layer, {dom: valsets[dom]}, seed + i,
                                  ppl_original, prefix, shuffled)
@@ -121,16 +122,14 @@ def collect_traces(model: MoEModel, valsets: dict) -> dict:
     """Forward every domain's validation set once; {domain: [LayerTrace]}.
 
     The heatmaps and the divergence report read any layer from the result,
-    so one call serves every layer of a command. Each forward stops once the
-    last layer is routed, as nothing reads its expert mixture, and the
-    traces keep no normed rows.
+    so one call serves every layer of a command. Each forward stops at the
+    last layer's combine stage, once it is routed, as nothing reads its
+    expert mixture; only the traces of its ``Resume`` are kept, not the
+    normed rows and dispatch that a resume would read.
     """
-    out = {}
+    stop = f"layers.{model.config.num_layers - 1}.combine"
     with T.no_grad():
-        for dom in sorted(valsets):
-            out[dom] = forward(model, valsets[dom], stop=model.config.num_layers - 1)[1]
-            out[dom][-1].normed = None  # only a resume reads the last router's input
-    return out
+        return {dom: forward(model, valsets[dom], stop=stop).traces for dom in sorted(valsets)}
 
 
 def activation_heatmap(traces: dict, layer: int) -> HeatmapMatrix:

@@ -5,8 +5,6 @@ Each check returns (ok, detail string); run_all prints one line per check.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import divergence, trainer
@@ -116,39 +114,28 @@ def gradient_check_fixture(seed=5):
 
 def check_gradients(tol=1e-4, h=1e-5, seed=5):
     """Analytic gradients of each term of the training objective vs central
-    differences, all terms from each of four finite-difference passes.
+    differences, all terms from one finite-difference pass per stage of
+    ``forward`` that reads parameters.
 
-    Each parameter is perturbed on the objective resumed from the last
-    point it cannot change. Those read before layer 0's MoE sublayer are
-    perturbed on the full objective; layer 0's ``ln2`` and router on the
-    objective resumed from the rows entering that sublayer; the rest of the
-    blocks on the objective resumed after that routing, on the normed rows
-    its router read and one dispatch of it; and ``ln_f`` and the LM head on
-    the objective resumed from the final rows. The rows, the routing, its
-    dispatch and every layer's L_LB and L_ED are computed once.
+    Each parameter is perturbed on the objective resumed at the stage that
+    reads it, so an evaluation reruns nothing the parameter cannot change;
+    an expert's weights on a resume that holds every other expert's gated
+    rows. The resumes come from one chain of stopped forwards and hold the
+    (L_LB, L_ED) pairs of the layers they have routed.
     """
     model, batch = gradient_check_fixture(seed)
-    c, tokens = model.config, batch.sequences
     train_config = trainer.TrainConfig(total_steps=1, warmup_steps=0)
-    with T.no_grad():
-        prefix, traces = forward(model, tokens, stop=0)
-        routed = replace(traces[0], dispatch=T.expert_dispatch(traces[0].probs,
-                                                               traces[0].selected, c.num_experts))
-        hidden, traces = forward(model, tokens, start=(0, prefix, routed))
-    pairs = [trainer._layer_losses(trace, batch, train_config) for trace in traces]
-    # objective's (start, routed_losses) per pass
-    resumes = [(None, None), ((0, prefix), None), ((0, prefix, routed), pairs[:1]),
-               ((c.num_layers, hidden), pairs)]
-    # _layout lists parameters in the order forward and lm_loss read them, so
-    # layer 0's ln2 gain is the first one read after the prefix, its experts
-    # the first one read after its routing, and ln_f's gain the first one
-    # read after the last block
-    params, names = list(model.params.values()), list(model.params)
-    cuts = [0, *map(names.index, ("layers.0.ln2.g", "layers.0.moe.experts", "ln_f.g")),
-            len(names)]
-    passes = [T.grad_check(lambda: trainer.objective(model, batch, train_config, *resume)[0],
-                           params[lo:hi], h=h)
-              for resume, lo, hi in zip(resumes, cuts[:-1], cuts[1:])]
+    passes, resume = [], None
+    for stage, reads in model.stages.items():
+        if not reads:
+            continue
+        with T.no_grad():
+            resume = forward(model, batch.sequences, start=resume, stop=stage)
+        resume = resume._replace(losses=tuple(trainer._layer_losses(trace, batch, train_config)
+                                              for trace in resume.traces))
+        passes.append(T.grad_check(
+            lambda r=resume: trainer.objective(model, batch, train_config, r)[0],
+            [(model.params[name], i) for name, i in reads], h=h))
     errs = {name: max(p[name] for p in passes) for name in passes[0]}
     ok = all(e <= tol for e in errs.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in errs.items())

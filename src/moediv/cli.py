@@ -101,11 +101,12 @@ def _load_docs(path):
         raise UsageError(str(exc)) from None
 
 
-def _check_inputs(config, docs, seq_len=None, experts=1):
+def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=None):
     """Refuse, before any file is written or any forward runs, inputs that do
     not fit the ``config`` of the model a verb will run: a --data byte outside
-    its vocabulary, a ``seq_len`` above its ``max_seq_len``, or fewer than
-    ``experts`` experts."""
+    its vocabulary, a ``seq_len`` above its ``max_seq_len``, fewer than
+    ``experts`` experts, or a resumed checkpoint's ``step`` past the run's
+    ``total_steps``."""
     top = {}  # the largest byte of each domain, in first-seen order
     for doc in docs:
         if doc.tokens.size:
@@ -120,6 +121,9 @@ def _check_inputs(config, docs, seq_len=None, experts=1):
     if config.num_experts < experts:
         raise UsageError(f"--ckpt: the model has {config.num_experts} expert(s), "
                          f"fewer than the {experts} this verb needs")
+    if total_steps is not None and step > total_steps:
+        raise UsageError(f"--resume: the checkpoint is at step {step}, past the run's "
+                         f"total_steps = {total_steps}")
 
 
 def _load_valsets(docs, seq_len, limit):
@@ -163,7 +167,8 @@ def cmd_train(args):
         log.info("resuming at step %d", start_step)
     else:
         model, start_step, opt_state = MoEModel(model_cfg, seed=train_cfg.seed), 0, None
-    _check_inputs(model.config, docs, seq_len=data_cfg.seq_len)
+    _check_inputs(model.config, docs, seq_len=data_cfg.seq_len, step=start_step,
+                  total_steps=train_cfg.total_steps)
     try:
         batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
                                         train_cfg.seed)

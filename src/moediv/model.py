@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,42 +46,65 @@ class ModelConfig:
 
 @dataclass
 class LayerTrace:
-    """Routing record of one MoE layer: the router output and its top-K.
-
-    Only the last trace of a run stopped at a layer's router holds
-    ``normed``, the rows that router read, which a run resumed after that
-    routing mixes its experts on. ``dispatch`` is the routing's
-    ``tensor.expert_dispatch`` for such a resume, which builds one when it
-    is None; a caller that resumes from one trace many times sets it once.
-    """
+    """Routing record of one MoE layer: the router output and its top-K."""
 
     probs: Tensor         # [T, N]; a graph node unless made under no_grad
     selected: np.ndarray  # [T, K]
-    normed: Tensor | None = None        # [T, d] router input, on a stopped run's last trace
-    dispatch: T.Dispatch | None = None  # set by a caller that resumes from the trace
+
+
+class Resume(NamedTuple):
+    """The state of a ``forward`` run entering stage ``stage``: what a run
+    stopped there returns and a run started there reads. ``rows`` are the
+    [B*L, d] residual rows (None at the embedding) and ``traces`` the
+    LayerTrace of each layer routed so far. Inside a layer's mixture, at its
+    expert or combine stages, ``normed`` are the rows its router read,
+    ``dispatch`` the ``tensor.expert_dispatch`` of its trace, built when
+    an expert first runs, and ``gated`` each expert's gated rows, None for
+    one still to run. ``losses`` may give the (L_LB, L_ED) pairs of the
+    first traces, for ``trainer.objective``.
+    """
+
+    stage: str
+    rows: Tensor | None
+    traces: list
+    normed: Tensor | None = None
+    dispatch: T.Dispatch | None = None
+    gated: tuple | None = None
+    losses: tuple = ()
 
 
 def _layout(c: ModelConfig):
-    """({name: shape} of every parameter, their number of values, and the
-    checkpoint header's ``params`` list of [name, shape]), in the order of
-    ``MoEModel.flat``, which is the order ``forward`` and ``lm_loss`` read them in."""
-    d, m = c.hidden_size, c.intermediate_size
-    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d)}
+    """(stages, shapes, size, header): ``stages`` maps each of ``forward``'s
+    stages, in run order, to the parameters it reads, as (name, index into
+    the first axis) pairs (the head is ``lm_loss``'s); ``shapes`` maps every
+    parameter to its shape in the order they are first read, which is
+    ``MoEModel.flat``'s; ``size`` is their number of values and ``header``
+    the checkpoint header's ``params`` list of [name, shape]."""
+    d, n = c.hidden_size, c.num_experts
+    stages, shapes = {}, {}
+
+    def stage(name, params, index=...):
+        stages[name] = [(param, index) for param in params]
+        shapes.update(params)
+
+    stage("embed", {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d)})
     for l in range(c.num_layers):
         pre = f"layers.{l}."
-        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
-        shapes.update({pre + "attn." + w: (d, d) for w in ("wq", "wk", "wv", "wo")})
-        shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
-                       pre + "moe.router": (c.num_experts, d),
-                       pre + "moe.experts": (c.num_experts, 3, d, m)})
-    shapes.update({"ln_f.g": (d,), "ln_f.b": (d,), "lm_head": (d, c.vocab_size)})
-    return (shapes, sum(math.prod(s) for s in shapes.values()),
-            [[n, list(s)] for n, s in shapes.items()])
+        stage(pre + "attn", {pre + "ln1.g": (d,), pre + "ln1.b": (d,),
+                             **{pre + "attn." + w: (d, d) for w in ("wq", "wk", "wv", "wo")}})
+        stage(pre + "route", {pre + "ln2.g": (d,), pre + "ln2.b": (d,), pre + "moe.router": (n, d)})
+        for e in range(n):
+            stage(f"{pre}expert.{e}", {pre + "moe.experts": (n, 3, d, c.intermediate_size)}, e)
+        stage(pre + "combine", {})
+    stage("head", {"ln_f.g": (d,), "ln_f.b": (d,), "lm_head": (d, c.vocab_size)})
+    return (stages, shapes, sum(math.prod(s) for s in shapes.values()),
+            [[name, list(s)] for name, s in shapes.items()])
 
 
 class MoEModel:
     """Every parameter in one float64 vector ``flat``; ``params`` holds a
-    named view of it per parameter."""
+    named view of it per parameter. ``stages`` is ``_layout``'s map of
+    ``forward``'s stages."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, flat=None):
         """Random init drawn from ``seed``, or a copy of ``flat``.
@@ -90,7 +114,7 @@ class MoEModel:
         and every weight at N(0, 0.02^2), drawn in ``params`` order.
         """
         self.config = config
-        self.shapes, size, _ = _layout(config)
+        self.stages, self.shapes, size, _ = _layout(config)
         if flat is None:
             self.flat = np.zeros(size)
         else:
@@ -121,27 +145,24 @@ class MoEModel:
 def forward(model: MoEModel, tokens, start=None, stop=None):
     """Run the model on a [B, L] batch of token ids, B and L at least 1.
 
-    Returns (hidden Tensor [B*L, d], [LayerTrace per MoE layer run]):
-    ``hidden`` is the last block's residual rows, before the final norm,
-    which ``lm_loss`` applies with the LM head; the routing analyses read
-    only the traces. Each trace's ``probs`` is the router output itself, so
-    the auxiliary losses differentiate through it; under ``no_grad`` it is a
+    Returns (hidden Tensor [B*L, d], [LayerTrace per MoE layer]): ``hidden``
+    is the last block's residual rows, before the final norm, which
+    ``lm_loss`` applies with the LM head; the routing analyses read only the
+    traces. Each trace's ``probs`` is the router output itself, so the
+    auxiliary losses differentiate through it; under ``no_grad`` it is a
     plain Tensor.
 
-    The run can start and stop at a MoE layer's router. With ``stop=l`` it
-    returns once layer l is routed: ``hidden`` is then the residual rows that
-    enter layer l's MoE sublayer (the "prefix"), and the traces end with
-    layer l's, which also holds the normed rows its router read.
-    ``start=(l, prefix)`` resumes from such a prefix of the same tokens: the
-    run begins at layer l's MoE sublayer and its traces begin with layer
-    l's. ``start=(l, prefix, trace)``, with the last trace of that stopped
-    run, resumes after layer l's routing: layer l reads neither its ``ln2``
-    nor its router, mixes its experts on ``trace``'s normed rows through
-    ``trace.dispatch`` (or a dispatch of its probabilities and selection
-    built here when that is None), and its trace is ``trace`` itself. With
-    l the number of layers, ``start=(l, hidden)`` takes the final rows and
-    returns them with no traces. Either way every row is bit-equal to the
-    full run's.
+    The run is a fixed list of stages, ``model.stages``: the embedding; per
+    layer, attention, route, one stage per expert, and the combine, which
+    adds the experts' gated rows to the residual rows; the head. With
+    ``stop`` a stage's name, the run returns the ``Resume`` entering it. A
+    run stopped at a layer's expert or combine stage has routed that layer;
+    at expert e it holds every other expert's gated rows, at the combine
+    only those its start held. With ``start`` a ``Resume`` of the same
+    tokens, the run begins at its stage and its traces open the returned
+    list; inside a mixture it runs only the experts whose gated rows the
+    resume lacks. Every row and trace is bit-equal to the full run's. A
+    resume that does not fit the tokens is refused.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -153,64 +174,73 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
+    names, start = list(model.stages), start or Resume("embed", None, [])
+    try:
+        first, last = (names.index(n) for n in (start.stage, "head" if stop is None else stop))
+    except ValueError as exc:
+        raise ValueError(f"forward: no such stage: {exc}") from None
+    if first > last:
+        raise ValueError(f"forward: cannot stop at {stop} when starting at {start.stage}")
+    x, normed, dispatch, gated = start.rows, start.normed, start.dispatch, start.gated
+    traces, t = list(start.traces), b * l
+    if first:  # the resume's rows and traces must fit the tokens
+        inside = ".expert." in start.stage or start.stage.endswith(".combine")
+        routings = traces + [dispatch] * (dispatch is not None)
+        routed = sum(names.index(f"layers.{i}.route") < first for i in range(c.num_layers))
+        got = [getattr(a, "shape", None) for a in (x, normed)[:1 + inside]]
+        got += [(r.probs.shape, r.selected.shape) for r in routings]
+        want = [(t, c.hidden_size)] * (1 + inside) + [((t, c.num_experts), (t, c.top_k))] * (
+            routed + len(routings) - len(traces))
+        if got != want:
+            raise ValueError(f"forward: a resume at {start.stage} for {t} tokens needs shapes "
+                             f"{want}, got {got}")
     p = model.params
-    routed = None  # layer first's trace, when the run starts after its routing
-    if start is None:
-        first = 0
+    if first == 0 < last:
         # [B, L, d] token rows plus the first L position rows, broadcast over B
         x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
-        x = T.reshape(x, (b * l, c.hidden_size))
-    else:
-        first, x = start[0], T.as_tensor(start[1])
-        routed = start[2] if len(start) > 2 else None
-        last = c.num_layers - (routed is not None)  # the final rows route no layer
-        if not 0 <= first <= last or x.shape != (b * l, c.hidden_size):
-            raise ValueError(f"forward: cannot start at layer {first} from rows of shape "
-                             f"{x.shape} for {c.num_layers} layers and {b * l} tokens")
-    if routed is not None:
-        want = ((b * l, c.num_experts), (b * l, c.top_k))
-        if (routed.probs.shape, routed.selected.shape) != want:
-            raise ValueError(f"forward: a trace of probs {routed.probs.shape} and selected "
-                             f"{routed.selected.shape} does not route {b * l} tokens")
-        if routed.normed is None or routed.normed.shape != x.shape:
-            raise ValueError(f"forward: a start after layer {first}'s routing needs the last "
-                             f"trace of a run stopped there, which holds the {x.shape} rows "
-                             f"its router read")
-        if stop == first:
-            raise ValueError(f"forward: cannot stop at layer {stop} when starting after its "
-                             f"routing")
-    if stop is not None and not first <= stop < c.num_layers:
-        raise ValueError(f"forward: cannot stop at layer {stop} when starting at layer {first} "
-                         f"of {c.num_layers}")
+        x = T.reshape(x, (t, c.hidden_size))
 
-    layers = []
-    for i in range(first, c.num_layers):
+    for i in range(c.num_layers):
         pre = f"layers.{i}."
+        attn, route, combine = (names.index(pre + s) for s in ("attn", "route", "combine"))
+        if combine < first:
+            continue
+        if last <= attn:
+            break
         # each norm's output is dropped once the op that reads it returns,
         # and y after the add, so under no_grad a sublayer's input is freed
         # as soon as it has been read
-        if start is None or i > first:
-            attn = [p[pre + "attn." + name] for name in ("wq", "wk", "wv", "wo")]
+        if first <= attn:
+            weights = [p[pre + "attn." + name] for name in ("wq", "wk", "wv", "wo")]
             x = T.add(x, T.causal_attention(T.affine_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"]),
-                                            *attn, b, c.num_heads))
-        if i == first and routed is not None:
-            dispatch = routed.dispatch or T.expert_dispatch(routed.probs, routed.selected,
-                                                            c.num_experts)
-            y = T.expert_mixture(routed.normed, dispatch, p[pre + "moe.experts"])
-            del dispatch  # one built here is not held through the later layers
-            layers.append(routed)
-        else:
-            xn = T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            moe = MoELayer(p[pre + "moe.router"], p[pre + "moe.experts"], c.top_k)
-            y, probs, selected = moe_forward_batch(moe, xn, mix=i != stop)
-            layers.append(LayerTrace(probs, selected, xn if i == stop else None))
-            del xn
-        if i == stop:
+                                            *weights, b, c.num_heads))
+        if last <= route:
             break
+        experts = p[pre + "moe.experts"]
+        if first <= route:
+            xn = T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            moe = MoELayer(p[pre + "moe.router"], experts, c.top_k)
+            y, probs, selected = moe_forward_batch(moe, xn, mix=last > combine)
+            traces.append(LayerTrace(probs, selected))
+            if last <= combine:
+                normed = xn
+            del xn
+        resumed = route < first and last > combine  # mixes a resume's routing to the end
+        if resumed or last < combine:  # some expert runs here
+            dispatch = dispatch or T.expert_dispatch(traces[-1].probs, traces[-1].selected,
+                                                     c.num_experts)
+        if resumed:
+            y = T.expert_mixture(normed, dispatch, experts, gated and list(gated))
+        if last <= combine:  # the run ends inside this layer's mixture
+            gated = list(gated or [None] * c.num_experts)
+            if last < combine:  # at an expert stage: hold every other expert's rows
+                T.expert_mixture(normed, dispatch, experts, gated)
+                gated[last - route - 1] = None
+            return Resume(stop, x, traces, normed, dispatch, tuple(gated))
         x = T.add(x, y)
         del y
 
-    return x, layers
+    return (x, traces) if stop is None else Resume(stop, x, traces)
 
 
 def lm_loss(model: MoEModel, hidden, tokens):
@@ -228,8 +258,7 @@ def lm_loss(model: MoEModel, hidden, tokens):
 def perplexity(model: MoEModel, tokens, start=None) -> float:
     """exp(mean next-token NLL) of ``model`` on one [B, L] token array; under
     ``no_grad`` the head runs in row tiles, so no [B*L, V] logits exist.
-    ``start`` is ``forward``'s: a (layer, prefix) or (layer, prefix, trace)
-    to resume from."""
+    ``start`` is ``forward``'s ``Resume`` to begin from."""
     with T.no_grad():
         hidden, _ = forward(model, tokens, start=start)
         return float(np.exp(lm_loss(model, hidden, tokens).item()))
@@ -248,7 +277,7 @@ def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
     header = {
         "config": asdict(model.config),
         "step": int(step),
-        "params": _layout(model.config)[2],
+        "params": _layout(model.config)[3],
         "has_opt": opt_state is not None,
         "opt_t": int(opt_state.t) if opt_state is not None else 0,
     }
@@ -290,7 +319,7 @@ def load_checkpoint(path):
         has_opt = header.get("has_opt", False)
         if type(has_opt) is not bool:
             raise ValueError(f"{path}: bad header: has_opt must be a bool, got {has_opt!r}")
-        _, n, params = _layout(config)
+        _, _, n, params = _layout(config)
         if header.get("params") != params:
             raise ValueError(f"{path}: parameter names and shapes do not match the config")
         expected = 8 * n * (3 if has_opt else 1)

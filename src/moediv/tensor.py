@@ -399,7 +399,7 @@ def expert_dispatch(probs, selected, num_experts) -> Dispatch:
                     order // k, (chosen / norm).reshape(-1)[order][:, None])
 
 
-def expert_mixture(x, dispatch, experts) -> Tensor:
+def expert_mixture(x, dispatch, experts, gated=None) -> Tensor:
     """Sparse mixture of SiLU-gated MLP experts as one graph node.
 
     ``x`` is [T, d] and ``dispatch`` is ``expert_dispatch``'s routing of its
@@ -423,6 +423,11 @@ def expert_mixture(x, dispatch, experts) -> Tensor:
     backward pass: ``probs`` gets gradient only at its selected entries,
     through the renormalised gates, and the gradient slices of experts that
     get no token are zero.
+
+    ``gated``, when given, lists per expert its gated rows (output times
+    gates, in slot order) or None: only the experts with None run, and write
+    their rows into it. Every expert's rows are added in expert order all the
+    same, so the output has a full call's bits; the VJP sees only the run.
     """
     x, experts = as_tensor(x), as_tensor(experts)
     probs, selected, chosen, norm, bounds, order, slot_tokens, slot_gates = dispatch
@@ -440,8 +445,11 @@ def expert_mixture(x, dispatch, experts) -> Tensor:
     saved = []
     with np.errstate(over="ignore"):  # exp(-pre) overflows to inf for pre < ~-709: sig is then 0
         for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
+            if gated is not None and gated[i] is not None:
+                data[slot_tokens[lo:hi]] += gated[i]
+                continue
             w_gate, w_up, w_down = weights(experts.data, i)
-            tiles = []
+            tiles, rows = [], []
             for a, b in _tiles(lo, hi, max(1, _TILE // m)):
                 tokens = slot_tokens[a:b]
                 xi = x.data[tokens]
@@ -451,16 +459,21 @@ def expert_mixture(x, dispatch, experts) -> Tensor:
                 up = xi @ w_up
                 h = act * up
                 expert_out = h @ w_down
-                data[tokens] += expert_out * slot_gates[a:b]
+                out = expert_out * slot_gates[a:b]
+                data[tokens] += out
+                if gated is not None:
+                    rows.append(out)
                 if record:
                     tiles.append((xi, pre, sig, act, up, h, expert_out))
+            if gated is not None:
+                gated[i] = np.concatenate(rows)
             if record:  # the VJP runs each slice whole
                 saved.append((i, lo, hi, *(tiles[0] if len(tiles) == 1 else
                                            map(np.concatenate, zip(*tiles)))))
 
     def vjp(g):
         g_x = np.zeros_like(x.data)
-        g_gates = np.empty(t * k)
+        g_gates = np.zeros(t * k)
         g_experts = np.zeros(experts.shape)
         for i, lo, hi, xi, pre, sig, act, up, h, expert_out in saved:
             w_gate, w_up, w_down = weights(experts.data, i)
@@ -541,10 +554,11 @@ def grad_check(f, params, h=1e-5) -> dict:
     """Max relative error between backward() and central finite differences.
 
     ``f`` is a zero-argument callable returning a dict of named scalar
-    Tensors built from ``params`` (a list of requires_grad leaf tensors).
-    Each parameter coordinate is perturbed in place by ±h, and one call of
-    ``f`` per perturbation, made under ``no_grad``, serves every name. The
-    coordinate is restored even when ``f`` raises.
+    Tensors built from ``params``, a list of requires_grad leaf tensors or
+    (tensor, i) pairs, which check only the slice ``tensor.data[i]``. Each
+    coordinate is perturbed in place by ±h, and one call of ``f`` per
+    perturbation, made under ``no_grad``, serves every name. The coordinate
+    is restored even when ``f`` raises.
     Returns {name: max relative error}.
     """
     roots = f()
@@ -552,9 +566,10 @@ def grad_check(f, params, h=1e-5) -> dict:
     worst = dict.fromkeys(roots, 0.0)
     with no_grad():
         for p in params:
-            flat = p.data.reshape(-1)
+            p, part = p if isinstance(p, tuple) else (p, ...)
+            flat = p.data[part].reshape(-1)
             aflat = {
-                name: grads[p].reshape(-1) if p in grads else np.zeros(flat.size)
+                name: grads[p][part].reshape(-1) if p in grads else np.zeros(flat.size)
                 for name, grads in analytic.items()
             }
             for i in range(flat.size):

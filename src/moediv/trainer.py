@@ -44,12 +44,13 @@ class TrainConfig:
                 raise ValueError(f"{key} must be finite, got {value}")
             if key.startswith("adam_beta") and not 0 <= value < 1:
                 raise ValueError(f"{key} must be in [0, 1), got {value}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+            if value < 0 and key in ("alpha", "beta", "lr", "warmup_steps", "weight_decay",
+                                     "total_steps", "seed"):
+                raise ValueError(f"{key} must be nonnegative, got {value}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be at least 1, got {self.checkpoint_interval}")
@@ -137,37 +138,22 @@ def _layer_losses(trace, batch, config: TrainConfig):
                                             batch.domains, eps=config.eps))
 
 
-def objective(model: MoEModel, batch, config: TrainConfig, start=None, routed_losses=None):
+def objective(model: MoEModel, batch, config: TrainConfig, start=None):
     """L_final = L_LM + alpha*L_LB + beta*L_ED on one batch, from one forward.
 
-    L_LB and L_ED are means over the MoE layers. ``start`` is passed on to
-    ``forward``: ``(l, prefix)``, ``(l, prefix, trace)`` or, with l the
-    number of layers, ``(l, hidden)``; the terms then read the traces of
-    layers l on only, so at l = 0 they equal the full run's. With a trace,
-    layer l's L_LB and L_ED read its ``probs``, constants when the trace was
-    made under no_grad. ``routed_losses`` may give, as ``_layer_losses``
-    returns them, the (L_LB, L_ED) pairs of every layer the run does not
-    route: layers 0 to l - 1, and layer l after its routing. The terms then
-    cover every layer, and a caller that resumes from one point many times
-    computes those pairs once; a start from the final rows needs them.
-    Returns (terms, layers): ``terms`` maps l_lm, l_lb, l_ed and l_final to
-    scalar Tensors and ``layers`` is the forward's LayerTrace list
-    (``probs`` are graph nodes).
+    L_LB and L_ED are means over the MoE layers. ``start``, a ``Resume`` of
+    the batch's tokens, is passed on to ``forward``; its ``losses`` stand for
+    the ``_layer_losses`` of its first traces, so a caller that resumes from
+    one point many times computes them once. Returns (terms, layers):
+    ``terms`` maps l_lm, l_lb, l_ed and l_final to scalar Tensors, equal to
+    the full run's from any resume, and ``layers`` is the forward's
+    LayerTrace list (``probs`` are graph nodes).
     """
-    per_layer, skip = [], 0  # the given pairs, and how many of the forward's traces they cover
-    if routed_losses is not None:
-        unrouted = 0 if start is None else start[0] + (len(start) > 2)
-        if not unrouted or len(routed_losses) != unrouted:
-            raise ValueError(f"objective: routed_losses needs a start after a layer's routing "
-                             f"and one pair per layer before it: got {len(routed_losses)} "
-                             f"for a run that routes from layer {unrouted}")
-        per_layer, skip = list(routed_losses), len(start) - 2
-    elif start is not None and start[0] == model.config.num_layers:
-        raise ValueError("objective: a start from the final rows needs routed_losses")
     tokens = batch.sequences
     hidden, layers = forward(model, tokens, start=start)
     l_lm = lm_loss(model, hidden, tokens)
-    per_layer += [_layer_losses(layer, batch, config) for layer in layers[skip:]]
+    given = start.losses if start else ()
+    per_layer = [*given, *(_layer_losses(layer, batch, config) for layer in layers[len(given):])]
     lb_terms, ed_terms = zip(*per_layer)
     l_lb = _layer_mean(lb_terms)
     l_ed = _layer_mean(ed_terms)

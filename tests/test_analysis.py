@@ -36,7 +36,8 @@ def domain_perplexities(model, valsets):
 
 def prefixes(model, valsets, layer):
     with T.no_grad():
-        return {dom: forward(model, tokens, stop=layer)[0] for dom, tokens in valsets.items()}
+        return {dom: forward(model, tokens, stop=f"layers.{layer}.route")
+                for dom, tokens in valsets.items()}
 
 
 class TestPermuteRouter:
@@ -305,12 +306,12 @@ class TestDivergenceReport:
 
 def count_forwards(monkeypatch):
     """Record each model.forward call, wherever analysis or perplexity look
-    it up, as (start layer or None, stop layer or None)."""
+    it up, as (start stage or None, stop stage or None)."""
     calls = []
     original = model_mod.forward
 
     def counted(*args, start=None, stop=None):
-        calls.append((None if start is None else start[0], stop))
+        calls.append((None if start is None else start.stage, stop))
         return original(*args, start=start, stop=stop)
 
     monkeypatch.setattr(model_mod, "forward", counted)
@@ -326,8 +327,8 @@ class TestForwardCounts:
     def test_delta_ppl_mean(self, model, valsets, monkeypatch, draws):
         calls = count_forwards(monkeypatch)
         A.delta_ppl_mean(model, 0, valsets, seed=0, draws=draws)
-        assert calls.count((None, 0)) == len(valsets)
-        assert calls.count((0, None)) == (draws + 1) * len(valsets)
+        assert calls.count((None, "layers.0.route")) == len(valsets)
+        assert calls.count(("layers.0.route", None)) == (draws + 1) * len(valsets)
         assert len(calls) == (draws + 2) * len(valsets)
 
     def test_traces_serve_every_layer(self, model, valsets, monkeypatch):
@@ -337,14 +338,17 @@ class TestForwardCounts:
             A.activation_heatmap(traces, layer)
             A.inverse_heatmap(traces, layer)
         A.divergence_report(traces)
-        assert calls == [(None, CFG.num_layers - 1)] * len(valsets)
+        assert calls == [(None, f"layers.{CFG.num_layers - 1}.combine")] * len(valsets)
 
     def test_traces_hold_no_normed_rows(self, model, valsets):
-        # the last layer's router input is a stopped forward's, for a resume,
-        # which no analysis of the traces makes
+        # the last layer's router input, its dispatch and any gated rows are
+        # the stopped forward's Resume, for a resume, which no analysis of
+        # the traces makes: only the traces are kept
         traces = A.collect_traces(model, valsets)
-        assert all(t.normed is None and t.dispatch is None
-                   for layers in traces.values() for t in layers)
+        assert [f.name for f in dataclasses.fields(model_mod.LayerTrace)] == ["probs", "selected"]
+        assert all(type(layers) is list and len(layers) == CFG.num_layers
+                   and all(type(t) is model_mod.LayerTrace for t in layers)
+                   for layers in traces.values())
 
 
 class TestTiledForward:

@@ -1,8 +1,6 @@
 import argparse
 import dataclasses
-import hashlib
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -157,6 +155,20 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_resume_past_total_steps_refused(self, trained, tmp_path, capsys):
+        # the 6-step run's final checkpoint is at step 6; a 4-step config
+        # would write a final.moediv at step 4 holding step-6 weights
+        short = tmp_path / "short.ini"
+        short.write_text(trained["config"].read_text().replace("total_steps = 6",
+                                                               "total_steps = 4"))
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(short), "--data", str(trained["corpus"]),
+                      "--out", str(out), "--resume", str(trained["ckpt"])])
+        assert rc == 1
+        assert ("error: --resume: the checkpoint is at step 6, past the run's total_steps = 4"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["str", "int", "null"])
     def test_resume_bad_header_has_opt_refused(self, trained, tmp_path, capsys, value):
         # named, not read by truthiness into a size that calls the file truncated
@@ -279,6 +291,12 @@ class TestExitCodes:
         ("adam_beta1 = 1.0", "adam_beta1 must be in [0, 1), got 1.0"),
         ("adam_beta2 = 1.0", "adam_beta2 must be in [0, 1), got 1.0"),
         ("adam_beta1 = -0.5", "adam_beta1 must be in [0, 1), got -0.5"),
+        ("total_steps = -5", "total_steps must be nonnegative, got -5"),
+        ("warmup_steps = -10", "warmup_steps must be nonnegative, got -10"),
+        ("lr = -0.01", "lr must be nonnegative, got -0.01"),
+        ("weight_decay = -0.1", "weight_decay must be nonnegative, got -0.1"),
+        ("eps = -1", "eps must be positive, got -1.0"),
+        ("eps = 0", "eps must be positive, got 0.0"),
     ])
     def test_invalid_config_is_usage_error(self, trained, tmp_path, capsys, line, message):
         config = tmp_path / "c.ini"
@@ -595,14 +613,10 @@ class TestVerbForwardCounts:
         assert len(calls) == expected
 
 
-def test_check_stdout_matches_pinned_hash():
-    # the gradient check's errors and every other check line are pinned by
-    # the "check" line of tools/pinned_hashes.txt, at one BLAS thread
+def test_pinned_hashes_tool_exits_0():
+    # every line of tools/pinned_hashes.txt: the corpus, two training runs,
+    # each analysis verb's stdout and moediv check's, at one BLAS thread
     root = pathlib.Path(__file__).resolve().parents[1]
-    pinned = dict(line.split() for line in
-                  (root / "tools" / "pinned_hashes.txt").read_text().splitlines())
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-m", "moediv.cli", "check"], env=env,
-                          capture_output=True, timeout=300)
-    assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == pinned["check"], done.stdout.decode()
+    done = subprocess.run([sys.executable, str(root / "tools" / "pinned_hashes.py")],
+                          capture_output=True, timeout=600)
+    assert done.returncode == 0, (done.stdout + done.stderr).decode()

@@ -114,9 +114,8 @@ class TestForward:
 
 
 class TestStartStop:
-    """A forward stopped at a layer's router, or resumed from the prefix such
-    a forward returns (with or without its routing), gives bit-for-bit the
-    rows and traces of the full one."""
+    """A forward stopped at any stage, or resumed from the ``Resume`` such a
+    forward returns, gives bit-for-bit the rows and traces of the full one."""
 
     @staticmethod
     def assert_traces_equal(got, want):
@@ -124,6 +123,18 @@ class TestStartStop:
         for g, w in zip(got, want):
             assert np.array_equal(g.probs.data, w.probs.data)
             assert np.array_equal(g.selected, w.selected)
+
+    def test_stages_read_every_parameter_once_in_layout_order(self):
+        # embed; per layer attn, route, one stage per expert, combine; head
+        model = MoEModel(SMALL, seed=0)
+        names = list(model.stages)
+        assert names[:8] == ["embed", "layers.0.attn", "layers.0.route"] + [
+            f"layers.0.expert.{e}" for e in range(4)] + ["layers.0.combine"]
+        assert names[-1] == "head" and len(names) == 2 + SMALL.num_layers * (SMALL.num_experts + 3)
+        reads = [read for stage in names for read in model.stages[stage]]
+        assert list(dict.fromkeys(name for name, _ in reads)) == list(model.params)
+        assert len(reads) == len(model.params) - SMALL.num_layers + SMALL.num_layers * 4
+        assert [i for name, i in reads if name == "layers.1.moe.experts"] == [0, 1, 2, 3]
 
     # 9 sequences of 128 run several tiles of each op; the small model's 5
     # sequences of 13 fit in one tile of each
@@ -139,102 +150,134 @@ class TestStartStop:
         grad_mode = contextlib.nullcontext() if recorded else T.no_grad()
         with grad_mode:
             hidden, layers = forward(model, tokens)
-            for layer in (0, config.num_layers - 1):
-                prefix, stopped = forward(model, tokens, stop=layer)
-                kept = prefix.data.copy()
-                self.assert_traces_equal(stopped, layers[:layer + 1])
-                # a resumed forward leaves its prefix as it was; one resumed
-                # after the routing mixes the prefix forward's trace
-                for start in [(layer, prefix)] * 2 + [(layer, prefix, stopped[-1])] * 2:
+            chained = None
+            for stage in model.stages:
+                stopped = forward(model, tokens, stop=stage)
+                assert stopped.stage == stage
+                kept = None if stopped.rows is None else stopped.rows.data.copy()
+                # each stop resumed twice, and each resumed from the one
+                # before it; a resume leaves its rows as they were
+                chained = forward(model, tokens, start=chained, stop=stage)
+                for start in (stopped, stopped, chained):
                     resumed, traces = forward(model, tokens, start=start)
                     assert np.array_equal(resumed.data, hidden.data)
-                    self.assert_traces_equal(traces, layers[layer:])
-                assert traces[0] is stopped[-1]
-                assert np.array_equal(prefix.data, kept)
-                _, between = forward(model, tokens, start=(0, forward(model, tokens, stop=0)[0]),
-                                     stop=layer)
-                self.assert_traces_equal(between, layers[:layer + 1])
+                    self.assert_traces_equal(traces, layers)
+                self.assert_traces_equal(stopped.traces, layers[:len(stopped.traces)])
+                assert traces[:len(chained.traces)] == chained.traces
+                assert kept is None or np.array_equal(stopped.rows.data, kept)
         assert resumed.requires_grad == recorded
-        assert (perplexity(model, tokens, (layer, prefix))
-                == perplexity(model, tokens, (layer, prefix, stopped[-1]))
-                == perplexity(model, tokens))
+        prefix = forward(model, tokens, stop=f"layers.{config.num_layers - 1}.route")
+        assert perplexity(model, tokens, prefix) == perplexity(model, tokens)
+
+    def test_expert_stops_hold_every_other_experts_rows(self):
+        model = MoEModel(SMALL, seed=5)
+        tokens = np.random.default_rng(3).integers(0, SMALL.vocab_size, size=(3, 8))
+        with T.no_grad():
+            routed = forward(model, tokens, stop="layers.1.combine")
+            assert routed.gated == (None,) * 4 and len(routed.traces) == 2
+            for e in range(4):
+                held = forward(model, tokens, stop=f"layers.1.expert.{e}")
+                assert [g is None for g in held.gated] == [i == e for i in range(4)]
+                again = forward(model, tokens, start=held, stop="layers.1.combine")
+                assert again.gated == held.gated
 
     def test_bad_start_and_stop_refused(self):
         model = MoEModel(SMALL, seed=0)
         tokens = np.zeros((2, 5), dtype=np.intp)
         with T.no_grad():
-            prefix, traces = forward(model, tokens, stop=1)
-            # the final rows start at layer 2 of 2; a routed start needs a layer
-            with pytest.raises(ValueError, match="cannot start at layer 3"):
-                forward(model, tokens, start=(3, prefix))
-            with pytest.raises(ValueError, match="cannot start at layer 2"):
-                forward(model, tokens, start=(2, prefix, traces[-1]))
-            with pytest.raises(ValueError, match="cannot stop at layer 1 when starting at layer 2"):
-                forward(model, tokens, start=(2, prefix), stop=1)
-            with pytest.raises(ValueError, match=r"from rows of shape \(10, 16\)"):
-                forward(model, tokens[:1], start=(1, prefix))
-            for stop in (-1, 2):
-                with pytest.raises(ValueError, match=f"cannot stop at layer {stop}"):
+            prefix = forward(model, tokens, stop="layers.1.route")
+            routed = forward(model, tokens, stop="layers.1.expert.2")
+            for stop in ("layers.2.attn", "layers.1.expert.4", "mix", 0, 1):
+                with pytest.raises(ValueError, match=f"forward: no such stage: {stop!r}"):
                     forward(model, tokens, stop=stop)
-            with pytest.raises(ValueError, match="cannot stop at layer 0 when starting at layer 1"):
-                forward(model, tokens, start=(1, prefix), stop=0)
-            # a routed start needs the trace of the same tokens at that layer
-            trace = traces[-1]
-            for wrong in (LayerTrace(T.Tensor(trace.probs.data[:-1]), trace.selected),
-                          LayerTrace(trace.probs, trace.selected[:-1]),
-                          LayerTrace(T.Tensor(trace.probs.data[:, :-1]), trace.selected),
-                          LayerTrace(trace.probs, trace.selected[:, :1])):
-                with pytest.raises(ValueError, match="forward: a trace of probs"):
-                    forward(model, tokens, start=(1, prefix, wrong))
-            with pytest.raises(ValueError, match="forward: cannot stop at layer 1 when "
-                                                 "starting after its routing"):
-                forward(model, tokens, start=(1, prefix, trace), stop=1)
-            # only the last trace of a stopped run holds its router's input rows
-            _, full = forward(model, tokens)
-            narrow = T.Tensor(trace.normed.data[:, 1:])
-            for bare in (full[1], LayerTrace(trace.probs, trace.selected),
-                         LayerTrace(trace.probs, trace.selected, narrow)):
-                with pytest.raises(ValueError, match=r"forward: a start after layer 1's routing "
-                                                     r"needs the last trace of a run stopped"):
-                    forward(model, tokens, start=(1, prefix, bare))
+            with pytest.raises(ValueError, match="forward: no such stage: 'layers.7.route'"):
+                forward(model, tokens, start=prefix._replace(stage="layers.7.route"))
+            with pytest.raises(ValueError, match="cannot stop at layers.1.attn when starting at "
+                                                 "layers.1.route"):
+                forward(model, tokens, start=prefix, stop="layers.1.attn")
+            # rows or traces that do not fit the tokens, and a resume inside
+            # a mixture without the normed rows its router read
+            trace = prefix.traces[0]
+            narrow = T.Tensor(prefix.rows.data[:, 1:])
+            for wrong in (prefix._replace(rows=narrow), prefix._replace(rows=None),
+                          prefix._replace(traces=[]), prefix._replace(traces=[trace, trace]),
+                          prefix._replace(traces=[LayerTrace(T.Tensor(trace.probs.data[:-1]),
+                                                             trace.selected)]),
+                          prefix._replace(traces=[LayerTrace(trace.probs, trace.selected[:, :1])]),
+                          routed._replace(normed=None), routed._replace(normed=narrow),
+                          routed._replace(dispatch=T.expert_dispatch(
+                              T.Tensor(trace.probs.data[:-1]), trace.selected[:-1], 4))):
+                with pytest.raises(ValueError, match=f"forward: a resume at {wrong.stage} for 10 "
+                                                     "tokens needs shapes"):
+                    forward(model, tokens, start=wrong)
+            with pytest.raises(ValueError, match="forward: a resume at layers.1.route for 5 "):
+                forward(model, tokens[:1], start=prefix)
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_routed_resume_reads_no_ln2_or_router(self, layer):
-        # the routed resume mixes on the stopped run's normed rows, so layer's
-        # ln2 and router may hold anything, through a dispatch of its own or
-        # one given in the trace
+        # a run resumed inside layer's mixture mixes on the stopped run's
+        # normed rows and dispatch, so layer's ln2 and router may hold
+        # anything; one resumed at an expert stage runs only that expert, so
+        # every other expert's weights may hold anything too
         model = MoEModel(SMALL, seed=2)
         tokens = np.random.default_rng(7).integers(0, SMALL.vocab_size, size=(3, 9))
         with T.no_grad():
             hidden, layers = forward(model, tokens)
-            prefix, stopped = forward(model, tokens, stop=layer)
-            trace = stopped[-1]
-            assert all(t.normed is None for t in stopped[:-1] + layers)
-            for name in ("ln2.g", "ln2.b", "moe.router"):
-                model.params[f"layers.{layer}.{name}"].data[...] = np.nan
-            dispatched = LayerTrace(trace.probs, trace.selected, trace.normed,
-                                    T.expert_dispatch(trace.probs, trace.selected,
-                                                      SMALL.num_experts))
-            for routed in (trace, dispatched):
-                resumed, traces = forward(model, tokens, start=(layer, prefix, routed))
+            for stage in [f"layers.{layer}.expert.{e}" for e in range(4)] + [
+                    f"layers.{layer}.combine"]:
+                stopped = forward(model, tokens, stop=stage)
+                broken = MoEModel(SMALL, flat=model.flat)
+                for name in ("ln2.g", "ln2.b", "moe.router"):
+                    broken.params[f"layers.{layer}.{name}"].data[...] = np.nan
+                experts = broken.params[f"layers.{layer}.moe.experts"].data
+                for e, rows in enumerate(stopped.gated):
+                    if rows is not None:
+                        experts[e] = np.nan
+                resumed, traces = forward(broken, tokens, start=stopped)
                 assert np.array_equal(resumed.data, hidden.data)
-                assert traces[0] is routed and len(traces) == SMALL.num_layers - layer
+                assert traces[layer] is stopped.traces[layer]
+                self.assert_traces_equal(traces, layers)
+
+    def test_resume_with_a_given_routing(self):
+        # a caller may route layer 1 itself: here with the routing of a copy
+        # whose layer-1 router rows are permuted, on the same normed rows,
+        # which gives that copy's rows
+        model = MoEModel(SMALL, seed=4)
+        permuted = MoEModel(SMALL, flat=model.flat)
+        router = permuted.params["layers.1.moe.router"].data
+        router[...] = router[[2, 0, 3, 1]]
+        tokens = np.random.default_rng(9).integers(0, SMALL.vocab_size, size=(3, 8))
+        with T.no_grad():
+            want, _ = forward(permuted, tokens)
+            routed = forward(model, tokens, stop="layers.1.combine")
+            trace = forward(permuted, tokens, stop="layers.1.combine").traces[1]
+            given = routed._replace(traces=[routed.traces[0], trace])
+            dispatch = T.expert_dispatch(trace.probs, trace.selected, SMALL.num_experts)
+            # the combine stop ran no expert, so it built no dispatch: the
+            # resumed run builds one from its last trace unless given one
+            assert routed.dispatch is None
+            for start in (given, given._replace(dispatch=dispatch)):
+                rows, traces = forward(model, tokens, start=start)
+                assert np.array_equal(rows.data, want.data) and traces[1] is trace
+        assert not np.array_equal(trace.selected, routed.traces[1].selected)
 
     def test_final_rows_start(self):
-        # a start at the number of layers takes the final rows: no block
-        # parameter is read, and the head gives the full run's perplexity
+        # a start at the head takes the final rows: no block parameter is
+        # read, and the head gives the full run's perplexity
         model = MoEModel(SMALL, seed=3)
         tokens = np.random.default_rng(8).integers(0, SMALL.vocab_size, size=(2, 7))
         want = perplexity(model, tokens)
         with T.no_grad():
-            hidden, _ = forward(model, tokens)
+            hidden, layers = forward(model, tokens)
+            final = forward(model, tokens, stop="head")
+        assert np.array_equal(final.rows.data, hidden.data)
         for name, p in model.params.items():
             if name.startswith("layers."):
                 p.data[...] = np.nan
         with T.no_grad():
-            rows, traces = forward(model, tokens, start=(SMALL.num_layers, hidden))
-        assert rows is hidden and traces == []
-        assert perplexity(model, tokens, (SMALL.num_layers, hidden)) == want
+            rows, traces = forward(model, tokens, start=final)
+        assert rows is final.rows and traces == final.traces and len(traces) == 2
+        assert perplexity(model, tokens, final) == want
 
 
 class TestLMLoss:

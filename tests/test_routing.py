@@ -334,6 +334,32 @@ class TestExpertMixture:
         np.put_along_axis(unselected, selected, False, axis=1)
         assert not np.any(grads[probs][unselected])
 
+    def test_given_gated_rows_run_only_the_other_experts(self):
+        # 300 tokens of top-2 among 3 experts: each ~200-slot slice spans two
+        # 128-row tiles at m = 256
+        rng = np.random.default_rng(64)
+        layer = make_layer(rng, 3, 4, 256, 2)
+        x = T.Tensor(rng.normal(size=(300, 4)))
+        probs = T.Tensor(rng.dirichlet(np.ones(3), size=300))
+        dispatch = T.expert_dispatch(probs, R.topk_select(probs.data, 2), 3)
+        gated = [None] * 3
+        full = T.expert_mixture(x, dispatch, layer.experts, gated)
+        assert np.array_equal(full.data, T.expert_mixture(x, dispatch, layer.experts).data)
+        assert [len(g) for g in gated] == np.diff(dispatch.bounds).tolist()
+        assert min(np.diff(dispatch.bounds)) > 129
+        # expert 1 alone runs: the others' weights are never read, every
+        # output bit stays, and only expert 1's rows are written
+        broken = T.Tensor(layer.experts.data.copy(), requires_grad=True)
+        broken.data[[0, 2]] = np.nan
+        held = [gated[0], None, gated[2]]
+        y = T.expert_mixture(x, dispatch, broken, held)
+        assert np.array_equal(y.data, full.data)
+        assert np.array_equal(held[1], gated[1]) and held[0] is gated[0]
+        grads = T.backward(T.tsum(T.mul(y, y)))[broken]
+        assert not np.any(grads[[0, 2]]) and np.all(np.isfinite(grads[1]))
+        whole = T.backward(T.tsum(T.mul(*[T.expert_mixture(x, dispatch, layer.experts)] * 2)))
+        assert np.array_equal(grads[1], whole[layer.experts][1])
+
     def test_one_graph_node(self):
         rng = np.random.default_rng(61)
         layer = make_layer(rng, 4, 3, 4, 2)

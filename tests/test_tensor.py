@@ -219,6 +219,21 @@ class TestGradCheck:
             T.grad_check(f, [p], h=1e-5)
         assert p.data.tolist() == [0.3, -1.2]
 
+    def test_slice_perturbs_only_its_rows(self):
+        # (p, 1) checks row 1 of p alone: one analytic call and 2 x 3
+        # perturbed calls, none of which moves row 0 or row 2
+        p = T.Tensor(np.arange(9.0).reshape(3, 3) / 7, requires_grad=True)
+        seen = []
+
+        def f():
+            seen.append(p.data.copy())
+            return {"y": T.tsum(T.mul(T.mul(p, p), p))}
+
+        assert T.grad_check(f, [(p, 1)], h=1e-5)["y"] <= 1e-9
+        assert len(seen) == 7
+        assert all(np.array_equal(s[[0, 2]], p.data[[0, 2]]) for s in seen)
+        assert sum(not np.array_equal(s[1], p.data[1]) for s in seen) == 6
+
 
 def one_hot(idx, n):
     """[len(idx), n] matrix with a 1 at (j, idx[j]); a dense gather matrix."""

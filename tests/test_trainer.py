@@ -223,9 +223,9 @@ class TestObjective:
         calls = []
         real = TR.objective
 
-        def counted(model, batch, config, start=None, routed_losses=None):
-            calls.append((start, routed_losses))
-            return real(model, batch, config, start, routed_losses)
+        def counted(model, batch, config, start=None):
+            calls.append(start)
+            return real(model, batch, config, start)
 
         monkeypatch.setattr(TR, "objective", counted)
         return calls
@@ -246,58 +246,53 @@ class TestObjective:
         monkeypatch.setattr(T, "grad_check", one_eval)
         ok, _ = checks.check_gradients()
         # one evaluation per pass serves every term: l_lm, l_lb, l_ed,
-        # l_final; the second pass resumes from layer 0's prefix, the third
-        # from the same prefix after layer 0's routing, on a trace that holds
-        # its dispatch, and the fourth from the final rows; that routing's
-        # L_LB and L_ED are computed once and given to both
-        assert ok and len(calls) == 4
-        ((full, full_losses), (resumed, resumed_losses), (routed, routed_losses),
-         (head, head_losses)) = calls
-        assert full is full_losses is resumed_losses is None
-        assert resumed[0] == 0 and len(resumed) == 2
-        assert routed[:2] == resumed and len(routed) == 3 and len(routed_losses) == 1
-        assert routed[2].normed is not None and routed[2].dispatch is not None
-        assert head[0] == 1 and len(head) == 2 and head_losses == routed_losses
+        # l_final; a pass per stage that reads parameters, each resumed at
+        # it: the embedding, layer 0's attention and route, one pass per
+        # expert on a resume that holds every other expert's gated rows, and
+        # the head; every resume past layer 0's routing holds its L_LB and L_ED
+        experts = [f"layers.0.expert.{e}" for e in range(4)]
+        assert ok and [start.stage for start in calls] == [
+            "embed", "layers.0.attn", "layers.0.route", *experts, "head"]
+        assert [len(start.losses) for start in calls] == [0, 0, 0, 1, 1, 1, 1, 1]
+        for e, start in enumerate(calls[3:7]):
+            assert [rows is None for rows in start.gated] == [i == e for i in range(4)]
+            assert start.normed is not None and start.dispatch is not None
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     def test_resumed_terms_equal_full_run(self, num_layers):
-        # resumed at layer 0's prefix, or after its routing with or without
-        # that routing's L_LB and L_ED given, every term keeps its bits
+        # resumed at any stage, with or without the L_LB and L_ED of the
+        # layers the resume has routed, every term keeps its bits
         model = MoEModel(replace(SMALL, num_layers=num_layers), seed=6)
         batch = tiny_batches()[0]
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         full, _ = TR.objective(model, batch, cfg)
-        with T.no_grad():
-            prefix, traces = TR.forward(model, batch.sequences, stop=0)
-        routed = (0, prefix, traces[0])
-        for args in [((0, prefix),), (routed,),
-                     (routed, [TR._layer_losses(traces[0], batch, cfg)])]:
-            terms, _ = TR.objective(model, batch, cfg, *args)
-            assert {k: t.item() for k, t in terms.items()} == {k: t.item() for k, t in full.items()}
-        for start in (None, (0, prefix)):
-            with pytest.raises(ValueError, match="objective: routed_losses needs a start"):
-                TR.objective(model, batch, cfg, start, [TR._layer_losses(traces[0], batch, cfg)])
+        want = {k: t.item() for k, t in full.items()}
+        for stage in model.stages:
+            with T.no_grad():
+                resume = TR.forward(model, batch.sequences, stop=stage)
+            pairs = tuple(TR._layer_losses(trace, batch, cfg) for trace in resume.traces)
+            for start in (resume, resume._replace(losses=pairs),
+                          resume._replace(losses=pairs[:1])):
+                terms, layers = TR.objective(model, batch, cfg, start)
+                assert {k: t.item() for k, t in terms.items()} == want, stage
+                assert len(layers) == num_layers
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     def test_final_rows_terms_equal_full_run(self, num_layers):
-        # resumed from the final rows with every layer's L_LB and L_ED given,
-        # every term keeps its bits; a pair too few or too many, or none, is refused
+        # resumed at the head, with every layer's L_LB and L_ED given, with
+        # some or with none, every term keeps its bits and the traces are
+        # the resume's
         model = MoEModel(replace(SMALL, num_layers=num_layers), seed=6)
         batch = tiny_batches()[0]
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         full, _ = TR.objective(model, batch, cfg)
         with T.no_grad():
-            hidden, traces = TR.forward(model, batch.sequences)
-        pairs = [TR._layer_losses(trace, batch, cfg) for trace in traces]
-        terms, layers = TR.objective(model, batch, cfg, (num_layers, hidden), pairs)
-        assert {k: t.item() for k, t in terms.items()} == {k: t.item() for k, t in full.items()}
-        assert layers == []
-        for wrong in (pairs[1:], pairs + pairs[:1]):
-            with pytest.raises(ValueError, match=f"got {len(wrong)} for a run that routes "
-                                                 f"from layer {num_layers}"):
-                TR.objective(model, batch, cfg, (num_layers, hidden), wrong)
-        with pytest.raises(ValueError, match="from the final rows needs routed_losses"):
-            TR.objective(model, batch, cfg, (num_layers, hidden))
+            final = TR.forward(model, batch.sequences, stop="head")
+        pairs = tuple(TR._layer_losses(trace, batch, cfg) for trace in final.traces)
+        for losses in (pairs, pairs[:1], ()):
+            terms, layers = TR.objective(model, batch, cfg, final._replace(losses=losses))
+            assert {k: t.item() for k, t in terms.items()} == {k: t.item() for k, t in full.items()}
+            assert layers == final.traces
 
     def test_terms_match_record(self):
         # the record is the objective's terms: l_final is exactly the float
@@ -352,10 +347,9 @@ class TestObjective:
 
 
 class TestCheckGradients:
-    """The gradient check perturbs the parameters read after layer 0's
-    prefix on an objective resumed from it, those read after layer 0's
-    routing on one resumed after it, ln_f and the LM head on one resumed
-    from the final rows, and nothing else changes."""
+    """The gradient check perturbs each parameter on the objective resumed at
+    the stage of ``forward`` that reads it, each expert's weights on a resume
+    that holds the other experts' gated rows, and nothing else changes."""
 
     def test_split_passes_equal_one_full_pass(self, monkeypatch):
         passes = []
@@ -377,24 +371,27 @@ class TestCheckGradients:
             f"{k}={v:.2e}" for k, v in full.items()) + " (tol 1e-04)"
 
     def test_forward_counts(self, monkeypatch):
-        counts = {"embeddings": 0, "resumed": 0, "routed": 0, "final": 0}
+        counts = {}
         real = checks.forward
 
         def counted(model, tokens, start=None, stop=None):
-            kind = ("embeddings" if start is None else "routed" if len(start) == 3
-                    else "final" if start[0] == model.config.num_layers else "resumed")
-            counts[kind] += 1
+            key = (getattr(start, "stage", None), stop)
+            counts[key] = counts.get(key, 0) + 1
             return real(model, tokens, start=start, stop=stop)
 
         monkeypatch.setattr(checks, "forward", counted)
         monkeypatch.setattr(TR, "forward", counted)
         checks.check_gradients()
-        # the prefix (stop=0) and the final rows resumed after its routing,
-        # then one analytic pass and 2 x coordinates per group: 440 from the
-        # embeddings to layer 0's attention, 48 in layer 0's ln2 and router,
-        # 1,536 in its experts, and 120 in ln_f and the LM head
-        assert counts == {"embeddings": 1 + 1 + 2 * 440, "resumed": 1 + 2 * 48,
-                          "routed": 1 + 1 + 2 * 1536, "final": 1 + 2 * 120}
+        # a chain of stopped forwards, each resumed from the one before, then
+        # per stage one analytic pass and 2 x its coordinates: 168 in the
+        # embeddings, 272 in layer 0's ln1 and attention, 48 in its ln2 and
+        # router, 384 in each of its 4 experts, and 120 in ln_f and the LM head
+        stages = ["embed", "layers.0.attn", "layers.0.route",
+                  *[f"layers.0.expert.{e}" for e in range(4)], "head"]
+        want = {(stage, None): 1 + 2 * size
+                for stage, size in zip(stages, [168, 272, 48, 384, 384, 384, 384, 120])}
+        want.update({(start, stop): 1 for start, stop in zip([None, *stages], stages)})
+        assert counts == want
 
 
 def top_k_margin(model, batch, cfg):
