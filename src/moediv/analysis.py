@@ -9,7 +9,6 @@ export as CSV with a one-line header.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +26,18 @@ class HeatmapMatrix:
     flagged_rows: list[str] = field(default_factory=list)  # rows forced uniform
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("row," + ",".join(self.cols) + "\n")
-        for name, row in zip(self.rows, self.values):
-            buf.write(name + "," + ",".join(f"{v:.10g}" for v in row) + "\n")
+        text = csv_table(["row", *self.cols], zip(self.rows, self.values))
         if self.flagged_rows:
-            buf.write("# never selected: " + ",".join(self.flagged_rows) + "\n")
-        return buf.getvalue()
+            text += "# never selected: " + ",".join(self.flagged_rows) + "\n"
+        return text
+
+
+def csv_table(header, rows) -> str:
+    """The CSV text of every verb's tables: the ``header`` line, then per
+    (label, values) pair of ``rows`` the label and each value in ``.10g``."""
+    lines = [",".join(header)]
+    lines += [",".join([str(label)] + [f"{v:.10g}" for v in values]) for label, values in rows]
+    return "\n".join(lines) + "\n"
 
 
 def permute_router(model: MoEModel, layer: int, seed: int, out=None) -> tuple:
@@ -159,15 +163,9 @@ def inverse_heatmap(traces: dict, layer: int) -> HeatmapMatrix:
     counts = np.zeros((n, len(doms)))
     for j, dom in enumerate(doms):
         counts[:, j] = np.bincount(traces[dom][layer].selected.reshape(-1), minlength=n)
-    flagged = []
-    values = np.zeros_like(counts)
-    for i in range(n):
-        total = counts[i].sum()
-        if total == 0:
-            values[i] = 1.0 / len(doms)
-            flagged.append(f"expert_{i}")
-        else:
-            values[i] = counts[i] / total
+    totals = counts.sum(axis=1, keepdims=True)
+    values = np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / len(doms))
+    flagged = [f"expert_{i}" for i in np.flatnonzero(totals == 0)]
     return HeatmapMatrix(
         rows=[f"expert_{i}" for i in range(n)], cols=doms, values=values,
         flagged_rows=flagged,
@@ -205,8 +203,5 @@ def divergence_report(traces: dict) -> list[DivergenceReport]:
 
 
 def report_csv(reports) -> str:
-    buf = io.StringIO()
-    buf.write("layer,d_total,d_inter,d_intra\n")
-    for i, rep in enumerate(reports):
-        buf.write(f"{i},{rep.d_total:.10g},{rep.d_inter:.10g},{rep.d_intra:.10g}\n")
-    return buf.getvalue()
+    return csv_table(["layer", "d_total", "d_inter", "d_intra"],
+                     ((i, (r.d_total, r.d_inter, r.d_intra)) for i, r in enumerate(reports)))

@@ -101,12 +101,14 @@ def _load_docs(path):
         raise UsageError(str(exc)) from None
 
 
-def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=None):
+def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=None,
+                  resume=None, opt_state=None):
     """Refuse, before any file is written or any forward runs, inputs that do
     not fit the ``config`` of the model a verb will run: a --data byte outside
     its vocabulary, a ``seq_len`` above its ``max_seq_len``, fewer than
-    ``experts`` experts, or a resumed checkpoint's ``step`` past the run's
-    ``total_steps``."""
+    ``experts`` experts, a resumed checkpoint's ``step`` past the run's
+    ``total_steps``, or a ``resume`` without ``opt_state``, which would
+    restart AdamW at t = 0 while the lr schedule goes on from ``step``."""
     top = {}  # the largest byte of each domain, in first-seen order
     for doc in docs:
         if doc.tokens.size:
@@ -124,6 +126,8 @@ def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=Non
     if total_steps is not None and step > total_steps:
         raise UsageError(f"--resume: the checkpoint is at step {step}, past the run's "
                          f"total_steps = {total_steps}")
+    if resume and opt_state is None:
+        raise UsageError(f"--resume: {resume} holds no optimizer state")
 
 
 def _load_valsets(docs, seq_len, limit):
@@ -168,7 +172,7 @@ def cmd_train(args):
     else:
         model, start_step, opt_state = MoEModel(model_cfg, seed=train_cfg.seed), 0, None
     _check_inputs(model.config, docs, seq_len=data_cfg.seq_len, step=start_step,
-                  total_steps=train_cfg.total_steps)
+                  total_steps=train_cfg.total_steps, resume=args.resume, opt_state=opt_state)
     try:
         batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
                                         train_cfg.seed)
@@ -214,13 +218,10 @@ def cmd_perturb(args):
 def cmd_heatmap(args):
     model, valsets = _model_and_valsets(args)
     traces = analysis.collect_traces(model, valsets)
+    heatmap = analysis.inverse_heatmap if args.inverse else analysis.activation_heatmap
     for layer in range(model.config.num_layers):
-        if args.inverse:
-            hm = analysis.inverse_heatmap(traces, layer)
-        else:
-            hm = analysis.activation_heatmap(traces, layer)
         print(f"# layer {layer}")
-        sys.stdout.write(hm.to_csv())
+        sys.stdout.write(heatmap(traces, layer).to_csv())
     return 0
 
 
@@ -231,12 +232,10 @@ def cmd_ternary(args):
     traces = analysis.collect_traces(model, valsets)
     for layer in range(model.config.num_layers):
         inv = analysis.inverse_heatmap(traces, layer)
-        pts = analysis.ternary_coords(inv)
+        rows = [[*pt, *p] for pt, p in zip(analysis.ternary_coords(inv), inv.values)]
         print(f"# layer {layer}")
-        print("expert,x,y," + ",".join(f"p_{d}" for d in inv.cols))
-        for i, (pt, row) in enumerate(zip(pts, inv.values)):
-            vals = ",".join(f"{v:.10g}" for v in row)
-            print(f"{i},{pt[0]:.10g},{pt[1]:.10g},{vals}")
+        sys.stdout.write(analysis.csv_table(["expert", "x", "y", *(f"p_{d}" for d in inv.cols)],
+                                            enumerate(rows)))
     return 0
 
 

@@ -152,17 +152,19 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     auxiliary losses differentiate through it; under ``no_grad`` it is a
     plain Tensor.
 
-    The run is a fixed list of stages, ``model.stages``: the embedding; per
-    layer, attention, route, one stage per expert, and the combine, which
-    adds the experts' gated rows to the residual rows; the head. With
-    ``stop`` a stage's name, the run returns the ``Resume`` entering it. A
-    run stopped at a layer's expert or combine stage has routed that layer;
-    at expert e it holds every other expert's gated rows, at the combine
-    only those its start held. With ``start`` a ``Resume`` of the same
-    tokens, the run begins at its stage and its traces open the returned
-    list; inside a mixture it runs only the experts whose gated rows the
-    resume lacks. Every row and trace is bit-equal to the full run's. A
-    resume that does not fit the tokens is refused.
+    The run is one loop over ``model.stages`` from ``start``'s stage to
+    ``stop``'s: the embedding; per layer, attention, route, one stage per
+    expert and the combine, which adds the experts' gated rows to the
+    residual rows; the head. The route step mixes if the run goes on
+    through the layer's combine; if not, the combine step mixes the
+    resume's routing, running only the experts whose gated rows it lacks.
+    Expert stages do nothing in the loop. With ``stop`` a stage's name, the
+    run returns the ``Resume`` entering it; inside a mixture it has routed
+    that layer and holds at expert e every other expert's gated rows,
+    filled after the loop, at the combine only those its start held. With
+    ``start`` a ``Resume`` of the same tokens, the run begins at its stage
+    and its traces open the returned list. Every row and trace is bit-equal
+    to the full run's. A resume that does not fit the tokens is refused.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -182,11 +184,11 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
     if first > last:
         raise ValueError(f"forward: cannot stop at {stop} when starting at {start.stage}")
     x, normed, dispatch, gated = start.rows, start.normed, start.dispatch, start.gated
-    traces, t = list(start.traces), b * l
+    traces, t, run = list(start.traces), b * l, names[first:last]
     if first:  # the resume's rows and traces must fit the tokens
-        inside = ".expert." in start.stage or start.stage.endswith(".combine")
+        inside = _in_mixture(start.stage)
         routings = traces + [dispatch] * (dispatch is not None)
-        routed = sum(names.index(f"layers.{i}.route") < first for i in range(c.num_layers))
+        routed = sum(name.endswith(".route") for name in names[:first])
         got = [getattr(a, "shape", None) for a in (x, normed)[:1 + inside]]
         got += [(r.probs.shape, r.selected.shape) for r in routings]
         want = [(t, c.hidden_size)] * (1 + inside) + [((t, c.num_experts), (t, c.top_k))] * (
@@ -194,53 +196,52 @@ def forward(model: MoEModel, tokens, start=None, stop=None):
         if got != want:
             raise ValueError(f"forward: a resume at {start.stage} for {t} tokens needs shapes "
                              f"{want}, got {got}")
-    p = model.params
-    if first == 0 < last:
-        # [B, L, d] token rows plus the first L position rows, broadcast over B
-        x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
-        x = T.reshape(x, (t, c.hidden_size))
 
-    for i in range(c.num_layers):
-        pre = f"layers.{i}."
-        attn, route, combine = (names.index(pre + s) for s in ("attn", "route", "combine"))
-        if combine < first:
-            continue
-        if last <= attn:
-            break
-        # each norm's output is dropped once the op that reads it returns,
-        # and y after the add, so under no_grad a sublayer's input is freed
-        # as soon as it has been read
-        if first <= attn:
-            weights = [p[pre + "attn." + name] for name in ("wq", "wk", "wv", "wo")]
-            x = T.add(x, T.causal_attention(T.affine_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"]),
+    # each norm's output is dropped once the op that reads it returns (the
+    # route's at the combine), and y after the add, so under no_grad a
+    # sublayer's input is freed as soon as it has been read
+    p, y = model.params, None
+    for stage in run:
+        pre, _, kind = stage.rpartition(".")
+        if kind == "embed":
+            # [B, L, d] token rows plus the first L position rows, broadcast over B
+            x = T.add(T.take_rows(p["tok_emb"], tokens), T.take_rows(p["pos_emb"], np.arange(l)))
+            x = T.reshape(x, (t, c.hidden_size))
+        elif kind == "attn":
+            weights = [p[f"{pre}.attn.{name}"] for name in ("wq", "wk", "wv", "wo")]
+            x = T.add(x, T.causal_attention(T.affine_norm(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"]),
                                             *weights, b, c.num_heads))
-        if last <= route:
-            break
-        experts = p[pre + "moe.experts"]
-        if first <= route:
-            xn = T.affine_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            moe = MoELayer(p[pre + "moe.router"], experts, c.top_k)
-            y, probs, selected = moe_forward_batch(moe, xn, mix=last > combine)
+        elif kind == "route":
+            normed = T.affine_norm(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
+            moe = MoELayer(p[pre + ".moe.router"], p[pre + ".moe.experts"], c.top_k)
+            y, probs, selected = moe_forward_batch(moe, normed, mix=pre + ".combine" in run)
             traces.append(LayerTrace(probs, selected))
-            if last <= combine:
-                normed = xn
-            del xn
-        resumed = route < first and last > combine  # mixes a resume's routing to the end
-        if resumed or last < combine:  # some expert runs here
-            dispatch = dispatch or T.expert_dispatch(traces[-1].probs, traces[-1].selected,
-                                                     c.num_experts)
-        if resumed:
-            y = T.expert_mixture(normed, dispatch, experts, gated and list(gated))
-        if last <= combine:  # the run ends inside this layer's mixture
-            gated = list(gated or [None] * c.num_experts)
-            if last < combine:  # at an expert stage: hold every other expert's rows
-                T.expert_mixture(normed, dispatch, experts, gated)
-                gated[last - route - 1] = None
-            return Resume(stop, x, traces, normed, dispatch, tuple(gated))
-        x = T.add(x, y)
-        del y
+        elif kind == "combine":
+            if y is None:  # the route step did not mix: mix on the resume's routing
+                dispatch = dispatch or T.expert_dispatch(traces[-1].probs, traces[-1].selected,
+                                                         c.num_experts)
+                y = T.expert_mixture(normed, dispatch, p[pre + ".moe.experts"],
+                                     gated and list(gated))
+            normed = dispatch = gated = None
+            x, y = T.add(x, y), None
 
-    return (x, traces) if stop is None else Resume(stop, x, traces)
+    if stop is None:
+        return x, traces
+    if not _in_mixture(stop):
+        return Resume(stop, x, traces)
+    gated = list(gated or [None] * c.num_experts)
+    if not stop.endswith(".combine"):  # at an expert: hold every other expert's rows
+        [(experts, e)] = model.stages[stop]
+        dispatch = dispatch or T.expert_dispatch(traces[-1].probs, traces[-1].selected,
+                                                 c.num_experts)
+        T.expert_mixture(normed, dispatch, p[experts], gated)
+        gated[e] = None
+    return Resume(stop, x, traces, normed, dispatch, tuple(gated))
+
+
+def _in_mixture(stage: str) -> bool:
+    """Whether ``stage`` is one of a layer's expert or combine stages."""
+    return ".expert." in stage or stage.endswith(".combine")
 
 
 def lm_loss(model: MoEModel, hidden, tokens):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -167,6 +168,19 @@ class TestExitCodes:
         assert rc == 1
         assert ("error: --resume: the checkpoint is at step 6, past the run's total_steps = 4"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_resume_without_optimizer_state_refused(self, trained, tmp_path, capsys):
+        # the lr schedule and batch order would go on at the checkpoint's step
+        # while AdamW restarted from zero moments at t = 0
+        model, step, _ = model_mod.load_checkpoint(trained["out"] / "checkpoint.moediv")
+        ckpt = tmp_path / "weights.moediv"
+        save_checkpoint(ckpt, model, step=step)
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(trained["config"]), "--data",
+                      str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
+        assert rc == 1
+        assert f"error: --resume: {ckpt} holds no optimizer state" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["str", "int", "null"])
@@ -620,3 +634,26 @@ def test_pinned_hashes_tool_exits_0():
     done = subprocess.run([sys.executable, str(root / "tools" / "pinned_hashes.py")],
                           capture_output=True, timeout=600)
     assert done.returncode == 0, (done.stdout + done.stderr).decode()
+
+
+def test_pinned_hashes_tool_compares_both_ways(monkeypatch):
+    # a produced line that is not pinned fails, and so does a pinned output
+    # that produced no line, such as a dropped VERBS entry
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("pinned_hashes",
+                                                  root / "tools" / "pinned_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # the import sets it
+    spec.loader.exec_module(tool)
+    pinned = ["corpus 1", "decompose 2", "check 3"]
+    tool.compare(["corpus 1", "decompose 2", "check 3"], pinned)
+    for lines, message in [
+        (["corpus 1", "decompose 9", "check 3"], "differs from pinned_hashes.txt: decompose$"),
+        (["corpus 1", "check 3"], "pinned in pinned_hashes.txt but not produced: decompose$"),
+        (["corpus 1", "check 3", "ternary 4"], "differs from pinned_hashes.txt: ternary; pinned "
+                                               "in pinned_hashes.txt but not produced: decompose"),
+        (["corpus 1"], "differs from pinned_hashes.txt: corpus$"),
+    ]:
+        with pytest.raises(SystemExit, match=message) as exc:
+            tool.compare(lines, pinned if len(lines) > 1 else [])
+        assert exc.value.code != 0

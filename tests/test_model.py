@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from moediv import model as model_mod
 from moediv import tensor as T
 from moediv.model import (
     LayerTrace,
@@ -278,6 +279,89 @@ class TestStartStop:
             rows, traces = forward(model, tokens, start=final)
         assert rows is final.rows and traces == final.traces and len(traces) == 2
         assert perplexity(model, tokens, final) == want
+
+
+def test_every_start_and_stop_pair_matches_full_forward():
+    # a run started inside one layer's mixture and stopped inside a later
+    # one mixes each layer on that layer's own routing and gated rows
+    model = MoEModel(SMALL, seed=1)
+    tokens = np.random.default_rng(1).integers(0, SMALL.vocab_size, size=(2, 6))
+    names = list(model.stages)
+    with T.no_grad():
+        hidden, layers = forward(model, tokens)
+        for i, first in enumerate(names):
+            start = forward(model, tokens, stop=first)
+            for stop in names[i:]:
+                resumed, traces = forward(model, tokens, start=forward(model, tokens, start=start,
+                                                                       stop=stop))
+                assert np.array_equal(resumed.data, hidden.data), (first, stop)
+                TestStartStop.assert_traces_equal(traces, layers)
+
+
+class TestStageWork:
+    """The work of a partial forward: a layer routed by the run calls
+    ``moe_forward_batch`` once, mixing only when the run goes on through
+    that layer's combine; a stop at a combine runs none of that layer's
+    experts, and a resume inside a mixture runs only the experts whose
+    gated rows it lacks, in one ``expert_mixture`` call."""
+
+    ALL = (True,) * SMALL.num_experts  # every expert's gated rows missing
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # ("route", mix) per moe_forward_batch call and ("mixture", which
+        # experts' gated rows are missing when it is called) per
+        # expert_mixture call, the one moe_forward_batch makes included
+        calls, route, mixture = [], model_mod.moe_forward_batch, T.expert_mixture
+
+        def counted_route(layer, x, mix=True):
+            calls.append(("route", mix))
+            return route(layer, x, mix)
+
+        def counted_mixture(x, dispatch, experts, gated=None):
+            calls.append(("mixture", gated and tuple(g is None for g in gated)))
+            return mixture(x, dispatch, experts, gated)
+
+        monkeypatch.setattr(model_mod, "moe_forward_batch", counted_route)
+        monkeypatch.setattr(T, "expert_mixture", counted_mixture)
+        return calls
+
+    @pytest.mark.parametrize("stop, want", [
+        (None, [("route", True), ("mixture", None)] * 2),
+        ("layers.0.route", []),
+        ("layers.0.expert.2", [("route", False), ("mixture", ALL)]),
+        ("layers.0.combine", [("route", False)]),
+        ("layers.1.attn", [("route", True), ("mixture", None)]),
+        ("layers.1.expert.0", [("route", True), ("mixture", None), ("route", False),
+                               ("mixture", ALL)]),
+        # analysis.collect_traces's stop: the last layer routed, none of its experts run
+        ("layers.1.combine", [("route", True), ("mixture", None), ("route", False)]),
+        ("head", [("route", True), ("mixture", None)] * 2),
+    ])
+    def test_stopped_run(self, calls, stop, want):
+        tokens = np.random.default_rng(2).integers(0, SMALL.vocab_size, size=(2, 7))
+        with T.no_grad():
+            forward(MoEModel(SMALL, seed=6), tokens, stop=stop)
+        assert calls == want
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_resumed_run(self, calls, layer):
+        model = MoEModel(SMALL, seed=6)
+        tokens = np.random.default_rng(2).integers(0, SMALL.vocab_size, size=(2, 7))
+        rest = [("route", True), ("mixture", None)] * (SMALL.num_layers - 1 - layer)
+        with T.no_grad():
+            for e in range(SMALL.num_experts):
+                held = forward(model, tokens, stop=f"layers.{layer}.expert.{e}")
+                calls.clear()
+                forward(model, tokens, start=held)
+                missing = tuple(i == e for i in range(SMALL.num_experts))
+                assert calls == [("mixture", missing)] + rest
+            for stage, first in (("route", [("route", True), ("mixture", None)]),
+                                 ("combine", [("mixture", self.ALL)])):
+                held = forward(model, tokens, stop=f"layers.{layer}.{stage}")
+                calls.clear()
+                forward(model, tokens, start=held)
+                assert calls == first + rest
 
 
 class TestLMLoss:

@@ -16,8 +16,9 @@ is set to one thread before numpy loads. The recipe:
   corpus as JSONL with ``--limit 20``;
 - the stdout of ``moediv check``.
 
-The lines are then compared with ``pinned_hashes.txt`` next to this script;
-the script exits 1, naming each output whose line differs, if any does.
+The lines are then compared with ``pinned_hashes.txt`` next to this script
+in both directions: the script exits 1, naming each output whose line
+differs and each pinned output that produced no line, if there is any.
 Usage, from anywhere: python tools/pinned_hashes.py
 To pin new hashes, redirect stdout into that file; that run compares with
 the emptied file and exits 1.
@@ -66,6 +67,21 @@ def stdout_of(argv) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def compare(lines, pinned):
+    """Exit 1 naming each of ``lines`` that is not in ``pinned`` and each name
+    in ``pinned`` that no line gives, for example a dropped ``VERBS`` entry."""
+    names = [line.split()[0] for line in lines]
+    differ = [name for name, line in zip(names, lines) if line not in pinned]
+    missing = [line.split()[0] for line in pinned if line.strip() and line.split()[0] not in names]
+    faults = []
+    if differ:
+        faults.append(f"differs from {PINNED.name}: {', '.join(differ)}")
+    if missing:
+        faults.append(f"pinned in {PINNED.name} but not produced: {', '.join(missing)}")
+    if faults:
+        raise SystemExit("; ".join(faults))
+
+
 def main():
     lines = []
 
@@ -93,10 +109,7 @@ def main():
             argv = verb + ["--ckpt", str(final), "--data", str(corpus), "--limit", "20"]
             emit(name, stdout_of(argv))
     emit("check", stdout_of(["check"]))
-    pinned = PINNED.read_text(encoding="utf-8").splitlines()
-    differ = [line.split()[0] for line in lines if line not in pinned]
-    if differ:
-        raise SystemExit(f"differs from {PINNED.name}: {', '.join(differ)}")
+    compare(lines, PINNED.read_text(encoding="utf-8").splitlines())
 
 
 if __name__ == "__main__":
