@@ -17,7 +17,7 @@ import sys
 from . import analysis, checks, data as data_mod, trainer as trainer_mod
 from .data import DataConfig
 from .model import ModelConfig, MoEModel, load_checkpoint
-from .trainer import TrainConfig
+from .trainer import AdamWState, TrainConfig
 
 log = logging.getLogger("moediv")
 
@@ -101,14 +101,12 @@ def _load_docs(path):
         raise UsageError(str(exc)) from None
 
 
-def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=None,
-                  resume=None, opt_state=None):
+def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=None):
     """Refuse, before any file is written or any forward runs, inputs that do
     not fit the ``config`` of the model a verb will run: a --data byte outside
     its vocabulary, a ``seq_len`` above its ``max_seq_len``, fewer than
-    ``experts`` experts, a resumed checkpoint's ``step`` past the run's
-    ``total_steps``, or a ``resume`` without ``opt_state``, which would
-    restart AdamW at t = 0 while the lr schedule goes on from ``step``."""
+    ``experts`` experts, or a resumed checkpoint's ``step`` past the run's
+    ``total_steps``."""
     top = {}  # the largest byte of each domain, in first-seen order
     for doc in docs:
         if doc.tokens.size:
@@ -126,8 +124,6 @@ def _check_inputs(config, docs, seq_len=None, experts=1, step=0, total_steps=Non
     if total_steps is not None and step > total_steps:
         raise UsageError(f"--resume: the checkpoint is at step {step}, past the run's "
                          f"total_steps = {total_steps}")
-    if resume and opt_state is None:
-        raise UsageError(f"--resume: {resume} holds no optimizer state")
 
 
 def _load_valsets(docs, seq_len, limit):
@@ -146,8 +142,8 @@ def _model_and_valsets(args, experts=1):
     that needs a model of at least ``experts`` experts."""
     _require_file(args.ckpt, "--ckpt")
     _require_file(args.data, "--data")
-    model, step, _ = load_checkpoint(args.ckpt)
-    log.info("loaded checkpoint at step %d", step)
+    model, state = load_checkpoint(args.ckpt)
+    log.info("loaded checkpoint at step %d", state.t)
     docs = _load_docs(args.data)
     _check_inputs(model.config, docs, experts=experts)
     return model, _load_valsets(docs, model.config.max_seq_len, args.limit)
@@ -167,12 +163,13 @@ def cmd_train(args):
 
     docs = _load_docs(args.data)
     if args.resume:
-        model, start_step, opt_state = load_checkpoint(args.resume)
-        log.info("resuming at step %d", start_step)
+        model, state = load_checkpoint(args.resume)
+        log.info("resuming at step %d", state.t)
     else:
-        model, start_step, opt_state = MoEModel(model_cfg, seed=train_cfg.seed), 0, None
-    _check_inputs(model.config, docs, seq_len=data_cfg.seq_len, step=start_step,
-                  total_steps=train_cfg.total_steps, resume=args.resume, opt_state=opt_state)
+        model = MoEModel(model_cfg, seed=train_cfg.seed)
+        state = AdamWState.init(model.flat)
+    _check_inputs(model.config, docs, seq_len=data_cfg.seq_len, step=state.t,
+                  total_steps=train_cfg.total_steps)
     try:
         batches = data_mod.pack_batches(docs, data_cfg.seq_len, data_cfg.batch_size,
                                         train_cfg.seed)
@@ -185,10 +182,7 @@ def cmd_train(args):
             for k, v in dataclasses.asdict(cfg).items():
                 f.write(f"{k} = {v}\n")
 
-    final, metrics = trainer_mod.run_training(
-        model, batches, train_cfg, args.out,
-        start_step=start_step, opt_state=opt_state,
-    )
+    final, metrics = trainer_mod.run_training(model, batches, train_cfg, args.out, state)
     print(f"final checkpoint: {final}")
     print(f"metrics log: {metrics}")
     return 0

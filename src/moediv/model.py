@@ -36,6 +36,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for key, value in asdict(self).items():
+            if type(value) is not int:  # a float, bool or str from a checkpoint header
+                raise ValueError(f"{key} must be an int, got {value!r}")
             if value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
         if self.top_k > self.num_experts:
@@ -269,37 +271,31 @@ def perplexity(model: MoEModel, tokens, start=None) -> float:
 # checkpoint io
 
 
-def save_checkpoint(path, model: MoEModel, step: int = 0, opt_state=None):
-    """Write config + parameters (+ optimizer moments) atomically.
+def save_checkpoint(path, model: MoEModel, state):
+    """Write config, parameters and AdamW's ``state`` atomically.
 
-    Layout: magic line, one JSON header line, then raw little-endian float64
+    Layout: magic line, one JSON header line {config, params, step} with
+    ``step`` AdamW's step count ``state.t``, then raw little-endian float64
     vectors in ``model.flat``'s layout: ``model.flat``, then Adam's m and v.
     """
-    header = {
-        "config": asdict(model.config),
-        "step": int(step),
-        "params": _layout(model.config)[3],
-        "has_opt": opt_state is not None,
-        "opt_t": int(opt_state.t) if opt_state is not None else 0,
-    }
+    header = {"config": asdict(model.config), "params": _layout(model.config)[3],
+              "step": int(state.t)}
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(model.flat.astype("<f8", copy=False))
-        if opt_state is not None:
-            f.write(opt_state.m.astype("<f8", copy=False))
-            f.write(opt_state.v.astype("<f8", copy=False))
+        for vector in (model.flat, state.m, state.v):
+            f.write(vector.astype("<f8", copy=False))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (model, step, opt_state_or_None).
+    """Read a checkpoint; returns (model, AdamWState with t the header's step).
 
     Raises ValueError naming ``path`` for a bad magic line, an unreadable
-    header or config, a ``step`` or ``opt_t`` that is not a non-negative
-    int, a ``has_opt`` that is not a bool, a parameter layout that is not
-    the config's, and a truncated file or trailing bytes.
+    header or config, a ``step`` that is not a non-negative int, a parameter
+    layout that is not the config's, and a truncated file (a file without
+    the Adam moments among them) or trailing bytes.
     """
     from .trainer import AdamWState  # local import to avoid a cycle
 
@@ -312,22 +308,17 @@ def load_checkpoint(path):
             step = header["step"]
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad header: {exc}") from exc
-        for field in ("step", "opt_t"):
-            value = header.get(field, 0)
-            if type(value) is not int or value < 0:  # a bool is an int subclass: refused
-                raise ValueError(f"{path}: bad header: {field} must be a non-negative int, "
-                                 f"got {value!r}")
-        has_opt = header.get("has_opt", False)
-        if type(has_opt) is not bool:
-            raise ValueError(f"{path}: bad header: has_opt must be a bool, got {has_opt!r}")
+        if type(step) is not int or step < 0:  # a bool is an int subclass: refused
+            raise ValueError(f"{path}: bad header: step must be a non-negative int, got {step!r}")
         _, _, n, params = _layout(config)
         if header.get("params") != params:
             raise ValueError(f"{path}: parameter names and shapes do not match the config")
-        expected = 8 * n * (3 if has_opt else 1)
+        expected = 24 * n
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != expected:
             reason = "truncated" if size < expected else f"{size - expected} trailing bytes"
-            raise ValueError(f"{path}: {reason}: expected {expected} data bytes, read {size}")
+            raise ValueError(f"{path}: {reason}: expected {expected} data bytes "
+                             f"(weights and Adam moments), read {size}")
 
         def vector():  # the next n values, read straight into their own array
             out = np.empty(n, dtype="<f8")
@@ -336,7 +327,5 @@ def load_checkpoint(path):
             return out
 
         model = MoEModel(config, flat=vector())
-        opt_state = None
-        if has_opt:
-            opt_state = AdamWState(m=vector(), v=vector(), t=header.get("opt_t", 0))
-    return model, step, opt_state
+        state = AdamWState(m=vector(), v=vector(), t=step)
+    return model, state

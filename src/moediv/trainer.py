@@ -45,7 +45,7 @@ class TrainConfig:
             if key.startswith("adam_beta") and not 0 <= value < 1:
                 raise ValueError(f"{key} must be in [0, 1), got {value}")
             if value < 0 and key in ("alpha", "beta", "lr", "warmup_steps", "weight_decay",
-                                     "total_steps", "seed"):
+                                     "total_steps", "seed", "grad_clip"):
                 raise ValueError(f"{key} must be nonnegative, got {value}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
@@ -161,9 +161,8 @@ def objective(model: MoEModel, batch, config: TrainConfig, start=None):
     return {"l_lm": l_lm, "l_lb": l_lb, "l_ed": l_ed, "l_final": l_final}, layers
 
 
-def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
-               step: int) -> dict:
-    """One optimization step: the objective, backward, AdamW update.
+def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState) -> dict:
+    """One optimization step at step ``state.t``: the objective, backward, AdamW update.
 
     Returns the step's ``metrics.jsonl`` record: step, lr, the number of
     distinct domains m_b (L_ED is a constant zero below two), the four loss
@@ -171,8 +170,8 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
     """
     terms, layers = objective(model, batch, config)
     leaf_grads = T.backward(terms["l_final"])
-    lr = lr_at(step, config)
-    record = {"step": step, "lr": lr, "m_b": len(set(batch.domains))}
+    lr = lr_at(state.t, config)
+    record = {"step": state.t, "lr": lr, "m_b": len(set(batch.domains))}
     record.update((name, t.item()) for name, t in terms.items())
     seq_len = batch.sequences.shape[1]
     token_labels = [d for d in batch.domains for _ in range(seq_len)]
@@ -189,26 +188,26 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState,
 
 
 def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
-                 start_step: int = 0, opt_state: AdamWState | None = None):
-    """Loop train_step over a fixed batch schedule.
+                 state: AdamWState | None = None):
+    """Loop train_step over a fixed batch schedule from step ``state.t`` (0 if None).
 
     The schedule cycles ``batches`` in order (they arrive pre-shuffled from
-    the packer), so a resumed run at step s sees exactly the batches the
-    uninterrupted run would have seen. Checkpoints are written atomically at
-    the configured interval and at the end.
+    the packer), so a run resumed at step s sees exactly the batches the
+    uninterrupted run would have seen, and appends to its ``metrics.jsonl``.
+    Checkpoints are written atomically at the configured interval and at the end.
     """
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     ckpt_path = os.path.join(out_dir, "checkpoint.moediv")
-    if opt_state is None:
-        opt_state = AdamWState.init(model.flat)
-    mode = "a" if start_step > 0 else "w"
+    if state is None:
+        state = AdamWState.init(model.flat)
+    mode = "a" if state.t > 0 else "w"
     with open(metrics_path, mode, encoding="utf-8") as mf:
-        for step in range(start_step, config.total_steps):
+        for step in range(state.t, config.total_steps):
             batch = batches[step % len(batches)]
             t0 = time.perf_counter()
             try:
-                record = train_step(model, batch, config, opt_state, step)
+                record = train_step(model, batch, config, state)
             except ValueError as exc:
                 raise ValueError(f"step {step}: {exc}") from exc
             step_ms = 1e3 * (time.perf_counter() - t0)
@@ -217,7 +216,7 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
                 log.debug("step %d: divergence-skipped (single-domain batch)", step)
             if (step + 1) % config.checkpoint_interval == 0:
                 mf.flush()  # a kill after the checkpoint leaves the log up to its step
-                save_checkpoint(ckpt_path, model, step=step + 1, opt_state=opt_state)
+                save_checkpoint(ckpt_path, model, state)
                 log.info("step %d: checkpoint written", step + 1)
             if step % 100 == 0:
                 log.info(
@@ -225,5 +224,5 @@ def run_training(model: MoEModel, batches, config: TrainConfig, out_dir,
                     step, record["l_lm"], record["l_lb"], record["l_ed"], step_ms,
                 )
     final_path = os.path.join(out_dir, "final.moediv")
-    save_checkpoint(final_path, model, step=config.total_steps, opt_state=opt_state)
+    save_checkpoint(final_path, model, state)
     return final_path, metrics_path

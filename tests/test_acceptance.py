@@ -218,11 +218,10 @@ def test_c9_determinism_and_resume(tmp_path):
     half_cfg = TrainConfig(total_steps=15, warmup_steps=5, checkpoint_interval=15, seed=4)
     model = MoEModel(config, seed=4)
     run_training(model, batches, half_cfg, tmp_path / "half")
-    resumed, step, opt = load_checkpoint(tmp_path / "half" / "checkpoint.moediv")
+    resumed, state = load_checkpoint(tmp_path / "half" / "checkpoint.moediv")
     (tmp_path / "resume").mkdir()
     shutil.copy(tmp_path / "half" / "metrics.jsonl", tmp_path / "resume" / "metrics.jsonl")
-    run_training(resumed, batches, cfg, tmp_path / "resume",
-                 start_step=step, opt_state=opt)
+    run_training(resumed, batches, cfg, tmp_path / "resume", state)
     resume_log = (tmp_path / "resume" / "metrics.jsonl").read_bytes()
     resume_ok = resume_log == logs[0]
     ckpt_ok = (

@@ -13,7 +13,7 @@ from moediv import analysis, cli
 from moediv import model as model_mod
 from moediv.data import SynthDomainSpec, synth_corpus
 from moediv.model import ModelConfig, MoEModel, save_checkpoint
-from moediv.trainer import TrainConfig
+from moediv.trainer import AdamWState, TrainConfig
 
 
 def write_corpus(path, seed=0, num_docs=2, doc_len=400, domains=("a", "b", "c")):
@@ -138,9 +138,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("step", -4), ("step", "2"), ("step", None), ("step", 2.5), ("step", True),
-        ("opt_t", -1), ("opt_t", True),
-    ], ids=["step-negative", "step-str", "step-null", "step-float", "step-bool",
-            "opt_t-negative", "opt_t-bool"])
+    ], ids=["step-negative", "step-str", "step-null", "step-float", "step-bool"])
     def test_resume_bad_header_count_refused(self, trained, tmp_path, capsys, field, value):
         # refused as the other checkpoint faults are, before --out is made
         magic, header, blob = trained["ckpt"].read_bytes().split(b"\n", 2)
@@ -171,32 +169,21 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_resume_without_optimizer_state_refused(self, trained, tmp_path, capsys):
-        # the lr schedule and batch order would go on at the checkpoint's step
-        # while AdamW restarted from zero moments at t = 0
-        model, step, _ = model_mod.load_checkpoint(trained["out"] / "checkpoint.moediv")
-        ckpt = tmp_path / "weights.moediv"
-        save_checkpoint(ckpt, model, step=step)
-        out = tmp_path / "out"
-        rc = cli.run(["train", "--config", str(trained["config"]), "--data",
-                      str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
-        assert rc == 1
-        assert f"error: --resume: {ckpt} holds no optimizer state" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["false", 0, None], ids=["str", "int", "null"])
-    def test_resume_bad_header_has_opt_refused(self, trained, tmp_path, capsys, value):
-        # named, not read by truthiness into a size that calls the file truncated
-        magic, header, blob = trained["ckpt"].read_bytes().split(b"\n", 2)
+        # a weights-only file, in the form that once marked one with
+        # "has_opt": false: resuming it would go on with the lr schedule and
+        # batch order at its step while AdamW restarted from zero moments
+        magic, header, blob = (trained["out"] / "checkpoint.moediv").read_bytes().split(b"\n", 2)
         header = json.loads(header)
-        header["has_opt"] = value
-        ckpt = tmp_path / "bad.moediv"
-        ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+        header.update(has_opt=False, opt_t=0)
+        ckpt = tmp_path / "weights.moediv"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n"
+                         + blob[:len(blob) // 3])
         out = tmp_path / "out"
         rc = cli.run(["train", "--config", str(trained["config"]), "--data",
                       str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
         assert rc == 2
-        assert (f"error: {ckpt}: bad header: has_opt must be a bool, got {value!r}"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: truncated" in err and "(weights and Adam moments)" in err
         assert not out.exists()
 
     def test_layer_out_of_range_is_usage_error(self, trained, capsys):
@@ -302,6 +289,7 @@ class TestExitCodes:
         ("beta = inf", "beta must be finite, got inf"),
         ("lr = inf", "lr must be finite, got inf"),
         ("grad_clip = nan", "grad_clip must be finite, got nan"),
+        ("grad_clip = -1", "grad_clip must be nonnegative, got -1.0"),
         ("adam_beta1 = 1.0", "adam_beta1 must be in [0, 1), got 1.0"),
         ("adam_beta2 = 1.0", "adam_beta2 must be in [0, 1), got 1.0"),
         ("adam_beta1 = -0.5", "adam_beta1 must be in [0, 1), got -0.5"),
@@ -446,7 +434,8 @@ class TestExitCodes:
         ckpt = tmp_path / "one.moediv"
         config = ModelConfig(num_layers=1, hidden_size=16, intermediate_size=24, num_experts=1,
                              top_k=1, num_heads=2, vocab_size=128, max_seq_len=16)
-        save_checkpoint(ckpt, MoEModel(config))
+        model = MoEModel(config)
+        save_checkpoint(ckpt, model, AdamWState.init(model.flat))
         rc = cli.run(["perturb", "--ckpt", str(ckpt), "--layer", "0",
                       "--data", str(trained["corpus"])])
         assert rc == 1
@@ -534,7 +523,7 @@ class TestAnalysisCommands:
         model.params["layers.0.moe.router"].data[3] = 0.0
         model.params["layers.0.moe.router"].data[3, 0] = -1.0
         ckpt = tmp_path / "dead.moediv"
-        save_checkpoint(ckpt, model)
+        save_checkpoint(ckpt, model, AdamWState.init(model.flat))
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         assert cli.run(["heatmap", "--ckpt", str(ckpt), "--data", str(corpus)]) == 0
         assert capsys.readouterr().out.count("#") == 1  # only "# layer 0"
@@ -599,7 +588,8 @@ class TestVerbForwardCounts:
                              num_experts=4, top_k=2, num_heads=2, vocab_size=128,
                              max_seq_len=16)
         ckpt = tmp_path / "m.moediv"
-        save_checkpoint(ckpt, MoEModel(config, seed=0))
+        model = MoEModel(config, seed=0)
+        save_checkpoint(ckpt, model, AdamWState.init(model.flat))
         return ckpt, write_corpus(tmp_path / "corpus.jsonl")
 
     @pytest.mark.parametrize("verb, expected", [

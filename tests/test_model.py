@@ -420,9 +420,11 @@ class TestCheckpoint:
     def test_roundtrip_params(self, tmp_path):
         model = MoEModel(SMALL, seed=8)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, step=42)
-        loaded, step, opt = load_checkpoint(path)
-        assert step == 42 and opt is None
+        state = AdamWState.init(model.flat)
+        state.t = 42
+        save_checkpoint(path, model, state)
+        loaded, state = load_checkpoint(path)
+        assert state.t == 42
         assert loaded.config == model.config
         for name in model.params:
             assert np.array_equal(loaded.params[name].data, model.params[name].data)
@@ -435,8 +437,8 @@ class TestCheckpoint:
         state.v[:] = rng.random(state.v.shape)
         state.t = 7
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, step=100, opt_state=state)
-        _, _, loaded = load_checkpoint(path)
+        save_checkpoint(path, model, state)
+        _, loaded = load_checkpoint(path)
         assert loaded.t == 7
         assert np.array_equal(loaded.m, state.m)
         assert np.array_equal(loaded.v, state.v)
@@ -444,8 +446,8 @@ class TestCheckpoint:
     def test_loaded_moments_are_writable_and_separate(self, tmp_path):
         model = MoEModel(SMALL, seed=19)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, opt_state=AdamWState.init(model.flat))
-        loaded, _, state = load_checkpoint(path)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
+        loaded, state = load_checkpoint(path)
         arrays = (loaded.flat, state.m, state.v)
         assert all(a.flags.writeable for a in arrays)
         for i, a in enumerate(arrays):
@@ -457,7 +459,7 @@ class TestCheckpoint:
         # its own array: no whole-file bytes object and no copies of it
         model = MoEModel(ModelConfig(), seed=20)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, opt_state=AdamWState.init(model.flat))
+        save_checkpoint(path, model, AdamWState.init(model.flat))
         load_checkpoint(path)  # warm-up
         tracemalloc.start()
         try:
@@ -474,22 +476,24 @@ class TestCheckpoint:
         state.m[:] = rng.normal(size=state.m.shape)
         state.v[:] = rng.random(state.v.shape)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, opt_state=state)
+        save_checkpoint(path, model, state)
         _, _, blob = path.read_bytes().split(b"\n", 2)
         assert blob == np.concatenate([model.flat, state.m, state.v]).astype("<f8").tobytes()
 
     def test_byte_identical_rewrites(self, tmp_path):
         model = MoEModel(SMALL, seed=10)
         p1, p2 = tmp_path / "a", tmp_path / "b"
-        save_checkpoint(p1, model, step=1)
-        save_checkpoint(p2, model, step=1)
+        state = AdamWState.init(model.flat)
+        state.t = 1
+        save_checkpoint(p1, model, state)
+        save_checkpoint(p2, model, state)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_model_same_outputs(self, tmp_path):
         model = MoEModel(SMALL, seed=11)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model)
-        loaded, _, _ = load_checkpoint(path)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
+        loaded, _ = load_checkpoint(path)
         tokens = np.array([[1, 2, 3, 4]])
         a, _ = forward(model, tokens)
         b, _ = forward(loaded, tokens)
@@ -505,22 +509,26 @@ class TestCheckpoint:
     def test_truncated_refused(self, tmp_path, with_opt):
         model = MoEModel(SMALL, seed=13)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model, opt_state=AdamWState.init(model.flat) if with_opt else None)
-        path.write_bytes(path.read_bytes()[:-12])
-        with pytest.raises(ValueError, match=r"m\.moediv: truncated: expected \d+ data bytes, read"):
+        save_checkpoint(path, model, AdamWState.init(model.flat))
+        blob = path.read_bytes()
+        if not with_opt:  # the weights without the moments, then cut short
+            blob = blob[:-2 * model.flat.nbytes]
+        path.write_bytes(blob[:-12])
+        with pytest.raises(ValueError, match=r"m\.moediv: truncated: expected \d+ data bytes "
+                                             r"\(weights and Adam moments\), read"):
             load_checkpoint(path)
 
     def test_trailing_bytes_refused(self, tmp_path):
         model = MoEModel(SMALL, seed=14)
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
         path.write_bytes(path.read_bytes() + b"\0" * 5)
         with pytest.raises(ValueError, match=r"m\.moediv: 5 trailing bytes"):
             load_checkpoint(path)
 
     def test_no_tmp_file_left(self, tmp_path):
         model = MoEModel(SMALL, seed=12)
-        save_checkpoint(tmp_path / "m.moediv", model)
+        save_checkpoint(tmp_path / "m.moediv", model, AdamWState.init(model.flat))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.moediv"]
 
     @staticmethod
@@ -538,15 +546,29 @@ class TestCheckpoint:
 
     def test_unknown_config_key_refused(self, tmp_path):
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, MoEModel(SMALL, seed=15))
+        model = MoEModel(SMALL, seed=15)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
         self.edit_header(path, lambda h: h["config"].update(bogus=1))
         with pytest.raises(ValueError, match=r"m\.moediv: bad header: .*'bogus'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1.0, True, "2"], ids=["float", "bool", "str"])
+    def test_non_int_config_value_refused(self, tmp_path, value):
+        # JSON keeps 1.0 and true apart from 1; ModelConfig would take them as
+        # num_layers and fail later, or never, without naming the path
+        path = tmp_path / "m.moediv"
+        model = MoEModel(SMALL, seed=15)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
+        self.edit_header(path, lambda h: h["config"].update(num_layers=value))
+        with pytest.raises(ValueError, match=rf"m\.moediv: bad header: num_layers must be an "
+                                             rf"int, got {value!r}$"):
             load_checkpoint(path)
 
     def test_param_layout_mismatch_refused(self, tmp_path):
         # same data size, so only the layout comparison can catch it
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, MoEModel(SMALL, seed=16))
+        model = MoEModel(SMALL, seed=16)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
 
         def transpose_lm_head(h):
             h["params"][-1][1] = h["params"][-1][1][::-1]
@@ -559,7 +581,8 @@ class TestCheckpoint:
         # the header of a checkpoint written when each expert weight was a
         # parameter of its own; the data size is the same
         path = tmp_path / "m.moediv"
-        save_checkpoint(path, MoEModel(SMALL, seed=18))
+        model = MoEModel(SMALL, seed=18)
+        save_checkpoint(path, model, AdamWState.init(model.flat))
         d, m = SMALL.hidden_size, SMALL.intermediate_size
 
         def per_expert_names(h):

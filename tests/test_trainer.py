@@ -161,7 +161,7 @@ class TestTrainStep:
         batch = tiny_batches()[0]
         state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=2)
-        rec = TR.train_step(model, batch, cfg, state, step=0)
+        rec = TR.train_step(model, batch, cfg, state)
         assert rec["step"] == 0
         assert len(rec["d_total"]) == SMALL.num_layers
         assert np.isfinite(rec["l_final"])
@@ -174,7 +174,7 @@ class TestTrainStep:
         before = {n: p.data.copy() for n, p in model.params.items()}
         state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
-        TR.train_step(model, tiny_batches()[0], cfg, state, step=0)
+        TR.train_step(model, tiny_batches()[0], cfg, state)
         moved = [n for n in before if not np.array_equal(before[n], model.params[n].data)]
         assert len(moved) > len(before) // 2
 
@@ -184,7 +184,7 @@ class TestTrainStep:
         batch.domains = ["a"] * len(batch.sequences)
         state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
-        rec = TR.train_step(model, batch, cfg, state, step=0)
+        rec = TR.train_step(model, batch, cfg, state)
         assert rec["m_b"] == 1
         assert rec["l_ed"] == 0.0
 
@@ -202,7 +202,7 @@ class TestTrainStep:
         monkeypatch.setattr(TR, "_flat_gradient", spy)
         model = MoEModel(SMALL, seed=4)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
-        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat), step=0)
+        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat))
         assert live_graph_nodes == [0]
 
     def test_loss_decreases_over_steps(self):
@@ -210,10 +210,10 @@ class TestTrainStep:
         batches = tiny_batches(seed=3)
         state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=60, warmup_steps=5, lr=3e-3)
-        first = TR.train_step(model, batches[0], cfg, state, 0)["l_lm"]
+        first = TR.train_step(model, batches[0], cfg, state)["l_lm"]
         last = None
         for step in range(1, 60):
-            last = TR.train_step(model, batches[step % len(batches)], cfg, state, step)
+            last = TR.train_step(model, batches[step % len(batches)], cfg, state)
         assert last["l_lm"] < first
 
 
@@ -234,7 +234,7 @@ class TestObjective:
         calls = self.count_calls(monkeypatch)
         model = MoEModel(SMALL, seed=7)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
-        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat), 0)
+        TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat))
         assert len(calls) == 1
 
     def test_check_gradients_uses_objective(self, monkeypatch):
@@ -301,7 +301,7 @@ class TestObjective:
         batch = tiny_batches()[0]
         terms, layers = TR.objective(MoEModel(SMALL, seed=8), batch, cfg)
         model = MoEModel(SMALL, seed=8)
-        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat), 0)
+        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat))
         assert rec["l_final"] == rec["l_lm"] + cfg.alpha * rec["l_lb"] + cfg.beta * rec["l_ed"]
         for name in ("l_lm", "l_lb", "l_ed", "l_final"):
             assert rec[name] == terms[name].item()
@@ -314,7 +314,7 @@ class TestObjective:
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         model = MoEModel(SMALL, seed=9)
         _, layers = TR.objective(MoEModel(SMALL, seed=9), batch, cfg)
-        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat), 0)
+        rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat))
         seq_len = batch.sequences.shape[1]
         labels = [d for d in batch.domains for _ in range(seq_len)]
         for i, layer in enumerate(layers):
@@ -420,7 +420,7 @@ def test_directional_derivatives_at_default_config(steps):
     model, cfg, h = MoEModel(ModelConfig(), seed=1), TR.TrainConfig(warmup_steps=0), 1e-4
     state = TR.AdamWState.init(model.flat)
     for step in range(steps):
-        TR.train_step(model, batches[step], cfg, state, step)
+        TR.train_step(model, batches[step], cfg, state)
     batch = max(batches, key=lambda b: top_k_margin(model, b, cfg))
     terms, _ = TR.objective(model, batch, cfg)
     rng = np.random.default_rng(0)
@@ -460,9 +460,9 @@ from moediv.model import MoEModel
 
 save = TR.save_checkpoint
 
-def save_then_die(*args, step, **kwargs):
-    save(*args, step=step, **kwargs)
-    if step == 20:
+def save_then_die(path, model, state):
+    save(path, model, state)
+    if state.t == 20:
         os._exit(0)
 
 TR.save_checkpoint = save_then_die
@@ -480,7 +480,7 @@ class TestRunTraining:
                                str(Path(__file__).parent)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0 and done.stderr == "", done.stderr
-        assert load_checkpoint(tmp_path / "killed" / "checkpoint.moediv")[1] == 20
+        assert load_checkpoint(tmp_path / "killed" / "checkpoint.moediv")[1].t == 20
         cfg = TR.TrainConfig(total_steps=25, warmup_steps=2, checkpoint_interval=10)
         _, full = TR.run_training(MoEModel(SMALL, seed=13), tiny_batches(seed=13), cfg,
                                   tmp_path / "full")
@@ -515,15 +515,14 @@ class TestRunTraining:
         model_half = MoEModel(SMALL, seed=6)
         TR.run_training(model_half, batches, TR.TrainConfig(
             total_steps=4, warmup_steps=2, checkpoint_interval=4), tmp_path / "part")
-        resumed, step, opt = load_checkpoint(tmp_path / "part" / "checkpoint.moediv")
-        assert step == 4
+        resumed, state = load_checkpoint(tmp_path / "part" / "checkpoint.moediv")
+        assert state.t == 4
         # continue in the same directory so the metrics log is appended
         import shutil
         shutil.copy(tmp_path / "part" / "metrics.jsonl", tmp_path / "part2.jsonl")
         (tmp_path / "resume").mkdir()
         shutil.copy(tmp_path / "part" / "metrics.jsonl", tmp_path / "resume" / "metrics.jsonl")
-        TR.run_training(resumed, batches, cfg, tmp_path / "resume",
-                        start_step=step, opt_state=opt)
+        TR.run_training(resumed, batches, cfg, tmp_path / "resume", state)
 
         a = Path(full_metrics).read_bytes()
         b = (tmp_path / "resume" / "metrics.jsonl").read_bytes()
@@ -531,6 +530,28 @@ class TestRunTraining:
         fa = Path(full_ckpt).read_bytes()
         fb = (tmp_path / "resume" / "final.moediv").read_bytes()
         assert fa == fb
+
+    def test_resume_from_older_header_byte_identical(self, tmp_path):
+        # checkpoints were once written with "has_opt": true and "opt_t"
+        # equal to "step" in the header; load_checkpoint reads only the keys
+        # it names, so such a file resumes as the uninterrupted run goes on
+        cfg = TR.TrainConfig(total_steps=8, warmup_steps=2, checkpoint_interval=4)
+        batches = tiny_batches(seed=6)
+        full_ckpt, full_metrics = TR.run_training(MoEModel(SMALL, seed=6), batches, cfg,
+                                                  tmp_path / "full")
+        run = tmp_path / "run"
+        TR.run_training(MoEModel(SMALL, seed=6), batches, TR.TrainConfig(
+            total_steps=4, warmup_steps=2, checkpoint_interval=4), run)
+        ckpt = run / "checkpoint.moediv"
+        magic, header, blob = ckpt.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header.update(has_opt=True, opt_t=header["step"])
+        ckpt.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n"
+                         + blob)
+        model, state = load_checkpoint(ckpt)
+        TR.run_training(model, batches, cfg, run, state)  # appends to run's metrics.jsonl
+        assert (run / "metrics.jsonl").read_bytes() == Path(full_metrics).read_bytes()
+        assert (run / "final.moediv").read_bytes() == Path(full_ckpt).read_bytes()
 
     def test_non_finite_loss_names_step(self, tmp_path):
         model = MoEModel(SMALL, seed=11)
@@ -550,7 +571,7 @@ def test_params_stay_views_of_flat(tmp_path):
     cfg = TR.TrainConfig(total_steps=2, warmup_steps=0, checkpoint_interval=2)
     final, _ = TR.run_training(model, tiny_batches(), cfg, tmp_path)
     assert_views(model)
-    loaded, _, _ = load_checkpoint(final)
+    loaded, _ = load_checkpoint(final)
     assert_views(loaded)
     assert_views(analysis.permute_router(loaded, 0, seed=0)[0])
     assert_views(checks.gradient_check_fixture()[0])
