@@ -416,13 +416,15 @@ def expert_mixture(x, dispatch, experts, gated=None) -> Tensor:
     Each expert runs on its slice of the dispatch's slots (dropless grouped
     dispatch as in MegaBlocks). A call walks each slice in tiles of
     ``_TILE`` // m rows, so its temporaries stay in cache; a recorded call
-    saves each slice's tiles for the backward, joined into one array each
-    where the slice spans more than one tile. A token appears at most once
-    per expert, so each gated expert output is added into its token rows by
-    plain assignment, expert by expert. Selections are constants of the
-    backward pass: ``probs`` gets gradient only at its selected entries,
-    through the renormalised gates, and the gradient slices of experts that
-    get no token are zero.
+    writes each tile's GEMM outputs (x w_gate, x w_up and the expert outputs)
+    and sigmoids into whole [T*K, .] arrays in slot order for its VJP. The VJP
+    regathers each slice's rows of x and recomputes the SiLU products from
+    them with the forward's ops in its order, so it reads the forward's bits.
+    A token appears at most once per expert, so each gated expert output is
+    added into its token rows by plain assignment, expert by expert.
+    Selections are constants of the backward pass: ``probs`` gets gradient
+    only at its selected entries, through the renormalised gates, and the
+    gradient slices of experts that get no token are zero.
 
     ``gated``, when given, lists per expert its gated rows (output times
     gates, in slot order) or None: only the experts with None run, and write
@@ -442,53 +444,55 @@ def expert_mixture(x, dispatch, experts, gated=None) -> Tensor:
         return w[i, 0], w[i, 1], w[i, 2].reshape(m, d)
 
     data = np.zeros((t, x.shape[1]))
-    saved = []
+    # pre, sig, up and the expert outputs of the slots that run, whole, for the VJP
+    keep = [np.empty((t * k, w)) for w in (m, m, m, d)] if record else [None] * 4
+    ran = []
     with np.errstate(over="ignore"):  # exp(-pre) overflows to inf for pre < ~-709: sig is then 0
         for i, lo, hi in zip(range(n), bounds[:-1], bounds[1:]):
             if gated is not None and gated[i] is not None:
                 data[slot_tokens[lo:hi]] += gated[i]
                 continue
+            ran.append(i)
             w_gate, w_up, w_down = weights(experts.data, i)
-            tiles, rows = [], []
+            rows = []
             for a, b in _tiles(lo, hi, max(1, _TILE // m)):
                 tokens = slot_tokens[a:b]
                 xi = x.data[tokens]
-                pre = xi @ w_gate
-                sig = 1.0 / (1.0 + np.exp(-pre))
-                act = pre * sig
-                up = xi @ w_up
-                h = act * up
-                expert_out = h @ w_down
+                into = [None if s is None else s[a:b] for s in keep]
+                pre = np.matmul(xi, w_gate, out=into[0])
+                sig = np.divide(1.0, 1.0 + np.exp(-pre), out=into[1])
+                up = np.matmul(xi, w_up, out=into[2])
+                expert_out = np.matmul(pre * sig * up, w_down, out=into[3])
                 out = expert_out * slot_gates[a:b]
                 data[tokens] += out
                 if gated is not None:
                     rows.append(out)
-                if record:
-                    tiles.append((xi, pre, sig, act, up, h, expert_out))
             if gated is not None:
                 gated[i] = np.concatenate(rows)
-            if record:  # the VJP runs each slice whole
-                saved.append((i, lo, hi, *(tiles[0] if len(tiles) == 1 else
-                                           map(np.concatenate, zip(*tiles)))))
 
     def vjp(g):
         g_x = np.zeros_like(x.data)
         g_gates = np.zeros(t * k)
         g_experts = np.zeros(experts.shape)
-        for i, lo, hi, xi, pre, sig, act, up, h, expert_out in saved:
+        for i in ran:
+            lo, hi = bounds[i], bounds[i + 1]
+            pre, sig, up, expert_out = (s[lo:hi] for s in keep)
             w_gate, w_up, w_down = weights(experts.data, i)
             g_w_gate, g_w_up, g_w_down = weights(g_experts, i)
             tokens = slot_tokens[lo:hi]
+            # the forward's products in its order, so act, h and xi have its bits
+            act = pre * sig
             g_rows = g[tokens]
             g_gates[order[lo:hi]] = (expert_out * g_rows).sum(axis=1)
             go = g_rows * slot_gates[lo:hi]
+            g_w_down[...] = (act * up).T @ go
             gh = go @ w_down.T
             g_pre = gh * up * (sig * (1.0 + pre * (1.0 - sig)))
-            g_up = gh * act
+            g_up = np.multiply(gh, act, out=act)
             g_x[tokens] += g_pre @ w_gate.T + g_up @ w_up.T
+            xi = x.data[tokens]
             g_w_gate[...] = xi.T @ g_pre
             g_w_up[...] = xi.T @ g_up
-            g_w_down[...] = h.T @ go
         # d gates / d chosen: the quotient rule, with the norm's term summed
         # over the row, in the order of a gather, sum and divide graph
         g_gates = g_gates.reshape(t, k)
@@ -521,6 +525,10 @@ def _toposort(root: Tensor):
     return order
 
 
+def _released(g):
+    raise ValueError("backward: this graph was released by an earlier backward")
+
+
 def backward(root: Tensor) -> dict:
     """Propagate d(root)/d(leaf) to every requires_grad leaf.
 
@@ -528,21 +536,30 @@ def backward(root: Tensor) -> dict:
     scalar. Gradients of shared subexpressions accumulate additively; the
     traversal order is a function of graph construction order, so identical
     graphs give bit-identical results.
+
+    The walk releases the graph as it goes: once a node's VJP has run, the
+    node drops it, with the arrays it saved, and its parents, so each saved
+    array is freed as soon as it has been read. Node data stays readable. A
+    later walk that needs a released node's VJP raises ValueError, so it
+    never returns partial gradients; differentiate another root of the same
+    graph by building the graph again.
     """
     if root.data.size != 1:
         raise ValueError("backward: root must be a scalar")
     order = _toposort(root)
     grads = {id(root): np.ones_like(root.data)}
     leaf_grads = {}
-    for node in reversed(order):
+    while order:  # popped, so a node nothing else holds is freed once walked
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
         if node._vjp is None:
-            if node.requires_grad:
+            if g is not None and node.requires_grad:
                 leaf_grads[node] = g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        pgs = () if g is None else node._vjp(g)
+        parents = node._parents
+        node._vjp, node._parents = _released, ()
+        for parent, pg in zip(parents, pgs):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
@@ -561,8 +578,8 @@ def grad_check(f, params, h=1e-5) -> dict:
     is restored even when ``f`` raises.
     Returns {name: max relative error}.
     """
-    roots = f()
-    analytic = {name: backward(root) for name, root in roots.items()}
+    roots = f()  # backward releases a graph, so each further root gets its own call
+    analytic = {name: backward((f() if i else roots)[name]) for i, name in enumerate(roots)}
     worst = dict.fromkeys(roots, 0.0)
     with no_grad():
         for p in params:

@@ -283,12 +283,16 @@ class TestExpertMixture:
         assert np.array_equal(new[1].data, old[1].data)
         assert np.array_equal(new[2], old[2])
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_gradients_match_loop(self, k):
+    @pytest.mark.parametrize("k, t, m", [(1, 9, 7), (2, 9, 7), (4, 9, 7), (2, 600, 128)],
+                             ids=["1", "2", "4", "multi-tile"])
+    def test_gradients_match_loop(self, k, t, m):
+        # multi-tile: 1,200 slots among 4 experts, so some slice holds 300 or
+        # more and spans two 256-row tiles at m = 128: the VJP regathers x and
+        # recomputes the SiLU products over rows that two tiles wrote
         rng = np.random.default_rng(40 + k)
-        layer = make_layer(rng, 4, 5, 7, k)
-        x = T.Tensor(rng.normal(size=(9, 5)), requires_grad=True)
-        weights = rng.normal(size=(9, 5))
+        layer = make_layer(rng, 4, 5, m, k)
+        x = T.Tensor(rng.normal(size=(t, 5)), requires_grad=True)
+        weights = rng.normal(size=(t, 5))
         params = [x, layer.router, layer.experts]
         new = T.backward(T.tsum(T.mul(R.moe_forward_batch(layer, x)[0], weights)))
         old = T.backward(T.tsum(T.mul(loop_moe_forward(layer, x)[0], weights)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -190,13 +191,15 @@ class TestTrainStep:
 
     def test_graph_freed_before_update(self, monkeypatch):
         # the forward's saved arrays are gone before the gradient vector and
-        # the AdamW temporaries are allocated, which lowers the step's peak
+        # the AdamW temporaries are allocated, which lowers the step's peak:
+        # backward has released every node's VJP
         live_graph_nodes = []
         flat_gradient = TR._flat_gradient
 
         def spy(*args):
-            live_graph_nodes.append(sum(isinstance(o, T.Tensor) and o._vjp is not None
-                                        for o in gc.get_objects()))
+            live_graph_nodes.append(sum(
+                isinstance(o, T.Tensor) and o._vjp not in (None, T._released)
+                for o in gc.get_objects()))
             return flat_gradient(*args)
 
         monkeypatch.setattr(TR, "_flat_gradient", spy)
@@ -204,6 +207,40 @@ class TestTrainStep:
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         TR.train_step(model, tiny_batches()[0], cfg, TR.AdamWState.init(model.flat))
         assert live_graph_nodes == [0]
+
+    def test_backward_releases_the_graph(self):
+        # a second walk that reaches a released node raises rather than
+        # return wrong gradients; the node data that train_step's record and
+        # decompose read stays
+        model = MoEModel(SMALL, seed=4)
+        terms, layers = TR.objective(model, tiny_batches()[0], TR.TrainConfig())
+        values = {name: t.item() for name, t in terms.items()}
+        probs = [layer.probs.data.copy() for layer in layers]
+        T.backward(terms["l_final"])
+        for name in ("l_final", "l_lb"):
+            with pytest.raises(ValueError, match="^backward: "):
+                T.backward(terms[name])
+        assert {name: t.item() for name, t in terms.items()} == values
+        assert all(np.array_equal(layer.probs.data, p) for layer, p in zip(layers, probs))
+
+    def test_step_peak_below_six_parameter_vectors(self):
+        # a default-config step on the demo corpus, after a warm-up step:
+        # backward frees each node's saved arrays once its VJP has run, and
+        # the expert op saves 4 of its 7 per-slice arrays
+        docs, _ = D.synth_corpus(D.three_domain_demo_specs(), seed=3)
+        train_docs, _ = D.split_validation(docs, 64, 100)
+        batches = D.pack_batches(train_docs, 64, 8, 0)[:2]
+        model, cfg = MoEModel(ModelConfig(), seed=0), TR.TrainConfig()
+        state = TR.AdamWState.init(model.flat)
+        TR.train_step(model, batches[0], cfg, state)
+        tracemalloc.start()
+        try:
+            TR.train_step(model, batches[1], cfg, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vector = model.flat.nbytes
+        assert peak < 6 * vector, f"peak {peak / vector:.2f} parameter vectors"
 
     def test_loss_decreases_over_steps(self):
         model = MoEModel(SMALL, seed=3)
@@ -383,12 +420,13 @@ class TestCheckGradients:
         monkeypatch.setattr(TR, "forward", counted)
         checks.check_gradients()
         # a chain of stopped forwards, each resumed from the one before, then
-        # per stage one analytic pass and 2 x its coordinates: 168 in the
+        # per stage one recorded call per objective term (backward releases
+        # the graph) and 2 x its coordinates: 168 in the
         # embeddings, 272 in layer 0's ln1 and attention, 48 in its ln2 and
         # router, 384 in each of its 4 experts, and 120 in ln_f and the LM head
         stages = ["embed", "layers.0.attn", "layers.0.route",
                   *[f"layers.0.expert.{e}" for e in range(4)], "head"]
-        want = {(stage, None): 1 + 2 * size
+        want = {(stage, None): 4 + 2 * size
                 for stage, size in zip(stages, [168, 272, 48, 384, 384, 384, 384, 120])}
         want.update({(start, stop): 1 for start, stop in zip([None, *stages], stages)})
         assert counts == want
@@ -422,7 +460,6 @@ def test_directional_derivatives_at_default_config(steps):
     for step in range(steps):
         TR.train_step(model, batches[step], cfg, state)
     batch = max(batches, key=lambda b: top_k_margin(model, b, cfg))
-    terms, _ = TR.objective(model, batch, cfg)
     rng = np.random.default_rng(0)
     direction = np.zeros_like(model.flat)
     views = model.split(direction)
@@ -430,8 +467,8 @@ def test_directional_derivatives_at_default_config(steps):
         v = rng.normal(size=p.shape)
         views[name][...] = v / np.sqrt((v * v).sum())
     analytic = {}
-    for name, root in terms.items():
-        grads = T.backward(root)
+    for name in ("l_lm", "l_lb", "l_ed", "l_final"):  # backward releases each graph
+        grads = T.backward(TR.objective(model, batch, cfg)[0][name])
         analytic[name] = sum(float((grads[p] * views[n]).sum())
                              for n, p in model.params.items() if p in grads)
     theta = model.flat.copy()
