@@ -178,6 +178,7 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState) -
     reports = [divergence.decompose(layer.probs.data, token_labels) for layer in layers]
     for key in ("d_total", "d_inter", "d_intra"):
         record[key] = [getattr(rep, key) for rep in reports]
+    del terms, layers  # released nodes and the traces' probs go before the gradient vector
     grad = _flat_gradient(model, leaf_grads, config.grad_clip)
     adamw_update(
         model.flat, grad, state, lr,

@@ -191,15 +191,13 @@ class TestTrainStep:
 
     def test_graph_freed_before_update(self, monkeypatch):
         # the forward's saved arrays are gone before the gradient vector and
-        # the AdamW temporaries are allocated, which lowers the step's peak:
-        # backward has released every node's VJP
+        # the AdamW temporaries are allocated, which lowers the step's peak
         live_graph_nodes = []
         flat_gradient = TR._flat_gradient
 
         def spy(*args):
-            live_graph_nodes.append(sum(
-                isinstance(o, T.Tensor) and o._vjp not in (None, T._released)
-                for o in gc.get_objects()))
+            live_graph_nodes.append(sum(isinstance(o, T.Tensor) and o._vjp is not None
+                                        for o in gc.get_objects()))
             return flat_gradient(*args)
 
         monkeypatch.setattr(TR, "_flat_gradient", spy)
