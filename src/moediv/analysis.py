@@ -196,9 +196,9 @@ def divergence_report(traces: dict) -> list[DivergenceReport]:
     doms = sorted(traces)
     reports = []
     for layer in range(len(traces[doms[0]])):
-        probs = np.concatenate([traces[d][layer].probs.data for d in doms])
-        labels = [d for d in doms for _ in range(traces[d][layer].probs.shape[0])]
-        reports.append(decompose(probs, labels))
+        parts = [traces[d][layer].probs.data for d in doms]
+        ids = np.repeat(np.arange(len(doms)), [len(p) for p in parts])
+        reports.append(decompose(np.concatenate(parts), ids))
     return reports
 
 

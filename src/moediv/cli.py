@@ -39,12 +39,14 @@ _CONFIGS = (ModelConfig, TrainConfig, DataConfig)
 def parse_config(path=None):
     """Read key = value lines into (ModelConfig, TrainConfig, DataConfig).
 
-    Every key has a default, so an empty or missing config is valid. The
-    classes refuse their own bad values; ``seq_len`` is checked here
-    because its bound is the model's ``max_seq_len``.
+    Every key has a default, so an empty or missing config is valid; a key
+    set twice is refused. The classes refuse their own bad values;
+    ``seq_len`` is checked here because its bound is the model's
+    ``max_seq_len``.
     """
     kws = {cls: {} for cls in _CONFIGS}
     defaults = {cls: dataclasses.asdict(cls()) for cls in _CONFIGS}
+    seen = {}  # key -> the line that set it
     if path is not None:
         if not os.path.isfile(path):
             raise UsageError(f"--config: no such file: {path}")
@@ -56,6 +58,10 @@ def parse_config(path=None):
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (s.strip() for s in line.split("=", 1))
+                if key in seen:
+                    raise UsageError(f"{path}:{lineno}: '{key}' is already set on line "
+                                     f"{seen[key]}")
+                seen[key] = lineno
                 for cls, kw in kws.items():
                     if key in defaults[cls]:
                         kind = type(defaults[cls][key])

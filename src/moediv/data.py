@@ -24,10 +24,11 @@ class Document:
 
 @dataclass
 class DomainBatch:
-    """A [B, L] block of packed token sequences with per-sequence labels."""
+    """A [B, L] block of packed token sequences and its [B] intp domain ids,
+    which index the domains of ``pack_sequences`` in first-seen order."""
 
     sequences: np.ndarray
-    domains: list[str]
+    domain_ids: np.ndarray
 
 
 @dataclass
@@ -188,18 +189,18 @@ def pack_batches(docs, seq_len: int, batch_size: int, seed: int):
     dropped so every batch has the same shape.
     """
     packed = pack_sequences(docs, seq_len)
-    labels = [dom for dom, rows in packed.items() for _ in range(len(rows))]
-    if not labels:
+    ids = np.repeat(np.arange(len(packed)), [len(rows) for rows in packed.values()])
+    if not len(ids):
         raise ValueError("corpus shorter than one packed sequence")
     sequences = np.concatenate(list(packed.values()))
-    perm = np.random.default_rng(seed).permutation(len(labels))
+    perm = np.random.default_rng(seed).permutation(len(ids))
     batches = [
-        DomainBatch(sequences=sequences[take], domains=[labels[i] for i in take])
+        DomainBatch(sequences=sequences[take], domain_ids=ids[take])
         for take in (perm[s : s + batch_size]
                      for s in range(0, len(perm) - batch_size + 1, batch_size))
     ]
     if not batches:
-        raise ValueError(f"corpus yields {len(labels)} sequences, "
+        raise ValueError(f"corpus yields {len(ids)} sequences, "
                          f"fewer than batch_size={batch_size}")
     return batches
 

@@ -54,6 +54,20 @@ def _pair_jsd(means):
     return j, k, mix - (hj + hk) * 0.5
 
 
+def _domain_rows(fn, domain_ids, n):
+    """Each domain's rows of ``domain_ids``, a [n] integer array of domain
+    ids: ascending intp indices per domain, domains in first-seen order, so
+    sums over them run in row order whatever the id values. Raises
+    ValueError naming ``fn`` for ids of another shape or dtype."""
+    ids = np.asarray(domain_ids)
+    if ids.shape != (n,):
+        raise ValueError(f"{fn}: domain_ids has shape {ids.shape}, expected [{n}]")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{fn}: domain_ids has dtype {ids.dtype}, expected integers")
+    values, first = np.unique(ids, return_index=True)
+    return [np.flatnonzero(ids == v) for v in values[np.argsort(first)]]
+
+
 def _kl(p, q) -> float:
     """KL divergence sum p ln(p/q) of two checked distributions; +inf when p
     puts mass where q has none."""
@@ -105,29 +119,24 @@ class DivergenceReport:
     d_intra: float
 
 
-def decompose(probs, labels) -> DivergenceReport:
+def decompose(probs, domain_ids) -> DivergenceReport:
     """Split the routing diversity of labeled tokens into inter + intra parts.
 
-    ``probs`` is [T, N] (one routing distribution per token), ``labels`` one
-    domain label per token. Domain means here are token-weighted, matching
-    the decomposition's T_j/T weights.
+    ``probs`` is [T, N] (one routing distribution per token), ``domain_ids``
+    a [T] integer array, one domain id per token. Domain means here are
+    token-weighted, matching the decomposition's T_j/T weights.
     """
     probs = _checked("decompose", "probs", probs, ndim=2)
-    labels = list(labels)
     if probs.shape[0] == 0:
         raise ValueError("decompose: need a [T, N] array with T >= 1")
-    if len(labels) != probs.shape[0]:
-        raise ValueError("decompose: every token needs a domain label")
     t = probs.shape[0]
     global_mean = probs.mean(axis=0)
     mean_token_entropy = float(_entropy(probs).mean())
 
-    labels_arr = np.asarray(labels)
     h_global = float(_entropy(global_mean))
     weighted_domain_entropy = 0.0
-    for dom in dict.fromkeys(labels):
-        sel = probs[labels_arr == dom]
-        weighted_domain_entropy += (sel.shape[0] / t) * float(_entropy(sel.mean(axis=0)))
+    for rows in _domain_rows("decompose", domain_ids, t):
+        weighted_domain_entropy += (len(rows) / t) * float(_entropy(probs[rows].mean(axis=0)))
     d_total = h_global - mean_token_entropy
     d_inter = h_global - weighted_domain_entropy
     d_intra = weighted_domain_entropy - mean_token_entropy

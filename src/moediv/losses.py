@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .divergence import DEFAULT_EPS, _pair_jsd
+from .divergence import DEFAULT_EPS, _domain_rows, _pair_jsd
 from .tensor import Tensor
 
 
@@ -55,31 +55,23 @@ def _entropy_vjp(p: np.ndarray, g, acc=0.0):
     return (acc + g * np.log(floored)) + g * p / floored
 
 
-def expert_divergence_loss_t(probs: Tensor, domains, eps: float = DEFAULT_EPS) -> Tensor:
+def expert_divergence_loss_t(probs: Tensor, domain_ids, eps: float = DEFAULT_EPS) -> Tensor:
     """Differentiable L_ED for one MoE layer, one graph node.
 
-    ``probs`` is the [B, L, N] router output and ``domains`` gives one
-    label per sequence. Token distributions are averaged to sequence means,
-    sequence means to unweighted domain means, and the loss is the mean of
-    -ln(JSD + eps) over unique domain pairs. With fewer than two domains the
-    loss is a constant zero (divergence-skipped). The VJP differentiates the
-    JSD through the entropy (Lin 1991) and spreads each domain mean's
-    gradient evenly over its sequences and their tokens.
+    ``probs`` is the [B, L, N] router output and ``domain_ids`` a [B]
+    integer array, one domain id per sequence. Token distributions are
+    averaged to sequence means, sequence means to unweighted domain means,
+    and the loss is the mean of -ln(JSD + eps) over unique domain pairs, the
+    domains in first-seen order. With fewer than two domains the loss is a
+    constant zero (divergence-skipped). The VJP differentiates the JSD
+    through the entropy (Lin 1991) and spreads each domain mean's gradient
+    evenly over its sequences and their tokens.
     """
-    domains = list(domains)
-    if len(domains) != probs.shape[0]:
-        raise ValueError(
-            f"expert_divergence_loss_t: {len(domains)} domain labels "
-            f"for {probs.shape[0]} sequences"
-        )
-    groups = {}  # domain -> its rows, domains in first-seen order
-    for row, d in enumerate(domains):
-        groups.setdefault(d, []).append(row)
-    if len(groups) < 2:
+    members = _domain_rows("expert_divergence_loss_t", domain_ids, probs.shape[0])
+    if len(members) < 2:
         return Tensor(0.0)
 
     b, l, n = probs.shape
-    members = list(groups.values())
     seq_means = probs.data.sum(axis=1) / l  # [B, N]; each mean is sum / count, as np.mean
     means = np.stack([seq_means[rows].sum(axis=0) / len(rows) for rows in members])  # [M_B, N]
     j, k, jsd = _pair_jsd(means)  # one JSD per domain pair j < k

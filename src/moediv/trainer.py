@@ -135,7 +135,7 @@ def _layer_losses(trace, batch, config: TrainConfig):
     """(L_LB, L_ED) of one MoE layer's trace on ``batch``, one graph node each."""
     return (losses.load_balance_loss_t(trace.probs, trace.selected),
             losses.expert_divergence_loss_t(T.reshape(trace.probs, batch.sequences.shape + (-1,)),
-                                            batch.domains, eps=config.eps))
+                                            batch.domain_ids, eps=config.eps))
 
 
 def objective(model: MoEModel, batch, config: TrainConfig, start=None):
@@ -171,11 +171,10 @@ def train_step(model: MoEModel, batch, config: TrainConfig, state: AdamWState) -
     terms, layers = objective(model, batch, config)
     leaf_grads = T.backward(terms["l_final"])
     lr = lr_at(state.t, config)
-    record = {"step": state.t, "lr": lr, "m_b": len(set(batch.domains))}
+    record = {"step": state.t, "lr": lr, "m_b": len(set(batch.domain_ids.tolist()))}
     record.update((name, t.item()) for name, t in terms.items())
-    seq_len = batch.sequences.shape[1]
-    token_labels = [d for d in batch.domains for _ in range(seq_len)]
-    reports = [divergence.decompose(layer.probs.data, token_labels) for layer in layers]
+    token_ids = np.repeat(batch.domain_ids, batch.sequences.shape[1])
+    reports = [divergence.decompose(layer.probs.data, token_ids) for layer in layers]
     for key in ("d_total", "d_inter", "d_intra"):
         record[key] = [getattr(rep, key) for rep in reports]
     del terms, layers  # released nodes and the traces' probs go before the gradient vector

@@ -73,13 +73,13 @@ def test_c5_closed_form_losses():
 
     same = np.tile([0.5, 0.5], (8, 1))
     ed_same = losses.expert_divergence_loss_t(
-        Tensor(same.reshape(4, 2, 2)), ["a", "a", "b", "b"]
+        Tensor(same.reshape(4, 2, 2)), [0, 0, 1, 1]
     )
     err_same = abs(ed_same.item() - (-np.log(1e-8)))
 
     disjoint = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
     ed_dis = losses.expert_divergence_loss_t(
-        Tensor(disjoint.reshape(4, 2, 2)), ["a", "a", "b", "b"]
+        Tensor(disjoint.reshape(4, 2, 2)), [0, 0, 1, 1]
     )
     err_dis = abs(ed_dis.item() - (-np.log(np.log(2.0) + 1e-8)))
 

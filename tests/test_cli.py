@@ -310,6 +310,16 @@ class TestExitCodes:
         assert f"error: {config}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_config_key_is_usage_error(self, trained, tmp_path, capsys):
+        config = tmp_path / "c.ini"
+        config.write_text("seq_len = 64\n# a later line must not win\nseq_len = 32\n")
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(config), "--data", str(trained["corpus"]),
+                      "--out", str(out)])
+        assert rc == 1
+        assert f"error: {config}:3: 'seq_len' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         pytest.param("", "corpus shorter than one packed sequence", id="empty"),
         # 100 bytes: one sequence of the default seq_len 64

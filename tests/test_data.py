@@ -251,7 +251,7 @@ class TestPacking:
         assert len(b1) == len(b2)
         for x, y in zip(b1, b2):
             assert np.array_equal(x.sequences, y.sequences)
-            assert x.domains == y.domains
+            assert np.array_equal(x.domain_ids, y.domain_ids)
 
     def test_partial_batch_dropped(self):
         # 4 sequences at batch_size 3 -> exactly one batch
@@ -322,10 +322,11 @@ def oracle_pack_sequences(docs, seq_len):
 
 def oracle_pack_batches(docs, seq_len, batch_size, seed):
     sequences, labels = oracle_pack_sequences(docs, seq_len)
+    order = list(dict.fromkeys(doc.domain for doc in docs))
     perm = np.random.default_rng(seed).permutation(len(sequences))
     return [
         D.DomainBatch(sequences=np.stack([sequences[i] for i in take]).astype(np.intp),
-                      domains=[labels[i] for i in take])
+                      domain_ids=np.array([order.index(labels[i]) for i in take]))
         for take in (perm[s : s + batch_size]
                      for s in range(0, len(perm) - batch_size + 1, batch_size))
     ]
@@ -402,7 +403,18 @@ class TestPackingMatchesListOracle:
         assert len(got) == len(expected) > 0
         for g, e in zip(got, expected):
             assert_same_arrays(g.sequences, e.sequences)
-            assert g.domains == e.domains
+            assert np.array_equal(g.domain_ids, e.domain_ids)
+
+    def test_batch_ids_index_pack_sequences(self, setup):
+        # a batch row with id i is a row of the i-th domain of pack_sequences,
+        # which counts a domain shorter than one sequence too
+        docs, seq_len, batch_size, _, _ = setup
+        packed = D.pack_sequences(docs, seq_len)
+        for batch in D.pack_batches(docs, seq_len, batch_size, seed=5):
+            assert batch.domain_ids.dtype == np.intp
+            assert batch.domain_ids.shape == (batch_size,)
+            for row, i in zip(batch.sequences, batch.domain_ids):
+                assert (packed[list(packed)[i]] == row).all(axis=1).any()
 
     def test_split_validation(self, setup):
         docs, seq_len, _, val_sequences, _ = setup

@@ -39,11 +39,11 @@ def compose(l_lm, l_lb, l_ed, alpha, beta):
     return losses.compose_t(T.Tensor(l_lm), T.Tensor(l_lb), T.Tensor(l_ed), alpha, beta).item()
 
 
-def ed_loss(probs, seq_len, domains):
+def ed_loss(probs, seq_len, domain_ids):
     """L_ED of [B*L, N] token rows packed sequence by sequence."""
     probs = T.as_tensor(probs)
     return losses.expert_divergence_loss_t(
-        T.reshape(probs, (len(domains), seq_len, probs.shape[-1])), domains
+        T.reshape(probs, (len(domain_ids), seq_len, probs.shape[-1])), domain_ids
     )
 
 
@@ -132,43 +132,44 @@ class TestExpertDivergenceT:
 
     def test_identical_means_closed_form(self):
         probs = self._probs_for([[0.5, 0.5], [0.5, 0.5]], 2, 3)
-        out = ed_loss(probs, 3, ["a", "a", "b", "b"])
+        out = ed_loss(probs, 3, [0, 0, 1, 1])
         assert out.item() == pytest.approx(-np.log(1e-8), abs=1e-9)
 
     def test_disjoint_means_closed_form(self):
         probs = self._probs_for([[1.0, 0.0], [0.0, 1.0]], 1, 4)
-        out = ed_loss(probs, 4, ["a", "b"])
+        out = ed_loss(probs, 4, [0, 1])
         assert out.item() == pytest.approx(-np.log(np.log(2.0) + 1e-8), abs=1e-12)
 
     def test_single_domain_skipped(self):
         probs = self._probs_for([[0.6, 0.4]], 2, 3)
-        out = ed_loss(probs, 3, ["a", "a"])
+        out = ed_loss(probs, 3, [0, 0])
         assert out.item() == 0.0
 
     def test_three_domain_scalar_oracle(self):
         rng = np.random.default_rng(3)
         b, l, n = 6, 4, 5
         probs = rng.dirichlet(np.ones(n), size=b * l)
-        domains = ["x", "y", "z", "x", "y", "z"]
+        domains = [0, 1, 2, 0, 1, 2]
         out = ed_loss(probs, l, domains)
         seq_means = probs.reshape(b, l, n).mean(axis=1)
         dm = {d: np.mean([seq_means[i] for i in range(b) if domains[i] == d], axis=0)
-              for d in "xyz"}
-        pairs = [("x", "y"), ("x", "z"), ("y", "z")]
+              for d in range(3)}
+        pairs = [(0, 1), (0, 2), (1, 2)]
         expected = np.mean([-np.log(jsd_pair(dm[a], dm[b_]) + 1e-8) for a, b_ in pairs])
         assert out.item() == pytest.approx(expected, rel=1e-11)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            losses.expert_divergence_loss_t(T.Tensor(np.full((2, 2, 2), 0.5)), ["a"])
+            losses.expert_divergence_loss_t(T.Tensor(np.full((2, 2, 2), 0.5)), [0])
 
     @pytest.mark.parametrize("shape, labels", [
-        ((3, 2, 2), ["a", "b"]),
-        ((3, 2, 2), ["a", "b", "a", "b"]),
-        ((8, 2), ["a", "a", "b", "b"]),  # flat [B*L, N] rows: 8 sequences to the loss
+        ((3, 2, 2), [0, 1]),
+        ((3, 2, 2), [0, 1, 0, 1]),
+        ((8, 2), [0, 0, 1, 1]),  # flat [B*L, N] rows: 8 sequences to the loss
     ])
     def test_label_count_must_match_batch(self, shape, labels):
-        with pytest.raises(ValueError, match=f"{len(labels)} domain labels for {shape[0]} sequences"):
+        with pytest.raises(ValueError, match=rf"domain_ids has shape \({len(labels)},\), "
+                                             rf"expected \[{shape[0]}\]"):
             losses.expert_divergence_loss_t(T.Tensor(np.full(shape, 0.5)), labels)
 
     @staticmethod
@@ -176,7 +177,7 @@ class TestExpertDivergenceT:
         # two sequences per domain, the domains interleaved
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(n), size=2 * m * seq_len)
-        return probs, [f"d{i % m}" for i in range(2 * m)]
+        return probs, [i % m for i in range(2 * m)]
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_many_domains_scalar_oracle(self, m):
@@ -205,14 +206,14 @@ class TestExpertDivergenceT:
              [0.3, 0.7], [0.3, 0.7],       # seq 3, domain b
              [0.7, 0.3], [0.7, 0.3]]       # seq 4, domain b
         )
-        out = ed_loss(probs, 2, ["a", "a", "b", "b"])
+        out = ed_loss(probs, 2, [0, 0, 1, 1])
         # both domain means are (0.5, 0.5): identical means closed form
         assert out.item() == pytest.approx(-np.log(1e-8), abs=1e-9)
 
     @pytest.mark.parametrize("domains, one_hot", [
-        (["a", "b", "a", "a"], False),            # 2 domains: 3 and 1 sequences
-        (["x", "y", "z", "x", "y", "x"], False),  # 3 domains: 3, 2 and 1 sequences
-        (["a", "b", "c", "b"], True),             # domain a's mean is an exact one-hot
+        ([0, 1, 0, 0], False),           # 2 domains: 3 and 1 sequences
+        ([0, 1, 2, 0, 1, 0], False),     # 3 domains: 3, 2 and 1 sequences
+        ([0, 1, 2, 1], True),            # domain 0's mean is an exact one-hot
     ])
     def test_matches_composite_oracle(self, domains, one_hot):
         rng = np.random.default_rng(len(domains))
@@ -227,8 +228,8 @@ class TestExpertDivergenceT:
         assert np.all(np.isfinite(g_new))
 
     def test_interleaved_labels_equal_composite_oracle(self):
-        # domains in first-seen order b, a, c, each over its rows in ascending order
-        domains = ["b", "a", "b", "c", "a"]
+        # domains in first-seen order 1, 0, 2, each over its rows in ascending order
+        domains = [1, 0, 1, 2, 0]
         probs = T.Tensor(np.random.default_rng(9).dirichlet(np.ones(4), size=(5, 3)),
                          requires_grad=True)
         (old, new), (g_old, g_new) = oracle_pair(
@@ -239,19 +240,19 @@ class TestExpertDivergenceT:
     def test_single_domain_has_no_gradient(self):
         probs = T.Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
         (old, new), (g_old, g_new) = oracle_pair(
-            G.composite_expert_divergence, losses.expert_divergence_loss_t, probs, ["a", "a"])
+            G.composite_expert_divergence, losses.expert_divergence_loss_t, probs, [0, 0])
         assert new == old == 0.0
         assert g_new is None and g_old is None
 
     def test_one_graph_node(self):
         probs = T.Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
-        out = losses.expert_divergence_loss_t(probs, ["a", "b"])
+        out = losses.expert_divergence_loss_t(probs, [0, 1])
         assert out._parents == (probs,)
 
     def test_gradient_flows_to_probs(self):
         rng = np.random.default_rng(4)
         probs = T.Tensor(rng.dirichlet(np.ones(4), size=8), requires_grad=True)
-        out = ed_loss(probs, 2, ["a", "a", "b", "b"])
+        out = ed_loss(probs, 2, [0, 0, 1, 1])
         grads = T.backward(out)
         assert probs in grads
         assert np.any(grads[probs] != 0)

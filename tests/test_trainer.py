@@ -182,7 +182,7 @@ class TestTrainStep:
     def test_single_domain_batch_skips_divergence(self):
         model = MoEModel(SMALL, seed=2)
         batch = tiny_batches()[0]
-        batch.domains = ["a"] * len(batch.sequences)
+        batch.domain_ids = np.zeros(len(batch.sequences), dtype=np.intp)
         state = TR.AdamWState.init(model.flat)
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         rec = TR.train_step(model, batch, cfg, state)
@@ -344,16 +344,16 @@ class TestObjective:
 
     def test_step_decomposition_reads_objective_layers(self):
         # train_step's D values are decompose() of the objective's router
-        # probabilities, each sequence's label repeated once per token
+        # probabilities, each sequence's domain id repeated once per token
         batch = tiny_batches()[0]
         cfg = TR.TrainConfig(total_steps=10, warmup_steps=0)
         model = MoEModel(SMALL, seed=9)
         _, layers = TR.objective(MoEModel(SMALL, seed=9), batch, cfg)
         rec = TR.train_step(model, batch, cfg, TR.AdamWState.init(model.flat))
         seq_len = batch.sequences.shape[1]
-        labels = [d for d in batch.domains for _ in range(seq_len)]
+        ids = np.array([d for d in batch.domain_ids for _ in range(seq_len)])
         for i, layer in enumerate(layers):
-            rep = divergence.decompose(layer.probs.data, labels)
+            rep = divergence.decompose(layer.probs.data, ids)
             assert (rec["d_total"][i], rec["d_inter"][i], rec["d_intra"][i]) == (
                 rep.d_total, rep.d_inter, rep.d_intra)
 
@@ -376,7 +376,7 @@ class TestObjective:
         docs, _ = D.synth_corpus(D.three_domain_demo_specs(), seed=3)
         train_docs, _ = D.split_validation(docs, 64, 100)
         batch = D.pack_batches(train_docs, 64, 8, 0)[0]
-        assert len(set(batch.domains)) == 3
+        assert np.array_equal(np.unique(batch.domain_ids), [0, 1, 2])
         terms, _ = TR.objective(MoEModel(ModelConfig(), seed=0), batch, TR.TrainConfig())
         assert len(T._toposort(terms["l_final"])) == 54
 
