@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: train, decompose, perturb, heatmap, ternary, check. Exit codes:
-0 success, 1 usage error (bad flags, missing files), 2 runtime failure.
+0 success, 1 a refused input (flags, files, their contents), 2 a failure while a verb runs.
 Verbosity via the MOEDIV_LOG environment variable (error | info | debug).
 """
 
@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -40,9 +41,8 @@ def parse_config(path=None):
     """Read key = value lines into (ModelConfig, TrainConfig, DataConfig).
 
     Every key has a default, so an empty or missing config is valid; a key
-    set twice is refused. The classes refuse their own bad values;
-    ``seq_len`` is checked here because its bound is the model's
-    ``max_seq_len``.
+    set twice is refused. The classes refuse their own bad values, and
+    ``_check_inputs`` bounds ``seq_len`` by the model that runs.
     """
     kws = {cls: {} for cls in _CONFIGS}
     defaults = {cls: dataclasses.asdict(cls()) for cls in _CONFIGS}
@@ -76,13 +76,9 @@ def parse_config(path=None):
                 else:
                     raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
     try:
-        model_cfg, train_cfg, data_cfg = (cls(**kw) for cls, kw in kws.items())
-        if not 2 <= data_cfg.seq_len <= model_cfg.max_seq_len:
-            raise ValueError(f"seq_len must be in [2, max_seq_len = {model_cfg.max_seq_len}], "
-                             f"got {data_cfg.seq_len}")
+        return tuple(cls(**kw) for cls, kw in kws.items())
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return model_cfg, train_cfg, data_cfg
 
 
 def _int_at_least(lo):
@@ -99,10 +95,10 @@ def _require_file(path, flag):
         raise UsageError(f"{flag}: no such file: {path}")
 
 
-def _load_docs(path):
-    """The documents of a --data file; a malformed record is a usage error."""
+def _read(reader, path):
+    """``reader(path)``; a file it refuses (a ValueError naming it) is a usage error."""
     try:
-        return data_mod.load_corpus(path)
+        return reader(path)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -148,9 +144,9 @@ def _model_and_valsets(args, experts=1):
     that needs a model of at least ``experts`` experts."""
     _require_file(args.ckpt, "--ckpt")
     _require_file(args.data, "--data")
-    model, state = load_checkpoint(args.ckpt)
+    model, state = _read(load_checkpoint, args.ckpt)
     log.info("loaded checkpoint at step %d", state.t)
-    docs = _load_docs(args.data)
+    docs = _read(data_mod.load_corpus, args.data)
     _check_inputs(model.config, docs, experts=experts)
     return model, _load_valsets(docs, model.config.max_seq_len, args.limit)
 
@@ -167,9 +163,9 @@ def cmd_train(args):
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
         raise UsageError(f"--out: {args.out} exists and is not empty (use --force)")
 
-    docs = _load_docs(args.data)
+    docs = _read(data_mod.load_corpus, args.data)
     if args.resume:
-        model, state = load_checkpoint(args.resume)
+        model, state = _read(load_checkpoint, args.resume)
         log.info("resuming at step %d", state.t)
     else:
         model = MoEModel(model_cfg, seed=train_cfg.seed)
@@ -208,6 +204,9 @@ def cmd_perturb(args):
             f"--layer {args.layer} out of range: model has {model.config.num_layers} layers"
         )
     result = analysis.delta_ppl_mean(model, args.layer, valsets, args.seed, draws=args.draws)
+    for dom, delta in result["mean_delta"].items():  # non-finite if any perplexity is
+        if not math.isfinite(delta):
+            raise RuntimeError(f"domain {dom}: mean delta-PPL is not finite ({delta})")
     for records in result["draws"]:
         for rec in records:
             print(json.dumps(rec, sort_keys=True))

@@ -33,15 +33,18 @@ class DomainBatch:
 
 @dataclass
 class DataConfig:
-    """How ``moediv train`` packs its corpus; ``val_sequences`` is not read yet."""
+    """How ``moediv train`` packs its corpus; ``val_sequences`` is not read
+    yet. ``seq_len``'s upper bound, the running model's ``max_seq_len``, is
+    the CLI's to check."""
 
     seq_len: int = 64
     batch_size: int = 8
     val_sequences: int = 100
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for key, lo in (("seq_len", 2), ("batch_size", 1), ("val_sequences", 1)):
+            if getattr(self, key) < lo:
+                raise ValueError(f"{key} must be at least {lo}, got {getattr(self, key)}")
 
 
 def load_corpus(path):

@@ -294,8 +294,10 @@ def load_checkpoint(path):
 
     Raises ValueError naming ``path`` for a bad magic line, an unreadable
     header or config, a ``step`` that is not a non-negative int, a parameter
-    layout that is not the config's, and a truncated file (a file without
-    the Adam moments among them) or trailing bytes.
+    layout that is not the config's, a truncated file (a file without the
+    Adam moments among them) or trailing bytes, and a value of the weights,
+    ``m`` or ``v`` that is not finite or, in ``v``, negative, named with its
+    vector and parameter.
     """
     from .trainer import AdamWState  # local import to avoid a cycle
 
@@ -328,4 +330,10 @@ def load_checkpoint(path):
 
         model = MoEModel(config, flat=vector())
         state = AdamWState(m=vector(), v=vector(), t=step)
+    for what, values in (("weights", model.flat), ("m", state.m), ("v", state.v)):
+        for name, part in model.split(values).items():
+            if not np.isfinite(part).all():
+                raise ValueError(f"{path}: non-finite value in {what} {name}")
+            if what == "v" and part.min() < 0:
+                raise ValueError(f"{path}: negative value in {what} {name}")
     return model, state

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -116,6 +117,19 @@ class TestParseConfig:
             cli.parse_config(p)
 
 
+# how a checkpoint is spoiled -> the reason load_checkpoint gives after its path
+REFUSED_CHECKPOINTS = {
+    "bad magic": "not a moediv checkpoint (bad magic)",
+    "unparsable header": "bad header: Expecting",
+    "parameter layout": "parameter names and shapes do not match the config",
+    "bad step": "bad header: step must be a non-negative int, got -1",
+    "truncated": "truncated: expected",
+    "trailing bytes": "3 trailing bytes",
+    "non-finite weight": "non-finite value in weights layers.0.moe.experts",
+    "negative v": "negative value in v layers.0.attn.wq",
+}
+
+
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path):
         rc = cli.run(["train", "--data", str(tmp_path / "nope.jsonl"),
@@ -129,12 +143,53 @@ class TestExitCodes:
         assert cli.run(["frobnicate"]) == 1
 
     def test_runtime_failure_is_2(self, trained, tmp_path):
-        # a checkpoint cut short, which load_checkpoint refuses
-        cut = tmp_path / "cut.moediv"
-        cut.write_bytes(trained["ckpt"].read_bytes()[:-8])
-        rc = cli.run(["perturb", "--ckpt", str(cut),
-                      "--layer", "0", "--data", str(trained["corpus"])])
-        assert rc == 2
+        # a finite checkpoint whose perplexity overflows np.exp: perturb must
+        # fail, not print NaN deltas; run where the overflow only warns
+        model, state = model_mod.load_checkpoint(trained["ckpt"])
+        model.params["lm_head"].data[...] *= 1e5
+        ckpt = tmp_path / "big.moediv"
+        save_checkpoint(ckpt, model, state)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "moediv.cli", "perturb", "--ckpt", str(ckpt),
+                               "--layer", "0", "--data", str(trained["corpus"])],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert "error: domain a: mean delta-PPL is not finite (nan)" in done.stderr
+
+    @pytest.mark.parametrize("case", list(REFUSED_CHECKPOINTS))
+    @pytest.mark.parametrize("verb", ["decompose", "train --resume"])
+    def test_refused_checkpoint_is_usage_error(self, trained, tmp_path, capsys, verb, case):
+        ckpt = tmp_path / "bad.moediv"
+        if case in ("non-finite weight", "negative v"):
+            model, state = model_mod.load_checkpoint(trained["ckpt"])
+            if case == "negative v":
+                model.split(state.v)["layers.0.attn.wq"][1, 2] = -1.0
+            else:
+                model.params["layers.0.moe.experts"].data[1, 2, 3, 4] = np.nan
+            save_checkpoint(ckpt, model, state)
+        else:
+            magic, header, blob = trained["ckpt"].read_bytes().split(b"\n", 2)
+            header = json.loads(header)
+            if case == "parameter layout":
+                header["params"][-1][1] = header["params"][-1][1][::-1]  # lm_head transposed
+            if case == "bad step":
+                header["step"] = -1
+            header = b"{" if case == "unparsable header" else json.dumps(header).encode()
+            blob = {"truncated": blob[:-8], "trailing bytes": blob + b"\0" * 3}.get(case, blob)
+            magic = b"NOTMOEDIV" if case == "bad magic" else magic
+            ckpt.write_bytes(magic + b"\n" + header + b"\n" + blob)
+        out = tmp_path / "out"
+        if verb == "decompose":
+            argv = ["decompose", "--ckpt", str(ckpt)]
+        else:
+            argv = ["train", "--config", str(trained["config"]), "--out", str(out),
+                    "--resume", str(ckpt)]
+        assert cli.run(argv + ["--data", str(trained["corpus"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {ckpt}: {REFUSED_CHECKPOINTS[case]}" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("step", -4), ("step", "2"), ("step", None), ("step", 2.5), ("step", True),
@@ -149,7 +204,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         rc = cli.run(["train", "--config", str(trained["config"]), "--data",
                       str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
-        assert rc == 2
+        assert rc == 1
         assert (f"error: {ckpt}: bad header: {field} must be a non-negative int, got {value!r}"
                 in capsys.readouterr().err)
         assert not out.exists()
@@ -181,7 +236,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         rc = cli.run(["train", "--config", str(trained["config"]), "--data",
                       str(trained["corpus"]), "--out", str(out), "--resume", str(ckpt)])
-        assert rc == 2
+        assert rc == 1
         err = capsys.readouterr().err
         assert f"error: {ckpt}: truncated" in err and "(weights and Adam moments)" in err
         assert not out.exists()
@@ -275,9 +330,10 @@ class TestExitCodes:
         ("top_k = 9", "top_k must not exceed num_experts"),
         ("hidden_size = 65", "hidden_size must be divisible by num_heads"),
         ("warmup_steps = 2001", "warmup_steps must not exceed total_steps"),
-        ("seq_len = 0", "seq_len must be in [2, max_seq_len = 128], got 0"),
-        ("seq_len = 200", "seq_len must be in [2, max_seq_len = 128], got 200"),
+        ("seq_len = 0", "seq_len must be at least 2, got 0"),
+        ("seq_len = 1", "seq_len must be at least 2, got 1"),
         ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("val_sequences = -5", "val_sequences must be at least 1, got -5"),
         ("num_heads = 0", "num_heads must be at least 1, got 0"),
         ("num_layers = 0", "num_layers must be at least 1, got 0"),
         ("top_k = 0", "top_k must be at least 1, got 0"),
@@ -422,6 +478,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert ("error: --data: domain b has byte 195, outside the model's vocab_size 128"
                 in captured.err)
+        assert not out.exists()
+
+    def test_seq_len_above_config_max_is_usage_error(self, trained, tmp_path, capsys):
+        # the one seq_len bound, against the model the config makes
+        config = tmp_path / "c.ini"
+        config.write_text("seq_len = 200\n")
+        out = tmp_path / "out"
+        rc = cli.run(["train", "--config", str(config), "--data", str(trained["corpus"]),
+                      "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: seq_len = 200 exceeds the model's max_seq_len = 128" in err
         assert not out.exists()
 
     def test_resume_seq_len_above_checkpoint_max_is_usage_error(self, trained, tmp_path, capsys):

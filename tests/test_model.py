@@ -526,6 +526,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"m\.moediv: 5 trailing bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("vector, value, reason", [
+        ("flat", np.nan, "non-finite value in weights"),
+        ("flat", -np.inf, "non-finite value in weights"),
+        ("m", np.inf, "non-finite value in m"),
+        ("v", np.nan, "non-finite value in v"),
+        ("v", -1e-300, "negative value in v"),
+    ])
+    def test_non_finite_or_negative_value_refused(self, tmp_path, vector, value, reason):
+        # a NaN the analysis verbs or a resume would read runs on into every
+        # number they print, so the file is refused, naming the parameter
+        model = MoEModel(SMALL, seed=21)
+        state = AdamWState.init(model.flat)
+        values = model.flat if vector == "flat" else getattr(state, vector)
+        model.split(values)["layers.1.moe.experts"][1, 2, 3, 4] = value
+        path = tmp_path / "m.moediv"
+        save_checkpoint(path, model, state)
+        with pytest.raises(ValueError, match=rf"m\.moediv: {reason} layers\.1\.moe\.experts$"):
+            load_checkpoint(path)
+
     def test_no_tmp_file_left(self, tmp_path):
         model = MoEModel(SMALL, seed=12)
         save_checkpoint(tmp_path / "m.moediv", model, AdamWState.init(model.flat))
